@@ -32,6 +32,7 @@ int SignalGraph::addNode(const SignalBase* s)
     n.signal = s;
     nodes_.push_back(n);
     readers_.emplace_back();
+    drivingProcesses_.emplace_back();
     return idx;
 }
 
@@ -68,7 +69,9 @@ void SignalGraph::buildNodes(const fault::Testbench& tb)
         processes_.push_back(&c);
         processByName_.emplace(c.process->name(), &c);
         for (SignalBase* s : c.drives) {
-            nodes_[static_cast<std::size_t>(addNode(s))].driven = true;
+            const int idx = addNode(s);
+            nodes_[static_cast<std::size_t>(idx)].driven = true;
+            drivingProcesses_[static_cast<std::size_t>(idx)].push_back(&c);
         }
         for (SignalBase* s : inputsOf(c)) {
             const int idx = addNode(s);
@@ -220,18 +223,7 @@ void SignalGraph::markObservable(const fault::Testbench& tb)
     while (!queue.empty()) {
         const int node = queue.front();
         queue.pop_front();
-        // Find every process driving this node and mark its inputs.
-        for (const ProcessConnectivity* p : processes_) {
-            bool drivesNode = false;
-            for (SignalBase* s : p->drives) {
-                if (indexOf(s) == node) {
-                    drivesNode = true;
-                    break;
-                }
-            }
-            if (!drivesNode) {
-                continue;
-            }
+        for (const ProcessConnectivity* p : drivingProcesses_[static_cast<std::size_t>(node)]) {
             for (SignalBase* s : inputsOf(*p)) {
                 enqueue(indexOf(s));
             }

@@ -129,6 +129,7 @@ private:
     std::vector<const digital::ProcessConnectivity*> processes_;
     std::map<std::string, const digital::ProcessConnectivity*> processByName_;
     std::vector<std::vector<const digital::ProcessConnectivity*>> readers_;
+    std::vector<std::vector<const digital::ProcessConnectivity*>> drivingProcesses_;
     std::vector<std::string> observedStateHooks_;
     int maxLevel_ = 0;
     std::size_t cyclicSignals_ = 0;

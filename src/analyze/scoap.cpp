@@ -1,7 +1,7 @@
 #include "analyze/scoap.hpp"
 
 #include "analyze/graph.hpp"
-#include "core/report.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 #include <algorithm>
@@ -189,7 +189,7 @@ std::string TestabilityReport::json() const
     for (std::size_t i = 0; i < ranked.size(); ++i) {
         const NodeScore& s = ranked[i];
         out += i == 0 ? "\n" : ",\n";
-        out += "  {\"signal\": \"" + campaign::jsonEscape(s.signal) + "\"";
+        out += "  {\"signal\": \"" + util::jsonEscape(s.signal) + "\"";
         out += ", \"level\": " + std::to_string(s.level);
         out += ", \"fanout\": " + std::to_string(s.fanout);
         out += ", \"cc\": ";

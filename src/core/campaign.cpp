@@ -3,11 +3,11 @@
 #include "analyze/collapse.hpp"
 #include "batch/backend.hpp"
 #include "core/journal.hpp"
-#include "core/report.hpp"
 #include "lint/lint.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/errors.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -468,9 +468,7 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
     const std::string forensics = forensicsDir();
     std::unique_ptr<obs::FlightRecorder> recorder;
     if (!forensics.empty()) {
-        recorder = std::make_unique<obs::FlightRecorder>(
-            forensicsCapacity_ > 0 ? forensicsCapacity_
-                                   : obs::FlightRecorder::kDefaultCapacity);
+        recorder = std::make_unique<obs::FlightRecorder>(obs::FlightRecorder::kDefaultCapacity);
     }
     std::unique_ptr<fault::Testbench> tb;
     obs::ProbeSnapshot baseline;
@@ -558,7 +556,7 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
             result.diagnostics.forensic = stem;
             if (tel != nullptr && tel->trace() != nullptr) {
                 tel->trace()->instantEvent("forensic dump", "run",
-                                           "{\"stem\": \"" + jsonEscape(stem) + "\"}");
+                                           "{\"stem\": \"" + util::jsonEscape(stem) + "\"}");
             }
         } catch (const std::exception& e) {
             std::fprintf(stderr, "gfi: forensics: dump failed for %s: %s\n", stem.c_str(),
@@ -596,18 +594,6 @@ RunResult CampaignRunner::runOne(const fault::FaultSpec& fault)
 {
     runGolden();
     return runContained(fault);
-}
-
-std::map<Outcome, int> CampaignRunner::liveHistogram() const
-{
-    const std::lock_guard<std::mutex> lock(liveMutex_);
-    return liveHistogram_;
-}
-
-std::size_t CampaignRunner::completedRuns() const
-{
-    const std::lock_guard<std::mutex> lock(liveMutex_);
-    return liveCompleted_;
 }
 
 void CampaignRunner::recordRunMetrics(const RunResult& r)
@@ -822,12 +808,6 @@ CampaignReport CampaignRunner::run(
                      "Torn/corrupt journal lines skipped on resume")
             .inc(journalSkipped);
     }
-    {
-        const std::lock_guard<std::mutex> lock(liveMutex_);
-        liveHistogram_.clear();
-        liveCompleted_ = 0;
-    }
-
     CampaignReport report;
     report.journalSkippedLines = journalSkipped;
     report.runs.resize(faults.size());
@@ -899,12 +879,14 @@ CampaignReport CampaignRunner::run(
     // reports restored + new, never from zero; throughput and ETA come from
     // newly executed (simulated or word-batched) runs only. All emission
     // happens on the serialized commit path plus the start/done bookends, so
-    // no extra synchronization is needed beyond the live-counter mutex.
+    // the counters need no synchronization of their own.
     struct ProgressCounters {
-        std::size_t restored = 0;  ///< committed from the journal
-        std::size_t batched = 0;   ///< committed from the word kernel
-        std::size_t collapsed = 0; ///< expanded from a collapse representative
-        std::size_t executed = 0;  ///< newly simulated or word-batched
+        std::map<Outcome, int> outcomes; ///< committed-run outcome counts
+        std::size_t completed = 0;       ///< committed runs, restored included
+        std::size_t restored = 0;        ///< committed from the journal
+        std::size_t batched = 0;         ///< committed from the word kernel
+        std::size_t collapsed = 0;       ///< expanded from a collapse representative
+        std::size_t executed = 0;        ///< newly simulated or word-batched
     };
     ProgressCounters prog;
     const auto progressStart = std::chrono::steady_clock::now();
@@ -913,22 +895,15 @@ CampaignReport CampaignRunner::run(
         if (!progressSink_) {
             return;
         }
-        std::map<Outcome, int> hist;
-        std::size_t completed = 0;
-        {
-            const std::lock_guard<std::mutex> lock(liveMutex_);
-            hist = liveHistogram_;
-            completed = liveCompleted_;
-        }
         std::string line = "{\"event\": \"" + std::string(event) + "\"";
-        line += ", \"completed\": " + std::to_string(completed);
+        line += ", \"completed\": " + std::to_string(prog.completed);
         line += ", \"total\": " + std::to_string(faults.size());
         line += ", \"outcomes\": {";
         bool first = true;
         for (Outcome o : kAllOutcomes) {
-            const auto it = hist.find(o);
+            const auto it = prog.outcomes.find(o);
             line += std::string(first ? "" : ", ") + "\"" + toString(o) +
-                    "\": " + std::to_string(it != hist.end() ? it->second : 0);
+                    "\": " + std::to_string(it != prog.outcomes.end() ? it->second : 0);
             first = false;
         }
         line += "}";
@@ -947,9 +922,9 @@ CampaignReport CampaignRunner::run(
         if (elapsed > 0.0 && prog.executed > 0) {
             const double rate = static_cast<double>(prog.executed) / elapsed;
             line += ", \"runs_per_s\": " + formatDouble(rate, 3);
-            if (completed < faults.size()) {
+            if (prog.completed < faults.size()) {
                 line += ", \"eta_s\": " +
-                        formatDouble(static_cast<double>(faults.size() - completed) / rate, 3);
+                        formatDouble(static_cast<double>(faults.size() - prog.completed) / rate, 3);
             }
         }
         line += extra;
@@ -986,7 +961,7 @@ CampaignReport CampaignRunner::run(
                 }
                 obs::Span span(tel, "run #" + std::to_string(i), "campaign");
                 r = runContained(faults[i]);
-                span.setArgs("{\"fault\": \"" + jsonEscape(fault::describe(faults[i])) +
+                span.setArgs("{\"fault\": \"" + util::jsonEscape(fault::describe(faults[i])) +
                              "\", \"outcome\": \"" + toString(r.outcome) + "\"}");
             }
             return [this, &report, &journal, &progress, &faults, &prog, &lastBeat,
@@ -998,11 +973,8 @@ CampaignReport CampaignRunner::run(
                 if (journal && !fromJournal) {
                     journal->append(i, r);
                 }
-                {
-                    const std::lock_guard<std::mutex> lock(liveMutex_);
-                    ++liveHistogram_[r.outcome];
-                    ++liveCompleted_;
-                }
+                ++prog.outcomes[r.outcome];
+                ++prog.completed;
                 // Commit-order metric application: counters only see the
                 // deterministic per-run deltas, so totals match at any
                 // worker width; restored entries re-apply their journaled

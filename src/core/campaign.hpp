@@ -31,7 +31,6 @@
 #include <array>
 #include <map>
 #include <memory>
-#include <mutex>
 
 namespace gfi::obs {
 class Telemetry;
@@ -309,14 +308,6 @@ public:
     void setRecordTiming(bool on) noexcept { recordTiming_ = on; }
     [[nodiscard]] bool recordTiming() const noexcept { return recordTiming_; }
 
-    /// Live outcome counts of the campaign in flight: committed runs only,
-    /// restored-from-journal entries included. Safe to poll from any thread
-    /// while run() executes.
-    [[nodiscard]] std::map<Outcome, int> liveHistogram() const;
-
-    /// Committed-run count of the campaign in flight (see liveHistogram).
-    [[nodiscard]] std::size_t completedRuns() const;
-
     /// Enables/disables run()'s static-analysis phase (default: enabled).
     void setPreflight(bool on) noexcept { preflight_ = on; }
     [[nodiscard]] bool preflightEnabled() const noexcept { return preflight_; }
@@ -383,13 +374,6 @@ public:
         forensicsSet_ = true;
     }
     [[nodiscard]] std::string forensicsDir() const;
-
-    /// Ring capacity of the per-run flight recorder (the "last N" window).
-    void setForensicsCapacity(std::size_t events) noexcept
-    {
-        forensicsCapacity_ = events > 0 ? events : 1;
-    }
-    [[nodiscard]] std::size_t forensicsCapacity() const noexcept { return forensicsCapacity_; }
 
     /// Attaches a live progress sink: run() then emits one NDJSON line per
     /// event — a "start" line before the worker phase, "heartbeat" lines from
@@ -458,13 +442,8 @@ private:
     snapshot::CheckpointStore::Stats statsApplied_; ///< store stats already billed
     std::string forensicsDir_;        ///< flight-recorder dump directory
     bool forensicsSet_ = false;       ///< explicit setting beats GFI_FORENSICS
-    std::size_t forensicsCapacity_ = 0; ///< 0 = FlightRecorder default
     std::function<void(const std::string&)> progressSink_; ///< NDJSON consumer
     double progressCadence_ = 1.0;    ///< min seconds between heartbeats
-
-    mutable std::mutex liveMutex_;           ///< guards the live counters
-    std::map<Outcome, int> liveHistogram_;   ///< committed-run outcome counts
-    std::size_t liveCompleted_ = 0;          ///< committed-run total
 };
 
 } // namespace gfi::campaign

@@ -1,6 +1,6 @@
 #include "core/cost.hpp"
 
-#include "core/report.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -81,7 +81,7 @@ std::string groupJson(const std::map<std::string, CostBucket>& group)
     std::string json = "{";
     bool first = true;
     for (const auto& [key, bucket] : group) {
-        json += std::string(first ? "" : ", ") + "\"" + jsonEscape(key) +
+        json += std::string(first ? "" : ", ") + "\"" + util::jsonEscape(key) +
                 "\": " + bucketJson(bucket);
         first = false;
     }

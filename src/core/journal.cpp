@@ -1,108 +1,17 @@
 #include "core/journal.hpp"
 
-#include "core/report.hpp"
+#include "util/json.hpp"
 #include "util/units.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 namespace gfi::campaign {
 
 namespace {
 
-// --- tiny parsers for the journal's own line format ------------------------
-// The writer below is the only producer, so these only need to handle the
-// exact shape entryToJson emits (plus escaped strings).
-
-bool findKey(const std::string& line, const std::string& key, std::size_t& pos)
-{
-    const std::string needle = "\"" + key + "\": ";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos) {
-        return false;
-    }
-    pos = at + needle.size();
-    return true;
-}
-
-/// Parses a quoted string starting at line[pos] == '"'; on success @p pos is
-/// advanced past the closing quote.
-bool parseString(const std::string& line, std::size_t& pos, std::string& out)
-{
-    if (pos >= line.size() || line[pos] != '"') {
-        return false;
-    }
-    out.clear();
-    for (std::size_t i = pos + 1; i < line.size(); ++i) {
-        const char c = line[i];
-        if (c == '\\' && i + 1 < line.size()) {
-            const char next = line[++i];
-            out += next == 'n' ? '\n' : next;
-        } else if (c == '"') {
-            pos = i + 1;
-            return true;
-        } else {
-            out += c;
-        }
-    }
-    return false; // unterminated
-}
-
-bool getString(const std::string& line, const std::string& key, std::string& out)
-{
-    std::size_t pos = 0;
-    if (!findKey(line, key, pos)) {
-        return false;
-    }
-    return parseString(line, pos, out);
-}
-
-bool getDouble(const std::string& line, const std::string& key, double& out)
-{
-    std::size_t pos = 0;
-    if (!findKey(line, key, pos)) {
-        return false;
-    }
-    out = std::strtod(line.c_str() + pos, nullptr);
-    return true;
-}
-
-bool getInt(const std::string& line, const std::string& key, long long& out)
-{
-    std::size_t pos = 0;
-    if (!findKey(line, key, pos)) {
-        return false;
-    }
-    out = std::strtoll(line.c_str() + pos, nullptr, 10);
-    return true;
-}
-
-bool getStringArray(const std::string& line, const std::string& key,
-                    std::vector<std::string>& out)
-{
-    std::size_t pos = 0;
-    if (!findKey(line, key, pos) || pos >= line.size() || line[pos] != '[') {
-        return false;
-    }
-    out.clear();
-    ++pos;
-    while (pos < line.size() && line[pos] != ']') {
-        if (line[pos] == '"') {
-            std::string item;
-            if (!parseString(line, pos, item)) {
-                return false;
-            }
-            out.push_back(std::move(item));
-        } else {
-            ++pos;
-        }
-    }
-    return pos < line.size();
-}
-
 std::string quoted(const std::string& s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    return "\"" + util::jsonEscape(s) + "\"";
 }
 
 std::string stringArray(const std::vector<std::string>& items)
@@ -214,98 +123,67 @@ void CampaignJournal::append(std::size_t index, const RunResult& result)
 
 std::optional<JournalEntry> CampaignJournal::parseLine(const std::string& line)
 {
+    // Only one complete JSON object is trusted: a line torn by a killed
+    // campaign may still hold index/fault/outcome but miss the metrics, and
+    // must be re-simulated rather than restored with defaulted fields.
+    const std::optional<util::JsonValue> doc = util::parseJsonObject(line);
+    if (!doc) {
+        return std::nullopt;
+    }
     JournalEntry e;
-    long long index = -1;
     std::string outcomeName;
-    // A record is only trusted when complete: a torn line (killed campaign)
-    // may still contain index/fault/outcome but miss the metrics, and must
-    // be re-simulated rather than restored with defaulted fields.
-    if (line.empty() || line.back() != '}') {
+    RunResult& r = e.result;
+    RunDiagnostics& d = r.diagnostics;
+    util::JsonFields f(*doc);
+    f.count("index", e.index, true);
+    f.text("fault", e.faultDescription, true);
+    f.text("outcome", outcomeName, true);
+    f.count("attempts", d.attempts);
+    f.text("error", d.error);
+    f.number("wall_s", d.wallSeconds);
+    f.count("digital_waves", d.digitalWaves);
+    f.count("analog_steps", d.analogSteps);
+    f.integer("checkpoint_fs", d.checkpointTime);
+    f.integer("resim_fs", d.resimulatedTime);
+    f.integer("first_output_error_fs", r.firstOutputError);
+    f.integer("last_output_error_end_fs", r.lastOutputErrorEnd);
+    f.integer("total_output_error_fs", r.totalOutputErrorTime);
+    f.number("max_analog_deviation_v", r.maxAnalogDeviation);
+    f.number("analog_time_outside_tol_s", r.analogTimeOutsideTol);
+    f.texts("erred_signals", r.erredSignals);
+    f.texts("corrupted_state", r.corruptedState);
+    f.text("collapsed_from", d.collapsedFrom);
+    f.count("batch_lane", d.batchLane);
+    f.text("forensic", d.forensic);
+    if (!f.ok() || !outcomeFromString(outcomeName, r.outcome)) {
         return std::nullopt;
     }
-    if (!getInt(line, "index", index) || index < 0 ||
-        !getString(line, "fault", e.faultDescription) ||
-        !getString(line, "outcome", outcomeName) ||
-        !outcomeFromString(outcomeName, e.result.outcome)) {
-        return std::nullopt;
-    }
-    e.index = static_cast<std::size_t>(index);
-
-    long long ll = 0;
-    double d = 0.0;
-    if (getInt(line, "attempts", ll)) {
-        e.result.diagnostics.attempts = static_cast<int>(ll);
-    }
-    (void)getString(line, "error", e.result.diagnostics.error);
-    if (getDouble(line, "wall_s", d)) {
-        e.result.diagnostics.wallSeconds = d;
-    }
-    if (getInt(line, "digital_waves", ll)) {
-        e.result.diagnostics.digitalWaves = static_cast<std::uint64_t>(ll);
-    }
-    if (getInt(line, "analog_steps", ll)) {
-        e.result.diagnostics.analogSteps = static_cast<std::uint64_t>(ll);
-    }
-    if (getInt(line, "checkpoint_fs", ll)) {
-        e.result.diagnostics.checkpointTime = ll;
-    }
-    if (getInt(line, "resim_fs", ll)) {
-        e.result.diagnostics.resimulatedTime = ll;
-    }
-    if (getInt(line, "first_output_error_fs", ll)) {
-        e.result.firstOutputError = ll;
-    }
-    if (getInt(line, "last_output_error_end_fs", ll)) {
-        e.result.lastOutputErrorEnd = ll;
-    }
-    if (getInt(line, "total_output_error_fs", ll)) {
-        e.result.totalOutputErrorTime = ll;
-    }
-    if (getDouble(line, "max_analog_deviation_v", d)) {
-        e.result.maxAnalogDeviation = d;
-    }
-    if (getDouble(line, "analog_time_outside_tol_s", d)) {
-        e.result.analogTimeOutsideTol = d;
-    }
-    (void)getStringArray(line, "erred_signals", e.result.erredSignals);
-    (void)getStringArray(line, "corrupted_state", e.result.corruptedState);
-    (void)getString(line, "collapsed_from", e.result.diagnostics.collapsedFrom);
-    if (getInt(line, "batch_lane", ll)) {
-        e.result.diagnostics.batchLane = static_cast<int>(ll);
-    }
-    (void)getString(line, "forensic", e.result.diagnostics.forensic);
 
     // Optional probes object (lines written with a telemetry sink attached).
-    // Keys are globally unique within a line, so the flat key scan works on
-    // the nested object too.
-    std::size_t probesAt = 0;
-    if (findKey(line, "probes", probesAt)) {
-        obs::ProbeSnapshot& p = e.result.diagnostics.probes;
+    if (const util::JsonValue* probes = doc->find("probes")) {
+        if (!probes->isObject()) {
+            return std::nullopt;
+        }
+        obs::ProbeSnapshot& p = d.probes;
+        util::JsonFields pf(*probes);
+        pf.count("digital_events", p.digitalEvents);
+        pf.count("delta_cycles", p.deltaCycles);
+        pf.count("queue_high_water", p.queueHighWater);
+        pf.count("pending_events", p.pendingEvents);
+        pf.count("analog_accepted", p.analogAcceptedSteps);
+        pf.count("analog_rejected", p.analogRejectedSteps);
+        pf.count("newton_iterations", p.newtonIterations);
+        pf.count("companion_rebuilds", p.companionRebuilds);
+        pf.number("min_dt_s", p.minAcceptedDt);
+        pf.number("last_dt_s", p.lastAcceptedDt);
+        pf.count("atod_crossings", p.atodCrossings);
+        pf.count("dtoa_events", p.dtoaEvents);
+        if (!pf.ok()) {
+            return std::nullopt;
+        }
         p.valid = true;
-        auto u64 = [&](const char* key, std::uint64_t& out) {
-            long long v = 0;
-            if (getInt(line, key, v) && v >= 0) {
-                out = static_cast<std::uint64_t>(v);
-            }
-        };
-        u64("digital_events", p.digitalEvents);
-        u64("delta_cycles", p.deltaCycles);
-        u64("queue_high_water", p.queueHighWater);
-        u64("pending_events", p.pendingEvents);
-        u64("analog_accepted", p.analogAcceptedSteps);
-        u64("analog_rejected", p.analogRejectedSteps);
-        u64("newton_iterations", p.newtonIterations);
-        u64("companion_rebuilds", p.companionRebuilds);
-        u64("atod_crossings", p.atodCrossings);
-        u64("dtoa_events", p.dtoaEvents);
-        if (getDouble(line, "min_dt_s", d)) {
-            p.minAcceptedDt = d;
-        }
-        if (getDouble(line, "last_dt_s", d)) {
-            p.lastAcceptedDt = d;
-        }
     }
-    e.result.diagnostics.fromJournal = true;
+    d.fromJournal = true;
     return e;
 }
 
@@ -341,11 +219,6 @@ CampaignJournal::LoadResult CampaignJournal::loadWithStats(const std::string& pa
     consume(line);
     std::fclose(f);
     return result;
-}
-
-std::vector<JournalEntry> CampaignJournal::load(const std::string& path)
-{
-    return loadWithStats(path).entries;
 }
 
 CampaignReport reportFromEntries(const std::vector<fault::FaultSpec>& faults,

@@ -57,7 +57,11 @@ public:
     [[nodiscard]] static std::string entryToJson(std::size_t index, const RunResult& result,
                                                  bool embedProbes = false);
 
-    /// Parses one journal line; std::nullopt on malformed input.
+    /// Parses one journal line through util::parseJson; std::nullopt unless
+    /// the line is one complete JSON object whose index, fault and outcome
+    /// are present with the right types and whose every other known member
+    /// is well-typed, with integers integral, within +-2^53 and in range for
+    /// their field (counters non-negative).
     [[nodiscard]] static std::optional<JournalEntry> parseLine(const std::string& line);
 
     /// What loadWithStats() found: the well-formed entries plus how many
@@ -73,9 +77,6 @@ public:
     /// Unparseable lines are skipped but counted, so a resume can tell a
     /// clean journal from a lossy one.
     [[nodiscard]] static LoadResult loadWithStats(const std::string& path);
-
-    /// loadWithStats() without the skip count (compatibility shorthand).
-    [[nodiscard]] static std::vector<JournalEntry> load(const std::string& path);
 
 private:
     std::mutex mutex_;

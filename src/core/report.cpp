@@ -1,5 +1,6 @@
 #include "core/report.hpp"
 
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -7,28 +8,6 @@
 #include <stdexcept>
 
 namespace gfi::campaign {
-
-std::string jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        default:
-            out += c;
-        }
-    }
-    return out;
-}
 
 void writeReportCsv(const CampaignReport& report, const std::string& path,
                     const CsvOptions& options)
@@ -98,8 +77,8 @@ std::string reportToJson(const CampaignReport& report)
     for (std::size_t i = 0; i < report.runs.size(); ++i) {
         const RunResult& r = report.runs[i];
         json += "    {";
-        json += "\"fault\": \"" + jsonEscape(fault::describe(r.fault)) + "\", ";
-        json += "\"target\": \"" + jsonEscape(targetOf(r.fault)) + "\", ";
+        json += "\"fault\": \"" + util::jsonEscape(fault::describe(r.fault)) + "\", ";
+        json += "\"target\": \"" + util::jsonEscape(targetOf(r.fault)) + "\", ";
         json += "\"outcome\": \"" + std::string(toString(r.outcome)) + "\", ";
         json += "\"first_output_error_fs\": " + std::to_string(r.firstOutputError) + ", ";
         json += "\"total_output_error_fs\": " + std::to_string(r.totalOutputErrorTime) + ", ";
@@ -117,13 +96,13 @@ std::string reportToJson(const CampaignReport& report)
             json += ", \"from_journal\": true";
         }
         if (!r.diagnostics.error.empty()) {
-            json += ", \"error\": \"" + jsonEscape(r.diagnostics.error) + "\"";
+            json += ", \"error\": \"" + util::jsonEscape(r.diagnostics.error) + "\"";
         }
         // Expanded collapse-class members name their simulated
         // representative; simulated runs omit the key so pre-collapse
         // reports keep their exact shape.
         if (!r.diagnostics.collapsedFrom.empty()) {
-            json += ", \"collapsed_from\": \"" + jsonEscape(r.diagnostics.collapsedFrom) +
+            json += ", \"collapsed_from\": \"" + util::jsonEscape(r.diagnostics.collapsedFrom) +
                     "\"";
         }
         // Word-simulated runs name their fault lane (>= 1); event-driven
@@ -135,7 +114,7 @@ std::string reportToJson(const CampaignReport& report)
         // artifact stem; other runs omit the key, keeping the exact
         // pre-forensics shape.
         if (!r.diagnostics.forensic.empty()) {
-            json += ", \"forensic\": \"" + jsonEscape(r.diagnostics.forensic) + "\"";
+            json += ", \"forensic\": \"" + util::jsonEscape(r.diagnostics.forensic) + "\"";
         }
         json += "}";
         json += i + 1 < report.runs.size() ? ",\n" : "\n";

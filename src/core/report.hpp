@@ -28,8 +28,4 @@ void writeReportJson(const CampaignReport& report, const std::string& path);
 /// embedding into other documents).
 [[nodiscard]] std::string reportToJson(const CampaignReport& report);
 
-/// Escapes a string for embedding in JSON output (shared with the campaign
-/// journal writer).
-[[nodiscard]] std::string jsonEscape(const std::string& s);
-
 } // namespace gfi::campaign

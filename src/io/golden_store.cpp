@@ -3,8 +3,8 @@
 #include "core/report.hpp"
 #include "io/sha256.hpp"
 #include "lint/preflight.hpp"
+#include "util/json.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -15,45 +15,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// --- tiny flat-JSON field scanners (same approach as the journal reader:
-// the writer below is the only producer, so only its exact shape matters) ---
-
-bool getJsonString(const std::string& doc, const std::string& key, std::string& out)
-{
-    const std::string needle = "\"" + key + "\": \"";
-    const std::size_t at = doc.find(needle);
-    if (at == std::string::npos) {
-        return false;
-    }
-    out.clear();
-    for (std::size_t i = at + needle.size(); i < doc.size(); ++i) {
-        const char c = doc[i];
-        if (c == '\\' && i + 1 < doc.size()) {
-            const char next = doc[++i];
-            out += next == 'n' ? '\n' : next;
-        } else if (c == '"') {
-            return true;
-        } else {
-            out += c;
-        }
-    }
-    return false; // unterminated
-}
-
-bool getJsonInt(const std::string& doc, const std::string& key, long long& out)
-{
-    const std::string needle = "\"" + key + "\": ";
-    const std::size_t at = doc.find(needle);
-    if (at == std::string::npos) {
-        return false;
-    }
-    out = std::strtoll(doc.c_str() + at + needle.size(), nullptr, 10);
-    return true;
-}
-
 std::string quoted(const std::string& s)
 {
-    return "\"" + campaign::jsonEscape(s) + "\"";
+    return "\"" + util::jsonEscape(s) + "\"";
 }
 
 std::string readFileOrThrow(const fs::path& path)
@@ -141,19 +105,25 @@ std::optional<StoreEntry> GoldenStore::lookup(const CacheKey& key) const
     if (!fs::exists(dir / "meta.json")) {
         return std::nullopt;
     }
-    const std::string meta = readFileOrThrow(dir / "meta.json");
+    const std::optional<util::JsonValue> meta =
+        util::parseJsonObject(readFileOrThrow(dir / "meta.json"));
+    if (!meta) {
+        throw GoldenStoreError("golden store: malformed meta.json in entry " + combined);
+    }
 
     StoreEntry entry;
     std::string verdictsSha;
     std::string reportSha;
-    long long runs = -1;
-    if (!getJsonString(meta, "netlist", entry.key.netlistDigest) ||
-        !getJsonString(meta, "stimulus", entry.key.stimulusDigest) ||
-        !getJsonString(meta, "faults", entry.key.faultDigest) ||
-        !getJsonString(meta, "circuit", entry.circuitName) ||
-        !getJsonString(meta, "verdicts_sha256", verdictsSha) ||
-        !getJsonString(meta, "report_sha256", reportSha) ||
-        !getJsonInt(meta, "runs", runs) || runs < 0) {
+    std::size_t runs = 0;
+    util::JsonFields fields(*meta);
+    fields.text("netlist", entry.key.netlistDigest, true);
+    fields.text("stimulus", entry.key.stimulusDigest, true);
+    fields.text("faults", entry.key.faultDigest, true);
+    fields.text("circuit", entry.circuitName, true);
+    fields.text("verdicts_sha256", verdictsSha, true);
+    fields.text("report_sha256", reportSha, true);
+    fields.count("runs", runs, true);
+    if (!fields.ok()) {
         throw GoldenStoreError("golden store: malformed meta.json in entry " + combined);
     }
     // The entry must be the one this key addresses — a moved/tampered object
@@ -192,7 +162,7 @@ std::optional<StoreEntry> GoldenStore::lookup(const CacheKey& key) const
         }
         entry.verdicts.push_back(std::move(*parsed));
     }
-    if (entry.verdicts.size() != static_cast<std::size_t>(runs)) {
+    if (entry.verdicts.size() != runs) {
         throw GoldenStoreError("golden store: entry " + combined + " records " +
                                std::to_string(runs) + " runs but holds " +
                                std::to_string(entry.verdicts.size()) + " verdicts");
@@ -267,14 +237,18 @@ std::optional<NamePointer> GoldenStore::namePointer(const std::string& circuitNa
     if (!fs::exists(path)) {
         return std::nullopt;
     }
-    const std::string doc = readFileOrThrow(path);
+    const std::optional<util::JsonValue> doc = util::parseJsonObject(readFileOrThrow(path));
     NamePointer p;
-    if (!getJsonString(doc, "circuit", p.circuitName) ||
-        !getJsonString(doc, "netlist", p.netlistDigest) ||
-        !getJsonString(doc, "key", p.key)) {
-        throw GoldenStoreError("golden store: malformed name pointer " + path.string());
+    if (doc) {
+        util::JsonFields fields(*doc);
+        fields.text("circuit", p.circuitName, true);
+        fields.text("netlist", p.netlistDigest, true);
+        fields.text("key", p.key, true);
+        if (fields.ok()) {
+            return p;
+        }
     }
-    return p;
+    throw GoldenStoreError("golden store: malformed name pointer " + path.string());
 }
 
 std::optional<StoreEntry> GoldenStore::lookupByName(
@@ -297,15 +271,19 @@ std::optional<StoreEntry> GoldenStore::lookupByName(
         throw GoldenStoreError("golden store: name pointer for '" + circuitName +
                                "' references missing entry " + pointer->key);
     }
-    const std::string meta = readFileOrThrow(dir / "meta.json");
+    const std::optional<util::JsonValue> meta =
+        util::parseJsonObject(readFileOrThrow(dir / "meta.json"));
     CacheKey key;
-    if (!getJsonString(meta, "netlist", key.netlistDigest) ||
-        !getJsonString(meta, "stimulus", key.stimulusDigest) ||
-        !getJsonString(meta, "faults", key.faultDigest)) {
-        throw GoldenStoreError("golden store: malformed meta.json in entry " +
-                               pointer->key);
+    if (meta) {
+        util::JsonFields fields(*meta);
+        fields.text("netlist", key.netlistDigest, true);
+        fields.text("stimulus", key.stimulusDigest, true);
+        fields.text("faults", key.faultDigest, true);
+        if (fields.ok()) {
+            return lookup(key);
+        }
     }
-    return lookup(key);
+    throw GoldenStoreError("golden store: malformed meta.json in entry " + pointer->key);
 }
 
 CachedCampaign runCampaignCached(

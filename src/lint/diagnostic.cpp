@@ -1,45 +1,9 @@
 #include "lint/diagnostic.hpp"
 
+#include "util/json.hpp"
 #include "util/table.hpp"
 
-#include <cstdio>
-
 namespace gfi::lint {
-
-namespace {
-
-std::string escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 const char* toString(Severity s)
 {
@@ -115,11 +79,11 @@ std::string Report::json() const
     for (std::size_t i = 0; i < diags_.size(); ++i) {
         const Diagnostic& d = diags_[i];
         out += i == 0 ? "\n" : ",\n";
-        out += "  {\"rule\": \"" + escape(d.rule) + "\", ";
+        out += "  {\"rule\": \"" + util::jsonEscape(d.rule) + "\", ";
         out += "\"severity\": \"" + std::string(toString(d.severity)) + "\", ";
-        out += "\"path\": \"" + escape(d.path) + "\", ";
-        out += "\"message\": \"" + escape(d.message) + "\", ";
-        out += "\"hint\": \"" + escape(d.hint) + "\"}";
+        out += "\"path\": \"" + util::jsonEscape(d.path) + "\", ";
+        out += "\"message\": \"" + util::jsonEscape(d.message) + "\", ";
+        out += "\"hint\": \"" + util::jsonEscape(d.hint) + "\"}";
     }
     out += diags_.empty() ? "]" : "\n]";
     return out;

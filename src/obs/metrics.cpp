@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include "util/json.hpp"
 #include "util/units.hpp"
 
 #include <algorithm>
@@ -32,22 +33,6 @@ std::string renderNumber(double v)
         return std::to_string(static_cast<long long>(v));
     }
     return formatDouble(v, 9);
-}
-
-/// JSON string-escapes an instrument name: labeled names embed quotes
-/// (`name{key="value"}`) which are legal Prometheus but must be escaped when
-/// the name becomes a JSON object key.
-std::string jsonEscapeName(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out;
 }
 
 /// The instrument name up to the label block (TYPE/HELP headers cover every
@@ -215,10 +200,10 @@ std::string MetricsRegistry::json() const
     for (const auto& [name, inst] : instruments_) {
         if (inst.counter) {
             counters += (counters.empty() ? "" : ",\n") + std::string("    \"") +
-                        jsonEscapeName(name) + "\": " + std::to_string(inst.counter->value());
+                        util::jsonEscape(name) + "\": " + std::to_string(inst.counter->value());
         } else if (inst.gauge) {
             gauges += (gauges.empty() ? "" : ",\n") + std::string("    \"") +
-                      jsonEscapeName(name) + "\": " + renderNumber(inst.gauge->value());
+                      util::jsonEscape(name) + "\": " + renderNumber(inst.gauge->value());
         } else if (inst.histogram) {
             const Histogram& h = *inst.histogram;
             std::string buckets;
@@ -231,7 +216,7 @@ std::string MetricsRegistry::json() const
                        std::string("{\"le\": \"+Inf\", \"count\": ") +
                        std::to_string(h.bucketCount(h.upperBounds().size())) + "}";
             histograms += (histograms.empty() ? "" : ",\n") + std::string("    \"") +
-                          jsonEscapeName(name) + "\": {\"count\": " + std::to_string(h.count()) +
+                          util::jsonEscape(name) + "\": {\"count\": " + std::to_string(h.count()) +
                           ", \"sum\": " + renderNumber(h.sum()) + ", \"buckets\": [" +
                           buckets + "]}";
         }

@@ -1,5 +1,6 @@
 #include "obs/trace_writer.hpp"
 
+#include "util/json.hpp"
 #include "util/units.hpp"
 
 #include <atomic>
@@ -9,43 +10,6 @@
 namespace gfi::obs {
 
 namespace {
-
-std::string escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            // Remaining control characters are illegal raw inside JSON
-            // strings; span names are caller-controlled, so harden here.
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string renderMicros(double us)
 {
@@ -108,10 +72,10 @@ std::string TraceWriter::json() const
         out += "  {\"pid\": 1, \"tid\": " + std::to_string(e.tid) + ", ";
         if (e.phase == 'M') {
             out += "\"ph\": \"M\", \"name\": \"thread_name\", \"args\": {\"name\": \"" +
-                   escape(e.name) + "\"}";
+                   util::jsonEscape(e.name) + "\"}";
         } else {
             out += "\"ph\": \"" + std::string(1, e.phase) + "\", \"name\": \"" +
-                   escape(e.name) + "\", \"cat\": \"" + escape(e.category) +
+                   util::jsonEscape(e.name) + "\", \"cat\": \"" + util::jsonEscape(e.category) +
                    "\", \"ts\": " + renderMicros(e.tsUs);
             if (e.phase == 'X') {
                 out += ", \"dur\": " + renderMicros(e.durUs);

@@ -1,6 +1,8 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace gfi::util {
@@ -175,32 +177,39 @@ private:
         }
     }
 
+    /// Consumes one or more digits; fails when there is none.
+    void digits()
+    {
+        if (std::isdigit(static_cast<unsigned char>(peek())) == 0) {
+            fail("bad number");
+        }
+        while (std::isdigit(static_cast<unsigned char>(peek())) != 0) {
+            ++pos_;
+        }
+    }
+
+    /// RFC 8259 grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
     JsonValue parseNumber()
     {
         const std::size_t start = pos_;
         if (peek() == '-') {
             ++pos_;
         }
-        while (std::isdigit(static_cast<unsigned char>(peek())) != 0) {
+        if (peek() == '0') {
             ++pos_;
+        } else {
+            digits();
         }
         if (peek() == '.') {
             ++pos_;
-            while (std::isdigit(static_cast<unsigned char>(peek())) != 0) {
-                ++pos_;
-            }
+            digits();
         }
         if (peek() == 'e' || peek() == 'E') {
             ++pos_;
             if (peek() == '+' || peek() == '-') {
                 ++pos_;
             }
-            while (std::isdigit(static_cast<unsigned char>(peek())) != 0) {
-                ++pos_;
-            }
-        }
-        if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-            fail("bad number");
+            digits();
         }
         return JsonValue(std::strtod(text_.c_str() + start, nullptr));
     }
@@ -285,6 +294,110 @@ private:
 JsonValue parseJson(const std::string& text)
 {
     return Parser(text).parseDocument();
+}
+
+std::optional<JsonValue> parseJsonObject(const std::string& text)
+{
+    try {
+        JsonValue v = parseJson(text);
+        if (v.isObject()) {
+            return v;
+        }
+    } catch (const std::runtime_error&) {
+    }
+    return std::nullopt;
+}
+
+const JsonValue* JsonFields::member(const std::string& key, bool required)
+{
+    const JsonValue* v = obj_.find(key);
+    check(v != nullptr || !required);
+    return v;
+}
+
+void JsonFields::text(const std::string& key, std::string& out, bool required)
+{
+    const JsonValue* v = member(key, required);
+    if (v != nullptr && check(v->isString())) {
+        out = v->asString();
+    }
+}
+
+void JsonFields::texts(const std::string& key, std::vector<std::string>& out)
+{
+    const JsonValue* v = member(key, false);
+    if (v == nullptr || !check(v->isArray())) {
+        return;
+    }
+    out.clear();
+    for (const JsonValue& item : v->asArray()) {
+        if (check(item.isString())) {
+            out.push_back(item.asString());
+        }
+    }
+}
+
+void JsonFields::number(const std::string& key, double& out)
+{
+    const JsonValue* v = member(key, false);
+    if (v != nullptr && check(v->isNumber())) {
+        out = v->asNumber();
+    }
+}
+
+std::optional<long long> JsonFields::readInteger(const std::string& key, long long lo,
+                                                 long long hi, bool required)
+{
+    constexpr double kMaxExact = 9007199254740992.0; // 2^53
+    const JsonValue* v = member(key, required);
+    if (v == nullptr || !check(v->isNumber())) {
+        return std::nullopt;
+    }
+    const double d = v->asNumber();
+    // Written so that NaN fails the range test too.
+    if (!check(d >= -kMaxExact && d <= kMaxExact && d == std::trunc(d))) {
+        return std::nullopt;
+    }
+    const auto i = static_cast<long long>(d);
+    if (!check(i >= lo && i <= hi)) {
+        return std::nullopt;
+    }
+    return i;
+}
+
+std::string jsonEscape(const std::string& s)
+{
+    std::string out;
+    out.reserve(s.size() + 8);
+    for (const char c : s) {
+        switch (c) {
+        case '"':
+            out += "\\\"";
+            break;
+        case '\\':
+            out += "\\\\";
+            break;
+        case '\n':
+            out += "\\n";
+            break;
+        case '\t':
+            out += "\\t";
+            break;
+        case '\r':
+            out += "\\r";
+            break;
+        default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x",
+                              static_cast<unsigned>(static_cast<unsigned char>(c)));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 } // namespace gfi::util

@@ -1,15 +1,19 @@
 #pragma once
-// Minimal JSON value model + recursive-descent parser.
+// The repo's one JSON codec: a minimal value model, a strict
+// recursive-descent parser and the string escaper every writer uses.
 //
-// The repo emits plenty of JSON (reports, journals, traces, benchmarks) but
-// until benchdiff nothing needed to READ arbitrary JSON back. This is the
-// smallest standard-compliant reader that covers that: all JSON types,
-// standard escapes including \uXXXX (encoded as UTF-8), nesting-depth bound,
-// order-preserving objects (so round-tripped key order is inspectable).
-// Throws std::runtime_error with a byte offset on malformed input.
+// The reader covers all JSON types, the RFC 8259 number grammar, standard
+// escapes including \uXXXX (encoded as UTF-8), a nesting-depth bound and
+// order-preserving objects (so round-tripped key order is inspectable). It
+// throws std::runtime_error with a byte offset on malformed input. Campaign
+// journals, golden-store entries, bench results and traces are all read back
+// through it.
 
+#include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -95,5 +99,65 @@ private:
 /// Parses one JSON document (leading/trailing whitespace allowed, nothing
 /// else after the value). Throws std::runtime_error on malformed input.
 [[nodiscard]] JsonValue parseJson(const std::string& text);
+
+/// @p text parsed as one complete JSON object; std::nullopt when it is
+/// malformed, truncated or another JSON type.
+[[nodiscard]] std::optional<JsonValue> parseJsonObject(const std::string& text);
+
+/// Typed member reads over one JSON object with a fixed schema (journal
+/// lines, golden-store entries). A member present with the wrong type or out
+/// of range, or a required member that is missing, clears ok(); an absent
+/// optional member leaves its destination untouched.
+class JsonFields {
+public:
+    explicit JsonFields(const JsonValue& obj) : obj_(obj) {}
+
+    [[nodiscard]] bool ok() const noexcept { return ok_; }
+
+    void text(const std::string& key, std::string& out, bool required = false);
+    void texts(const std::string& key, std::vector<std::string>& out);
+    void number(const std::string& key, double& out);
+
+    /// An integer that fits @p T: an integral number no larger in magnitude
+    /// than 2^53, so the double it was read into holds it exactly.
+    template <typename T>
+    void integer(const std::string& key, T& out, bool required = false,
+                 long long lo = std::numeric_limits<long long>::min())
+    {
+        constexpr auto hi = static_cast<long long>(std::min<unsigned long long>(
+            std::numeric_limits<T>::max(), std::numeric_limits<long long>::max()));
+        lo = std::max<long long>(lo, std::numeric_limits<T>::min());
+        if (const auto i = readInteger(key, lo, hi, required)) {
+            out = static_cast<T>(*i);
+        }
+    }
+
+    /// A counter: a non-negative integer that fits @p T.
+    template <typename T>
+    void count(const std::string& key, T& out, bool required = false)
+    {
+        integer(key, out, required, 0);
+    }
+
+private:
+    const JsonValue* member(const std::string& key, bool required);
+    std::optional<long long> readInteger(const std::string& key, long long lo, long long hi,
+                                         bool required);
+
+    /// Records a failed check; returns @p valid.
+    bool check(bool valid)
+    {
+        ok_ = ok_ && valid;
+        return valid;
+    }
+
+    const JsonValue& obj_;
+    bool ok_ = true;
+};
+
+/// Escapes @p s for a JSON string literal: `"`, `\`, `\n`, `\t`, `\r` as
+/// two-character escapes, every other byte below 0x20 as `\u00xx`, all other
+/// bytes (UTF-8 included) verbatim.
+[[nodiscard]] std::string jsonEscape(const std::string& s);
 
 } // namespace gfi::util

@@ -362,7 +362,7 @@ TEST(CampaignRobustness, JournalRecordsAbnormalOutcomes)
     runner.setJournalPath(path);
     (void)runner.run({divergingFault(), oscillatorFault()});
 
-    const auto entries = CampaignJournal::load(path);
+    const auto entries = CampaignJournal::loadWithStats(path).entries;
     ASSERT_EQ(entries.size(), 2u);
     EXPECT_EQ(entries[0].result.outcome, Outcome::Diverged);
     EXPECT_EQ(entries[1].result.outcome, Outcome::SimError);

@@ -445,6 +445,103 @@ TEST(GoldenStoreTest, NamePointerAndStaleCachePre009)
     }
 }
 
+/// Whole-file read/write helpers for tampering with store entries.
+std::string slurp(const std::filesystem::path& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+void spit(const std::filesystem::path& path, const std::string& text)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+}
+
+TEST(GoldenStoreTest, MalformedDocumentsAreStoreErrors)
+{
+    const std::string root = freshDir("store_malformed");
+    GoldenStore store(root);
+    const IngestWorkload w = miniWorkload();
+    campaign::CampaignRunner runner(w.factory());
+    const CachedCampaign cold = runCampaignCached(runner, w, store);
+    const CacheKey key = CacheKey::of(w);
+
+    const std::filesystem::path dir = store.entryDir(cold.key);
+    const std::filesystem::path metaPath = dir / "meta.json";
+    const std::filesystem::path verdictsPath = dir / "verdicts.jsonl";
+    const std::filesystem::path namePath =
+        std::filesystem::path(root) / "names" / "mini.json";
+    const std::string meta = slurp(metaPath);
+    const std::string verdicts = slurp(verdictsPath);
+    const std::string pointer = slurp(namePath);
+    const std::string runs = "\"runs\": " + std::to_string(w.faults.size());
+    ASSERT_NE(meta.find(runs), std::string::npos) << meta;
+
+    // meta.json is not itself hashed: truncated or garbled, it still carries
+    // valid payload digests, so only the strict reader can refuse it.
+    const std::string closing = "\n}\n";
+    ASSERT_EQ(meta.substr(meta.size() - closing.size()), closing);
+    const std::vector<std::string> badMetas = {
+        meta.substr(0, meta.size() - closing.size()),
+        meta.substr(0, meta.size() / 2),
+        meta + "}",
+        meta + "garbage",
+        std::string(meta).replace(meta.find(runs), runs.size(), runs + "x"),
+        std::string(meta).replace(meta.find(runs), runs.size(), "\"runs\": -1"),
+        std::string(meta).replace(meta.find(runs), runs.size(), "\"runs\": 1.5"),
+        std::string(meta).replace(meta.find(runs), runs.size(), "\"runs\": true"),
+        "[" + meta + "]",
+    };
+    for (const std::string& bad : badMetas) {
+        spit(metaPath, bad);
+        EXPECT_THROW((void)store.lookup(key), GoldenStoreError) << bad;
+        EXPECT_THROW((void)store.lookupByName("mini", w.netlistDigest), GoldenStoreError)
+            << bad;
+    }
+    spit(metaPath, meta);
+    ASSERT_TRUE(store.lookup(key).has_value());
+
+    // A garbled verdict line re-hashed into meta.json passes the digest
+    // check; the strict journal reader must still refuse to replay it.
+    const std::string firstIndex = "\"index\": 0, ";
+    ASSERT_EQ(verdicts.rfind("{" + firstIndex, 0), 0u);
+    const std::string firstLine = verdicts.substr(0, verdicts.find('\n'));
+    const std::vector<std::string> badVerdicts = {
+        "{\"index\": x, " + verdicts.substr(firstIndex.size() + 1),
+        "{\"index\": -1, " + verdicts.substr(firstIndex.size() + 1),
+        firstLine + "}" + verdicts.substr(firstLine.size()),
+        firstLine.substr(0, firstLine.size() - 1) + verdicts.substr(firstLine.size()),
+    };
+    const std::string verdictsSha = sha256Hex(verdicts);
+    for (const std::string& bad : badVerdicts) {
+        spit(verdictsPath, bad);
+        spit(metaPath, std::string(meta).replace(meta.find(verdictsSha), verdictsSha.size(),
+                                                 sha256Hex(bad)));
+        EXPECT_THROW((void)store.lookup(key), GoldenStoreError) << bad;
+    }
+    spit(verdictsPath, verdicts);
+    spit(metaPath, meta);
+
+    // A garbled name pointer.
+    const std::vector<std::string> badPointers = {
+        pointer.substr(0, pointer.size() - closing.size()),
+        pointer + "x",
+        std::string(pointer).replace(pointer.find("\"key\": \""), 8, "\"key\": 7, \"x\": \""),
+        "{}",
+        "",
+    };
+    for (const std::string& bad : badPointers) {
+        spit(namePath, bad);
+        EXPECT_THROW((void)store.lookupByName("mini", w.netlistDigest), GoldenStoreError)
+            << bad;
+    }
+    spit(namePath, pointer);
+    EXPECT_TRUE(store.lookupByName("mini", w.netlistDigest).has_value());
+}
+
 TEST(Preflight, StoredDigestRule)
 {
     const std::string d = sha256Hex("same");

@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -884,13 +885,29 @@ TEST(ObsProgress, DeterministicHeartbeatStream)
         return line;
     };
 
+    // The done line's outcome counts must equal the finished report's
+    // histogram at every width.
     auto runStream = [&](unsigned workers) {
         std::vector<std::string> lines;
         campaign::CampaignRunner runner(dutFactory());
         configureDutRunner(runner, workers);
         runner.setProgressSink([&lines](const std::string& l) { lines.push_back(l); },
                                0.0); // <= 0: one heartbeat per commit
-        runner.run(faults);
+        const campaign::CampaignReport report = runner.run(faults);
+        const util::JsonValue done = util::parseJson(lines.back());
+        const util::JsonValue* outcomes = done.find("outcomes");
+        EXPECT_NE(outcomes, nullptr);
+        if (outcomes != nullptr) {
+            std::map<campaign::Outcome, int> counts;
+            for (const auto& [name, count] : outcomes->asObject()) {
+                campaign::Outcome o{};
+                EXPECT_TRUE(campaign::outcomeFromString(name, o)) << name;
+                if (count.asNumber() > 0) {
+                    counts[o] = static_cast<int>(count.asNumber());
+                }
+            }
+            EXPECT_EQ(counts, report.histogram()) << "workers=" << workers;
+        }
         return lines;
     };
 
