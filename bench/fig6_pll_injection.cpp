@@ -10,11 +10,33 @@
 //
 // This bench prints the Figure 6 waveforms as series (nominal vs faulty VCO
 // input voltage, generated clock period per cycle) and the headline numbers.
+// It also writes BENCH_pll.json: wall time of the golden and the faulty run
+// next to their analog kernel work (accepted and rejected steps, linear
+// solves, located crossings) per simulated microsecond.
 
+#include "fault_list_common.hpp"
 #include "pll_bench_common.hpp"
 
 using namespace gfi;
 using namespace gfi::bench;
+
+namespace {
+
+/// `"<prefix>_s": wall, "<prefix>_<counter>_per_us": ...` for one run.
+std::string kernelWorkFields(const std::string& prefix, double wallSeconds,
+                             const analog::SolverStats& st, double simulatedUs)
+{
+    auto perUs = [simulatedUs](std::uint64_t n) {
+        return formatDouble(static_cast<double>(n) / simulatedUs, 6);
+    };
+    return "\"" + prefix + "_s\": " + formatDouble(wallSeconds, 6) + ", \"" + prefix +
+           "_accepted_steps_per_us\": " + perUs(st.acceptedSteps) + ", \"" + prefix +
+           "_rejected_steps_per_us\": " + perUs(st.rejectedSteps) + ", \"" + prefix +
+           "_linear_solves_per_us\": " + perUs(st.linearSolves) + ", \"" + prefix +
+           "_crossings_per_us\": " + perUs(st.crossingsLocated);
+}
+
+} // namespace
 
 int main()
 {
@@ -28,7 +50,7 @@ int main()
                 formatSi(cfg.refFrequency * cfg.dividerN, "Hz").c_str(), cfg.dividerN);
 
     auto runner = makePllRunner(cfg);
-    runner.runGolden();
+    const double goldenSeconds = seconds([&] { runner.runGolden(); });
     const auto& goldenRec = runner.golden().recorder();
     const SimTime nominal = cfg.nominalOutputPeriod();
     std::printf("Golden run: lock at %s; nominal output period %s\n\n",
@@ -46,7 +68,9 @@ int main()
                 100.0 * f.shape->duration() / toSeconds(nominal));
 
     const auto result = runner.runOne(fault::FaultSpec{f});
-    auto faulty = runFaulty(runner, fault::FaultSpec{f});
+    std::unique_ptr<fault::Testbench> faulty;
+    const double faultySeconds =
+        seconds([&] { faulty = runFaulty(runner, fault::FaultSpec{f}); });
 
     // --- series 1: VCO input voltage around the injection --------------------
     std::printf("VCO input voltage (nominal vs with fault injection):\n");
@@ -94,5 +118,20 @@ int main()
                 100.0 * pert.maxRelDeviation);
     std::printf("  classification                     : %s (PLL relocks)\n",
                 campaign::toString(result.outcome));
+
+    const double simulatedUs = toSeconds(cfg.duration) * 1e6;
+    const std::string doc = benchJsonLine(
+        "fig6_pll_injection",
+        "\"benchmark\": \"fig6_pll_injection\", \"simulated_us\": " +
+            formatDouble(simulatedUs, 6) + ", " +
+            kernelWorkFields("golden", goldenSeconds, runner.golden().sim().solver().stats(),
+                             simulatedUs) +
+            ", " +
+            kernelWorkFields("faulty", faultySeconds, faulty->sim().solver().stats(),
+                             simulatedUs),
+        /*workers=*/1);
+    if (!writeTextFile("BENCH_pll.json", doc)) {
+        std::fprintf(stderr, "warning: cannot write BENCH_pll.json\n");
+    }
     return 0;
 }

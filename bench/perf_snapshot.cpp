@@ -8,6 +8,10 @@
 // Emits a single JSON object (machine-readable, consumed by CI) with the
 // scratch and forked campaign wall-clock times, the speedup, and whether the
 // two campaigns produced byte-identical reports.
+//
+// Both campaigns run at one worker (recorded as "workers": 1 in the meta
+// block). With auto width, 8 faults spread over a few workers, so the ratio
+// measures scheduling luck on the host rather than the work fork mode saves.
 
 #include "fault_list_common.hpp"
 #include "pll_bench_common.hpp"
@@ -22,6 +26,8 @@ using namespace gfi::bench;
 
 namespace {
 
+constexpr unsigned kWorkers = 1; // pinned: the 2x gate compares serial work
+
 struct CampaignResult {
     double wallSeconds = 0;
     std::string summary;
@@ -35,6 +41,7 @@ CampaignResult runCampaign(const pll::PllConfig& cfg,
     campaign::CampaignRunner runner = makePllRunner(cfg);
     runner.setRecordTiming(false); // keep reports byte-comparable across modes
     runner.setCheckpointCadence(cadence);
+    runner.setWorkers(kWorkers);
     CampaignResult out;
     campaign::CampaignReport report;
     out.wallSeconds = seconds([&] { report = runner.run(faults); });
@@ -77,7 +84,7 @@ int main()
                   "\"fork_s\": %.3f, \"speedup\": %.2f, \"identical\": %s",
                   faults.size(), forked.checkpoints, scratch.wallSeconds,
                   forked.wallSeconds, speedup, identical ? "true" : "false");
-    const std::string doc = bench::benchJsonLine("perf_snapshot", jsonLine);
+    const std::string doc = bench::benchJsonLine("perf_snapshot", jsonLine, kWorkers);
     std::fputs(doc.c_str(), stdout);
     if (!writeTextFile("BENCH_perf_snapshot.json", doc)) {
         std::fprintf(stderr, "warning: cannot write BENCH_perf_snapshot.json\n");

@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 
 namespace gfi::ams {
 
@@ -60,12 +61,16 @@ public:
     [[nodiscard]] bool elaborated() const noexcept { return solver_ != nullptr; }
 
     /// The transient solver; valid after elaborate().
-    [[nodiscard]] analog::TransientSolver& solver()
+    [[nodiscard]] const analog::TransientSolver& solver() const
     {
         if (!solver_) {
             throw std::logic_error("MixedSimulator: not elaborated yet");
         }
         return *solver_;
+    }
+    [[nodiscard]] analog::TransientSolver& solver()
+    {
+        return const_cast<analog::TransientSolver&>(std::as_const(*this).solver());
     }
 
     /// Runs the co-simulation until @p until (inclusive of events at @p until).

@@ -11,11 +11,6 @@ bool luSolveInPlace(DenseMatrix& A, std::vector<double>& b)
         return true;
     }
 
-    std::vector<int> perm(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        perm[static_cast<std::size_t>(i)] = i;
-    }
-
     for (int k = 0; k < n; ++k) {
         // Partial pivoting: pick the largest magnitude in column k.
         int pivot = k;

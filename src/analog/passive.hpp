@@ -43,6 +43,11 @@ public:
     void stamp(Stamper& s, const Solution& x, double t, double dt, bool dcMode) override;
     void acceptStep(const Solution& x, double t, double dt) override;
     void notifyDiscontinuity() override { resetHistory(); }
+    void integratedNodes(std::vector<NodeId>& out) const override
+    {
+        out.push_back(a_);
+        out.push_back(b_);
+    }
     bool stampAc(ComplexStamper& s, double omega) const override;
 
     void captureState(snapshot::Writer& w) const override
@@ -92,6 +97,11 @@ public:
     void stamp(Stamper& s, const Solution& x, double t, double dt, bool dcMode) override;
     void acceptStep(const Solution& x, double t, double dt) override;
     void notifyDiscontinuity() override { resetHistory(); }
+    void integratedNodes(std::vector<NodeId>& out) const override
+    {
+        out.push_back(a_);
+        out.push_back(b_);
+    }
     bool stampAc(ComplexStamper& s, double omega) const override;
 
     void captureState(snapshot::Writer& w) const override

@@ -38,6 +38,19 @@ TransientSolver::TransientSolver(AnalogSystem& sys, SolverOptions options)
     if (sys.state().size() != static_cast<std::size_t>(n)) {
         sys.state().assign(static_cast<std::size_t>(n), 0.0);
     }
+
+    std::vector<NodeId> nodes;
+    for (const auto& comp : sys.components()) {
+        anyNonlinear_ = anyNonlinear_ || comp->isNonlinear();
+        comp->integratedNodes(nodes);
+    }
+    for (NodeId node : nodes) {
+        if (node != kGround) {
+            integrated_.push_back(node - 1);
+        }
+    }
+    std::sort(integrated_.begin(), integrated_.end());
+    integrated_.erase(std::unique(integrated_.begin(), integrated_.end()), integrated_.end());
 }
 
 bool TransientSolver::trySolveStep(double dt, std::vector<double>& xOut, bool dcMode,
@@ -47,13 +60,8 @@ bool TransientSolver::trySolveStep(double dt, std::vector<double>& xOut, bool dc
     const double t1 = tEvalOverride >= 0.0 ? tEvalOverride : time_ + dt;
     sawNonFinite_ = false;
 
-    bool anyNonlinear = false;
-    for (const auto& comp : sys_->components()) {
-        anyNonlinear = anyNonlinear || comp->isNonlinear();
-    }
-
     xOut = sys_->state();
-    const int iterCap = anyNonlinear ? options_.maxNewtonIter : 1;
+    const int iterCap = anyNonlinear_ ? options_.maxNewtonIter : 1;
     for (int iter = 0; iter < iterCap; ++iter) {
         ++stats_.newtonIterations;
         A_.clear();
@@ -68,12 +76,13 @@ bool TransientSolver::trySolveStep(double dt, std::vector<double>& xOut, bool dc
             stamper.conductance(node, kGround, options_.gmin);
         }
 
-        std::vector<double> x = rhs_;
+        // rhs_ is re-zeroed every iteration, so it doubles as the solution
+        // buffer: solve in place, then swap it into xOut.
         ++stats_.linearSolves;
-        if (!luSolveInPlace(A_, x)) {
+        if (!luSolveInPlace(A_, rhs_)) {
             return false; // singular matrix
         }
-        if (!allFinite(x)) {
+        if (!allFinite(rhs_)) {
             sawNonFinite_ = true; // NaN/Inf source or overflowed companion model
             return false;
         }
@@ -81,11 +90,11 @@ bool TransientSolver::trySolveStep(double dt, std::vector<double>& xOut, bool dc
         double maxDelta = 0.0;
         for (int i = 0; i < n; ++i) {
             maxDelta = std::max(maxDelta,
-                                std::fabs(x[static_cast<std::size_t>(i)] -
+                                std::fabs(rhs_[static_cast<std::size_t>(i)] -
                                           xOut[static_cast<std::size_t>(i)]));
         }
-        xOut = std::move(x);
-        if (!anyNonlinear || maxDelta < options_.newtonTol) {
+        xOut.swap(rhs_);
+        if (!anyNonlinear_ || maxDelta < options_.newtonTol) {
             return true;
         }
     }
@@ -122,11 +131,10 @@ double TransientSolver::nextBreakpoint(double tMax)
     const double eps = std::max(1e-18, std::fabs(time_) * 1e-15);
     double best = tMax;
 
-    std::vector<double> scratch;
     for (const auto& comp : sys_->components()) {
-        scratch.clear();
-        comp->collectBreakpoints(time_ + eps, tMax, scratch);
-        for (double bp : scratch) {
+        bpScratch_.clear();
+        comp->collectBreakpoints(time_ + eps, tMax, bpScratch_);
+        for (double bp : bpScratch_) {
             if (bp > time_ + eps && bp < best) {
                 best = bp;
             }
@@ -312,12 +320,13 @@ double TransientSolver::advanceTo(double tStop)
                 " at the minimum step)" + kLintHint);
         }
 
-        // --- local truncation error control ------------------------------
+        // --- local truncation error control (integrated state only) -------
         if (havePrev_ && !landsOnBreakpoint) {
             const std::vector<double>& x0 = sys_->state();
             const double ratio = dtPrev_ > 0.0 ? dt / dtPrev_ : 0.0;
             double err = 0.0;
-            for (std::size_t i = 0; i < xCand.size(); ++i) {
+            for (const int idx : integrated_) {
+                const auto i = static_cast<std::size_t>(idx);
                 const double pred = x0[i] + (x0[i] - xPrev_[i]) * ratio;
                 const double scale =
                     options_.lteAbsTol +
@@ -357,14 +366,13 @@ double TransientSolver::advanceTo(double tStop)
                 // the step from the committed state with shrinking dt.
                 double lo = 0.0;
                 double hi = dt;
-                std::vector<double> xHi = xCand;
+                xHi_ = xCand;
+                const Solution solMid(xMid_, sys_->nodeCount());
                 while (hi - lo > options_.crossingTol) {
                     const double mid = 0.5 * (lo + hi);
-                    std::vector<double> xMid;
-                    if (!trySolveStep(mid, xMid, false)) {
+                    if (!trySolveStep(mid, xMid_, false)) {
                         break; // give up refining; use hi
                     }
-                    const Solution solMid(xMid, sys_->nodeCount());
                     bool crossedByMid = false;
                     for (const auto& mon : monitors_) {
                         crossedByMid =
@@ -373,13 +381,13 @@ double TransientSolver::advanceTo(double tStop)
                     }
                     if (crossedByMid) {
                         hi = mid;
-                        xHi = std::move(xMid);
+                        xHi_.swap(xMid_);
                     } else {
                         lo = mid;
                     }
                 }
                 dt = hi;
-                xCand = std::move(xHi);
+                xCand.swap(xHi_);
                 ++stats_.crossingsLocated;
 
                 // Determine which monitors fire at this cut.

@@ -4,7 +4,15 @@
 //
 // Integration: companion-model trapezoidal with backward-Euler restarts at
 // discontinuities. Step control: predictor-corrector LTE estimate (linear
-// extrapolation of the last two accepted solutions vs. the new solution).
+// extrapolation of the last two accepted solutions vs. the new solution) on
+// integrated state only — the nodes that components declare through
+// AnalogComponent::integratedNodes (capacitor and inductor terminals), as in
+// SPICE-class solvers. Algebraic unknowns (ideal-source branches, controlled-
+// source outputs, a behavioral VCO's exact sinusoid) carry no truncation
+// error of their own; they are resolved by the components' maxStep hints and
+// by breakpoints instead. A system without integrated state steps at those
+// bounds and dtMax. The integrated set is structural: built per solver from
+// its own system at construction, never snapshotted.
 // Monitors: after each candidate step, node voltages are checked against
 // registered thresholds; on a crossing the step is bisected (by re-solving
 // from the step start with shrinking dt, which is exact, not interpolated)
@@ -141,6 +149,13 @@ public:
     /// Solver options (read-only).
     [[nodiscard]] const SolverOptions& options() const noexcept { return options_; }
 
+    /// MNA unknown indices under LTE control (sorted, unique): the nodes the
+    /// system's components declare as integrated state.
+    [[nodiscard]] const std::vector<int>& integratedUnknowns() const noexcept
+    {
+        return integrated_;
+    }
+
     /// Serializes the integrator state: analog time, adaptive-step control,
     /// committed MNA solution, predictor history, cumulative statistics and
     /// external breakpoints. Monitors and probes are structural (rebuilt by
@@ -199,6 +214,16 @@ private:
     std::vector<double> xPrev_;
     double dtPrev_ = 0.0;
     bool havePrev_ = false;
+
+    // Structural caches, built at construction (the component list is
+    // complete by then: the unknown count is fixed there too).
+    std::vector<int> integrated_;
+    bool anyNonlinear_ = false;
+
+    // Scratch buffers reused across steps (no per-step allocation).
+    std::vector<double> bpScratch_;
+    std::vector<double> xMid_;
+    std::vector<double> xHi_;
 
     SolverStats stats_;
 };

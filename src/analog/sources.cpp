@@ -47,6 +47,11 @@ void VoltageSource::collectBreakpoints(double tNow, double tMax, std::vector<dou
     appendBreakpoints(fn_, tNow, tMax, out);
 }
 
+double VoltageSource::maxStep(double) const
+{
+    return fn_.maxStep;
+}
+
 // ---------------------------------------------------------------------------
 // PulseVoltage
 
@@ -107,6 +112,9 @@ SineVoltage::SineVoltage(AnalogSystem& sys, std::string name, NodeId p, NodeId m
     if (delay > 0.0) {
         fn.breakpoints.push_back(delay);
     }
+    if (hz > 0.0) {
+        fn.maxStep = 1.0 / (hz * 24.0);
+    }
     setFunction(std::move(fn));
 }
 
@@ -130,6 +138,11 @@ void CurrentSource::stamp(Stamper& s, const Solution&, double t, double, bool)
 void CurrentSource::collectBreakpoints(double tNow, double tMax, std::vector<double>& out)
 {
     appendBreakpoints(fn_, tNow, tMax, out);
+}
+
+double CurrentSource::maxStep(double) const
+{
+    return fn_.maxStep;
 }
 
 // ---------------------------------------------------------------------------

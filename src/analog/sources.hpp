@@ -12,10 +12,13 @@
 namespace gfi::analog {
 
 /// A scalar function of time plus the discontinuity times the integrator must
-/// not step across.
+/// not step across, and the largest step that still resolves its shape. Step
+/// control checks truncation error on integrated state only, so a smooth
+/// drive into a purely algebraic circuit is resolved by this hint alone.
 struct TimeFunction {
     std::function<double(double)> value;
     std::vector<double> breakpoints;
+    double maxStep = 1e30; ///< seconds; 1e30 = unbounded
 };
 
 /// Independent voltage source (adds one MNA branch).
@@ -46,6 +49,7 @@ public:
 
     void stamp(Stamper& s, const Solution& x, double t, double dt, bool dcMode) override;
     void collectBreakpoints(double tNow, double tMax, std::vector<double>& out) override;
+    [[nodiscard]] double maxStep(double t) const override;
     bool stampAc(ComplexStamper& s, double omega) const override;
 
     /// Snapshot: the DC level plus whether a time function was active. The
@@ -83,6 +87,7 @@ public:
 };
 
 /// Sinusoidal voltage source: offset + amplitude * sin(2*pi*f*(t-delay) + phase).
+/// Steps at most period/24, the same resolution rule as the behavioral VCO.
 class SineVoltage : public VoltageSource {
 public:
     SineVoltage(AnalogSystem& sys, std::string name, NodeId p, NodeId m, double offset,
@@ -111,6 +116,7 @@ public:
 
     void stamp(Stamper& s, const Solution& x, double t, double dt, bool dcMode) override;
     void collectBreakpoints(double tNow, double tMax, std::vector<double>& out) override;
+    [[nodiscard]] double maxStep(double t) const override;
     bool stampAc(ComplexStamper& s, double omega) const override;
 
     /// Snapshot semantics mirror VoltageSource::captureState.

@@ -178,6 +178,16 @@ public:
     /// forces Newton iteration to convergence.
     [[nodiscard]] virtual bool isNonlinear() const { return false; }
 
+    /// Appends the nodes whose voltages carry this component's integration
+    /// history (a capacitor's charge, an inductor's flux). The transient
+    /// solver estimates local truncation error on the union of these nodes
+    /// only: every other unknown is an algebraic function of them, of the
+    /// sources and of component-internal state at the same instant, so it has
+    /// no truncation error of its own. A component that integrates internal
+    /// state (the behavioral VCO's phase) bounds its error through maxStep.
+    /// Structural, not state: declared once, never snapshotted. Default: none.
+    virtual void integratedNodes(std::vector<NodeId>& out) const { (void)out; }
+
     /// Called when the circuit experiences a discontinuity (source level
     /// switched, fault pulse corner): dynamic components drop companion
     /// history so the next step restarts with backward Euler.

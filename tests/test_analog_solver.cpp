@@ -1,15 +1,18 @@
 // Transient-solver validation against closed-form circuit solutions: DC
 // dividers, RC step response, RL current rise, RLC resonance, nonlinear
-// components and crossing-monitor accuracy.
+// components and crossing-monitor accuracy; step control on integrated state
+// only (SolverLte.*).
 
 #include "analog/controlled.hpp"
 #include "analog/passive.hpp"
 #include "analog/solver.hpp"
 #include "analog/sources.hpp"
+#include "pll/pll.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 namespace gfi::analog {
 namespace {
@@ -339,6 +342,165 @@ TEST(AnalogTransient, StatsAccumulate)
     solver.advanceTo(5e-6);
     EXPECT_GT(solver.stats().acceptedSteps, 10u);
     EXPECT_GT(solver.stats().linearSolves, solver.stats().acceptedSteps);
+}
+
+// ---------------------------------------------------------------------------
+// Step control on integrated state only
+
+/// An RC low-pass (tau = 20 ns) driven by a 5 V step at 2 us, next to a 1 MHz
+/// sine source. With @p withVcvs the sine also drives a x1000 VCVS into a
+/// load: a 1 kV algebraic sinusoid that must not take part in step control.
+struct RcNextToSine {
+    AnalogSystem sys;
+    NodeId rcIn = 0;
+    NodeId rcOut = 0;
+    NodeId sine = 0;
+    NodeId amp = 0;
+
+    explicit RcNextToSine(bool withVcvs)
+    {
+        rcIn = sys.node("rc_in");
+        rcOut = sys.node("rc_out");
+        sine = sys.node("sine");
+        sys.add<PulseVoltage>(sys, "Vstep", rcIn, kGround, 0.0, 5.0, 2e-6, 1e-12, 1.0, 1e-12);
+        sys.add<Resistor>(sys, "R1", rcIn, rcOut, 1e3);
+        sys.add<Capacitor>(sys, "C1", rcOut, kGround, 20e-12);
+        sys.add<SineVoltage>(sys, "Vs", sine, kGround, 0.0, 1.0, 1e6);
+        sys.add<Resistor>(sys, "Rs", sine, kGround, 1e3);
+        if (withVcvs) {
+            amp = sys.node("amp");
+            sys.add<Vcvs>(sys, "E1", amp, kGround, sine, kGround, 1000.0);
+            sys.add<Resistor>(sys, "Rl", amp, kGround, 1e3);
+        }
+    }
+};
+
+TEST(SolverLte, RcNextToSineVcvsFollowsRcAndSourceHint)
+{
+    RcNextToSine withAmp(true);
+    RcNextToSine plain(false);
+    TransientSolver a(withAmp.sys);
+    TransientSolver b(plain.sys);
+
+    // Only the capacitor's node is integrated state.
+    EXPECT_EQ(a.integratedUnknowns(), std::vector<int>{withAmp.rcOut - 1});
+    EXPECT_EQ(b.integratedUnknowns(), std::vector<int>{plain.rcOut - 1});
+
+    const double hint = 1.0 / (1e6 * 24.0);
+    const double tau = 1e3 * 20e-12;
+    double tLast = 0.0;
+    double maxDt = 0.0;
+    double maxDtInRcTransient = 0.0; // over [edge + tau, edge + 2 tau]
+    a.onAccept([&](double t) {
+        maxDt = std::max(maxDt, t - tLast);
+        if (tLast >= 2e-6 + tau && t <= 2e-6 + 2.0 * tau) {
+            maxDtInRcTransient = std::max(maxDtInRcTransient, t - tLast);
+        }
+        tLast = t;
+    });
+    a.solveDc();
+    b.solveDc();
+    for (double t : {1e-6, 2e-6 + tau, 2e-6 + 3.0 * tau, 5e-6, 10e-6}) {
+        a.advanceTo(t);
+        b.advanceTo(t);
+        const double expected = t > 2e-6 ? 5.0 * (1.0 - std::exp(-(t - 2e-6) / tau)) : 0.0;
+        EXPECT_NEAR(withAmp.sys.voltage(withAmp.rcOut), expected, 0.02) << "t = " << t;
+        EXPECT_NEAR(withAmp.sys.voltage(withAmp.amp),
+                    1000.0 * std::sin(2.0 * M_PI * 1e6 * t), 1e-6)
+            << "t = " << t;
+    }
+
+    // The 1 kV sinusoid adds no step: same sequence as without it.
+    EXPECT_EQ(a.stats().acceptedSteps, b.stats().acceptedSteps);
+    EXPECT_EQ(a.stats().rejectedSteps, b.stats().rejectedSteps);
+    EXPECT_EQ(withAmp.sys.voltage(withAmp.rcOut), plain.sys.voltage(plain.rcOut));
+
+    // The source hint bounds every step; LTE on the RC node holds steps far
+    // below it while the capacitor charges; elsewhere the solver runs at the
+    // hint (10 us / hint = 240 steps).
+    EXPECT_LE(maxDt, hint * (1.0 + 1e-9));
+    EXPECT_GT(maxDtInRcTransient, 0.0);
+    EXPECT_LT(maxDtInRcTransient, hint / 10.0);
+    EXPECT_GE(a.stats().acceptedSteps, 240u);
+    EXPECT_LE(a.stats().acceptedSteps, 400u);
+}
+
+TEST(SolverLte, IntegratedSetIsPerSystem)
+{
+    // Reference: the RC system on its own, advanced in 1 us segments.
+    RcNextToSine alone(true);
+    TransientSolver ref(alone.sys);
+    ref.solveDc();
+    for (int k = 1; k <= 10; ++k) {
+        ref.advanceTo(k * 1e-6);
+    }
+
+    // The same RC system interleaved with a PLL in the same process.
+    pll::PllConfig cfg;
+    cfg.duration = 20 * kMicrosecond;
+    pll::PllTestbench pllTb(cfg);
+    auto& sim = pllTb.sim();
+    sim.elaborate();
+    RcNextToSine mixed(true);
+    TransientSolver rc(mixed.sys);
+    rc.solveDc();
+    for (int k = 1; k <= 10; ++k) {
+        sim.run(k * kMicrosecond);
+        rc.advanceTo(k * 1e-6);
+    }
+
+    EXPECT_EQ(rc.stats().acceptedSteps, ref.stats().acceptedSteps);
+    EXPECT_EQ(rc.stats().rejectedSteps, ref.stats().rejectedSteps);
+    EXPECT_EQ(mixed.sys.state(), alone.sys.state());
+    EXPECT_EQ(rc.integratedUnknowns(), std::vector<int>{mixed.rcOut - 1});
+
+    // The PLL's set is its loop filter, not the VCO output or branches.
+    auto& ana = sim.analog();
+    const std::vector<int> pllSet = sim.solver().integratedUnknowns();
+    const std::vector<int> filter{ana.node(pll::names::kVctrl) - 1,
+                                  ana.node("pll/filt_mid") - 1};
+    EXPECT_EQ(pllSet, (std::vector<int>{std::min(filter[0], filter[1]),
+                                        std::max(filter[0], filter[1])}));
+}
+
+TEST(SolverLte, SnapshotRoundTripBitIdentical)
+{
+    auto captureAll = [](const TransientSolver& solver, const AnalogSystem& sys) {
+        snapshot::Writer w;
+        solver.captureState(w);
+        for (const auto& comp : sys.components()) {
+            comp->captureState(w);
+        }
+        return w.take();
+    };
+
+    // Uninterrupted run to 6 us, capturing at 3 us on the way.
+    RcNextToSine donor(true);
+    TransientSolver a(donor.sys);
+    a.solveDc();
+    a.advanceTo(3e-6);
+    const std::vector<std::uint8_t> bytes = captureAll(a, donor.sys);
+    a.advanceTo(6e-6);
+
+    // A structural twin restored from the capture and run over the suffix.
+    RcNextToSine twin(true);
+    TransientSolver b(twin.sys);
+    b.solveDc();
+    snapshot::Reader r(bytes);
+    b.restoreState(r);
+    for (const auto& comp : twin.sys.components()) {
+        comp->restoreState(r);
+    }
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(captureAll(b, twin.sys), bytes); // the integrated set is not state
+    b.advanceTo(6e-6);
+
+    EXPECT_EQ(twin.sys.state(), donor.sys.state());
+    EXPECT_EQ(b.time(), a.time());
+    EXPECT_EQ(b.stats().acceptedSteps, a.stats().acceptedSteps);
+    EXPECT_EQ(b.stats().rejectedSteps, a.stats().rejectedSteps);
+    EXPECT_EQ(b.stats().linearSolves, a.stats().linearSolves);
+    EXPECT_EQ(captureAll(b, twin.sys), captureAll(a, donor.sys));
 }
 
 } // namespace
