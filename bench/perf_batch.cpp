@@ -9,6 +9,11 @@
 // event-driven and batched campaign wall-clock times, the speedup, and
 // whether the two campaigns produced byte-identical per-fault
 // classifications — the backend's determinism contract (DESIGN.md §13).
+//
+// Both campaigns run at one worker (recorded as "workers": 1 in the meta
+// block). At auto width the event side spreads its scalar runs over every
+// core while the batch side has only two groups, so the ratio measured the
+// host's core count rather than the backend.
 
 #include "fault_list_common.hpp"
 #include "pll_bench_common.hpp"
@@ -28,6 +33,7 @@ namespace {
 // measured speedup has to clear its gate on noisy shared CI runners.
 constexpr SimTime kDuration = 24 * kMicrosecond;
 constexpr std::size_t kMinFaults = 120; // >= 2 nearly-full 63-lane groups
+constexpr unsigned kWorkers = 1;
 
 struct CampaignResult {
     double wallSeconds = 0;
@@ -45,6 +51,7 @@ CampaignResult runCampaign(const std::vector<fault::FaultSpec>& faults, bool bat
     runner.setRecordTiming(false); // keep reports byte-comparable across modes
     runner.setBatchBackend(batch);
     runner.setFaultCollapsing(false); // measure raw lane parallelism only
+    runner.setWorkers(kWorkers);
     CampaignResult out;
     campaign::CampaignReport report;
     out.wallSeconds = seconds([&] { report = runner.run(faults); });
@@ -82,7 +89,7 @@ int main()
                   "\"identical\": %s",
                   faults.size(), groups, event.wallSeconds, batched.wallSeconds,
                   speedup, identical ? "true" : "false");
-    const std::string doc = bench::benchJsonLine("perf_batch", jsonLine);
+    const std::string doc = bench::benchJsonLine("perf_batch", jsonLine, kWorkers);
     std::fputs(doc.c_str(), stdout);
     if (!writeTextFile("BENCH_perf_batch.json", doc)) {
         std::fprintf(stderr, "warning: cannot write BENCH_perf_batch.json\n");

@@ -16,16 +16,9 @@ Gate::Gate(Circuit& c, std::string name, GateKind kind, std::vector<LogicSignal*
         throw std::invalid_argument("Gate '" + this->name() + "': Buf/Not take one input");
     }
     std::vector<SignalBase*> sens(inputs_.begin(), inputs_.end());
-    Process& p = c.process(this->name() + "/eval",
-                           [this] {
-                               std::vector<Logic> values;
-                               values.reserve(inputs_.size());
-                               for (const LogicSignal* in : inputs_) {
-                                   values.push_back(in->value());
-                               }
-                               output_->scheduleInertial(evaluate(kind_, values), delay_);
-                           },
-                           sens);
+    Process& p = c.process(
+        this->name() + "/eval", [this] { output_->scheduleInertial(evaluate(), delay_); },
+        sens);
     c.noteDrives(p, {output_});
     if (kind_ == GateKind::Buf) {
         c.noteCombKind(p, CombKind::Buffer, delay_);
@@ -34,36 +27,32 @@ Gate::Gate(Circuit& c, std::string name, GateKind kind, std::vector<LogicSignal*
     }
 }
 
-Logic Gate::evaluate(GateKind kind, const std::vector<Logic>& values)
+Logic Gate::evaluate() const noexcept
 {
-    switch (kind) {
+    Logic acc = inputs_.front()->value();
+    Logic (*op)(Logic, Logic) noexcept = nullptr;
+    switch (kind_) {
     case GateKind::Buf:
-        return toX01(values.front());
+        return toX01(acc);
     case GateKind::Not:
-        return logicNot(values.front());
-    default:
+        return logicNot(acc);
+    case GateKind::And:
+    case GateKind::Nand:
+        op = logicAnd;
+        break;
+    case GateKind::Or:
+    case GateKind::Nor:
+        op = logicOr;
+        break;
+    case GateKind::Xor:
+    case GateKind::Xnor:
+        op = logicXor;
         break;
     }
-    Logic acc = values.front();
-    for (std::size_t i = 1; i < values.size(); ++i) {
-        switch (kind) {
-        case GateKind::And:
-        case GateKind::Nand:
-            acc = logicAnd(acc, values[i]);
-            break;
-        case GateKind::Or:
-        case GateKind::Nor:
-            acc = logicOr(acc, values[i]);
-            break;
-        case GateKind::Xor:
-        case GateKind::Xnor:
-            acc = logicXor(acc, values[i]);
-            break;
-        default:
-            break;
-        }
+    for (std::size_t i = 1; i < inputs_.size(); ++i) {
+        acc = op(acc, inputs_[i]->value());
     }
-    switch (kind) {
+    switch (kind_) {
     case GateKind::Nand:
     case GateKind::Nor:
     case GateKind::Xnor:

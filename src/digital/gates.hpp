@@ -24,8 +24,8 @@ public:
     Gate(Circuit& c, std::string name, GateKind kind, std::vector<LogicSignal*> inputs,
          LogicSignal& output, SimTime delay = kDefaultGateDelay);
 
-    /// Combinational function of this gate applied to explicit values.
-    [[nodiscard]] static Logic evaluate(GateKind kind, const std::vector<Logic>& values);
+    /// Combinational function of this gate over its inputs' current values.
+    [[nodiscard]] Logic evaluate() const noexcept;
 
     /// Pure combinational: outputs re-derive from restored inputs.
     [[nodiscard]] bool snapshotExempt() const noexcept override { return true; }

@@ -6,15 +6,20 @@
 
 namespace gfi::digital {
 
+void Scheduler::push(const Entry& e)
+{
+    queue_.push(e);
+    if (queue_.size() > queueHighWater_) {
+        queueHighWater_ = queue_.size();
+    }
+}
+
 void Scheduler::scheduleTransaction(SimTime t, SignalBase& sig, std::uint64_t txnId)
 {
     if (t < now_) {
         t = now_; // defensive: never schedule in the past
     }
-    queue_.push(Entry{t, seq_++, true, {}, &sig, txnId});
-    if (queue_.size() > queueHighWater_) {
-        queueHighWater_ = queue_.size();
-    }
+    push(Entry{t, seq_++, &sig, txnId});
 }
 
 void Scheduler::scheduleAction(SimTime t, std::function<void()> action)
@@ -22,10 +27,16 @@ void Scheduler::scheduleAction(SimTime t, std::function<void()> action)
     if (t < now_) {
         t = now_;
     }
-    queue_.push(Entry{t, seq_++, false, std::move(action), nullptr, 0});
-    if (queue_.size() > queueHighWater_) {
-        queueHighWater_ = queue_.size();
+    std::uint64_t slot = 0;
+    if (freeActionSlots_.empty()) {
+        slot = actions_.size();
+        actions_.push_back(std::move(action));
+    } else {
+        slot = freeActionSlots_.back();
+        freeActionSlots_.pop_back();
+        actions_[slot] = std::move(action);
     }
+    push(Entry{t, seq_++, nullptr, slot});
 }
 
 void Scheduler::wake(Process* p)
@@ -75,28 +86,30 @@ void Scheduler::runWave()
 {
     // Phase 1: apply signal transactions due now; phase 2: actions; phase 3:
     // woken processes. The wave id advances only after the processes ran, so
-    // events stamped in phases 1-2 are visible to them.
-    std::vector<Entry> transactions;
-    std::vector<std::function<void()>> actions;
+    // events stamped in phases 1-2 are visible to them. An action's closure
+    // leaves its slot before any action runs, so actions may schedule more.
+    dueTransactions_.clear();
+    dueActions_.clear();
+    toRun_.clear();
     while (!queue_.empty() && queue_.top().time <= now_) {
-        Entry e = queue_.top();
+        const Entry e = queue_.top();
         queue_.pop();
-        if (e.isTransaction) {
-            transactions.push_back(e);
+        if (e.signal != nullptr) {
+            dueTransactions_.push_back(e);
         } else {
-            actions.push_back(std::move(e.fn));
+            dueActions_.push_back(std::move(actions_[e.payload]));
+            freeActionSlots_.push_back(e.payload);
         }
     }
-    dispatched_ += transactions.size() + actions.size();
-    for (const Entry& e : transactions) {
-        e.signal->applyTxn(e.txnId);
+    dispatched_ += dueTransactions_.size() + dueActions_.size();
+    for (const Entry& e : dueTransactions_) {
+        e.signal->applyTxn(e.payload);
     }
-    for (auto& fn : actions) {
+    for (auto& fn : dueActions_) {
         fn();
     }
-    std::vector<Process*> toRun;
-    toRun.swap(runnable_);
-    for (Process* p : toRun) {
+    toRun_.swap(runnable_);
+    for (Process* p : toRun_) {
         p->queued_ = false;
         lastProcessRun_ = &p->name();
         p->run();
@@ -157,7 +170,7 @@ void Scheduler::captureState(snapshot::Writer& w) const
     auto copy = queue_;
     std::vector<Entry> pending;
     while (!copy.empty()) {
-        if (copy.top().isTransaction) {
+        if (copy.top().signal != nullptr) {
             pending.push_back(copy.top());
         }
         copy.pop();
@@ -167,7 +180,7 @@ void Scheduler::captureState(snapshot::Writer& w) const
         w.i64(e.time);
         w.u64(e.seq);
         w.str(e.signal->name());
-        w.u64(e.txnId);
+        w.u64(e.payload);
     }
 }
 
@@ -180,6 +193,8 @@ void Scheduler::restoreState(snapshot::Reader& r,
     deltasRun_ = r.u64();
     started_ = true; // the captured kernel had completed its startup pass
     queue_ = {};
+    actions_.clear();
+    freeActionSlots_.clear();
     for (Process* p : runnable_) {
         p->queued_ = false;
     }
@@ -195,7 +210,7 @@ void Scheduler::restoreState(snapshot::Reader& r,
         // Original sequence numbers are kept so same-wave transactions apply
         // in the captured order; fresh entries (re-armed actions, new faults)
         // draw from the restored seq_ counter and sort after these.
-        queue_.push(Entry{t, seq, true, {}, &sig, txnId});
+        queue_.push(Entry{t, seq, &sig, txnId});
     }
     // Probe counters are not part of the snapshot format: the campaign layer
     // samples a post-restore baseline and bills runs by delta, so they only

@@ -23,6 +23,7 @@
 #include <functional>
 #include <queue>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace gfi::obs {
@@ -153,22 +154,26 @@ public:
     /// Must be called at a quiescent point (no wave in flight).
     void captureState(snapshot::Writer& w) const;
 
-    /// Restores the counters, clears the queue and re-inserts the captured
-    /// transactions with their original sequence numbers (so same-wave apply
-    /// order is preserved exactly). @p resolve maps a signal name back to the
-    /// freshly built circuit's signal object.
+    /// Restores the counters, clears the queue and the action table and
+    /// re-inserts the captured transactions with their original sequence
+    /// numbers (so same-wave apply order is preserved exactly). @p resolve
+    /// maps a signal name back to the freshly built circuit's signal object.
     void restoreState(snapshot::Reader& r,
                       const std::function<SignalBase&(const std::string&)>& resolve);
 
 private:
+    /// One queued entry, trivially copyable so heap sifts move 32 bytes.
+    /// A transaction targets @c signal with txn id @c payload; an action
+    /// (@c signal == nullptr) runs the closure in slot @c payload of
+    /// actions_. Canceled inertial transactions stay queued: popping one
+    /// still costs its wave, which the word kernel replicates exactly.
     struct Entry {
         SimTime time;
         std::uint64_t seq;
-        bool isTransaction;
-        std::function<void()> fn;          // action payload (empty for transactions)
-        SignalBase* signal = nullptr;      // transaction target
-        std::uint64_t txnId = 0;           // transaction id within the signal
+        SignalBase* signal;
+        std::uint64_t payload;
     };
+    static_assert(std::is_trivially_copyable_v<Entry>);
     struct Later {
         bool operator()(const Entry& a, const Entry& b) const noexcept
         {
@@ -178,6 +183,8 @@ private:
             return a.seq > b.seq;
         }
     };
+
+    void push(const Entry& e); // queues @p e, tracking the high-water mark
 
     /// True while zero-delay work remains at the current time.
     [[nodiscard]] bool workPendingNow() const noexcept
@@ -194,8 +201,14 @@ private:
     static constexpr std::uint64_t kDefaultDeltaLimit = 1'000'000;
 
     std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+    std::vector<std::function<void()>> actions_; // closures of queued actions
+    std::vector<std::uint64_t> freeActionSlots_;  // actions_ slots free for reuse
     std::vector<Process*> processes_;
     std::vector<Process*> runnable_;
+    // Per-wave scratch, reused so a wave allocates nothing in steady state.
+    std::vector<Entry> dueTransactions_;
+    std::vector<std::function<void()>> dueActions_;
+    std::vector<Process*> toRun_;
     SimTime now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t deltasRun_ = 0;

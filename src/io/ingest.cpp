@@ -8,8 +8,9 @@
 #include "util/units.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 
 namespace gfi::io {
 
@@ -17,19 +18,55 @@ namespace {
 
 using digital::Logic;
 
+/// The nets of one elaboration, numbered in nets() order (primary inputs
+/// first, so input i is net i), with every gate's inputs and output resolved
+/// to those numbers once.
+struct NetIndex {
+    std::vector<std::string> nets;
+    std::vector<std::size_t> gateOf;        ///< per net: its driving gate (not for inputs)
+    std::vector<std::size_t> output;        ///< per gate of desc.gates
+    std::vector<std::size_t> inputsBegin;   ///< per gate, into inputs; one extra end
+    std::vector<std::size_t> inputs;        ///< per gate, sorted by net name
+
+    explicit NetIndex(const NetlistDesc& desc) : nets(desc.nets()), gateOf(nets.size())
+    {
+        std::unordered_map<std::string_view, std::size_t> of;
+        of.reserve(nets.size());
+        for (std::size_t i = 0; i < nets.size(); ++i) {
+            of.emplace(nets[i], i);
+        }
+        const auto at = [&](const std::string& net) {
+            const auto it = of.find(net);
+            if (it == of.end()) {
+                throw std::out_of_range("IngestTestbench: unknown net '" + net + "'");
+            }
+            return it->second;
+        };
+        output.reserve(desc.gates.size());
+        inputsBegin.reserve(desc.gates.size() + 1);
+        for (const NetlistGate& g : desc.gates) {
+            const std::size_t out = at(g.output);
+            gateOf[out] = output.size();
+            output.push_back(out);
+            inputsBegin.push_back(inputs.size());
+            for (const std::string& in : g.inputs) {
+                inputs.push_back(at(in));
+            }
+            std::sort(inputs.begin() + static_cast<std::ptrdiff_t>(inputsBegin.back()),
+                      inputs.end(),
+                      [&](std::size_t a, std::size_t b) { return nets[a] < nets[b]; });
+        }
+        inputsBegin.push_back(inputs.size());
+    }
+};
+
 /// Longest gate-to-gate path of @p desc (1 per gate traversed); the settle
 /// budget one pattern needs is depth * gateDelay plus the zero-delay
 /// saboteur deltas.
-int combinationalDepth(const NetlistDesc& desc)
+int combinationalDepth(const NetlistDesc& desc, const NetIndex& index)
 {
-    std::map<std::string, const NetlistGate*> driverOf;
-    for (const NetlistGate& g : desc.gates) {
-        driverOf[g.output] = &g;
-    }
-    std::map<std::string, int> depth; // net -> gates on the longest path to it
-    for (const std::string& in : desc.inputs) {
-        depth[in] = 0;
-    }
+    std::vector<int> depth(index.nets.size(), -1); // gates on the longest path; -1 unknown
+    std::fill_n(depth.begin(), desc.inputs.size(), 0);
     // The gate list is not necessarily topological; iterate to a fixed point
     // (validate() rejected self-loops; a malformed multi-gate cycle would be
     // caught by lint DIG001 at elaboration, so cap the sweeps defensively).
@@ -37,30 +74,26 @@ int combinationalDepth(const NetlistDesc& desc)
     bool changed = true;
     for (std::size_t sweep = 0; changed && sweep < cap; ++sweep) {
         changed = false;
-        for (const NetlistGate& g : desc.gates) {
+        for (std::size_t g = 0; g < desc.gates.size(); ++g) {
             int worst = -1;
-            for (const std::string& in : g.inputs) {
-                const auto it = depth.find(in);
-                if (it == depth.end()) {
+            for (std::size_t k = index.inputsBegin[g]; k < index.inputsBegin[g + 1]; ++k) {
+                const int d = depth[index.inputs[k]];
+                if (d < 0) {
                     worst = -1;
                     break;
                 }
-                worst = std::max(worst, it->second);
+                worst = std::max(worst, d);
             }
-            if (worst < 0) {
+            int& out = depth[index.output[g]];
+            if (worst < 0 || out > worst) {
                 continue;
             }
-            const int d = worst + 1;
-            auto [it, inserted] = depth.emplace(g.output, d);
-            if (!inserted && it->second >= d) {
-                continue;
-            }
-            it->second = d;
+            out = worst + 1;
             changed = true;
         }
     }
     int maxDepth = 0;
-    for (const auto& [net, d] : depth) {
+    for (const int d : depth) {
         maxDepth = std::max(maxDepth, d);
     }
     return maxDepth;
@@ -133,7 +166,8 @@ IngestTestbench::IngestTestbench(std::shared_ptr<const NetlistDesc> desc,
         throw std::invalid_argument("IngestTestbench: pattern set was generated for a "
                                     "different input list");
     }
-    const int depth = combinationalDepth(d);
+    const NetIndex index(d);
+    const int depth = combinationalDepth(d, index);
     if ((static_cast<SimTime>(depth) + 2) * config_.gateDelay >= config_.patternPeriod) {
         throw std::invalid_argument(
             "IngestTestbench: pattern period " + formatTime(config_.patternPeriod) +
@@ -147,40 +181,33 @@ IngestTestbench::IngestTestbench(std::shared_ptr<const NetlistDesc> desc,
     // instrumented faulty side "<prefix>/<net>~f", in canonical net order so
     // signal creation (and with it process wake order and batch lane
     // compilation) depends only on the netlist digest.
-    std::map<std::string, digital::LogicSignal*> driven;
-    std::map<std::string, digital::LogicSignal*> faulty;
-    for (const std::string& net : d.nets()) {
-        driven[net] = &dig.logicSignal(prefix + "/" + net, Logic::Zero);
-        faulty[net] = &dig.logicSignal(prefix + "/" + net + "~f", Logic::Zero);
+    const std::size_t netCount = index.nets.size();
+    std::vector<digital::LogicSignal*> driven(netCount);
+    std::vector<digital::LogicSignal*> faulty(netCount);
+    for (std::size_t n = 0; n < netCount; ++n) {
+        driven[n] = &dig.logicSignal(prefix + "/" + index.nets[n], Logic::Zero);
+        faulty[n] = &dig.logicSignal(prefix + "/" + index.nets[n] + "~f", Logic::Zero);
     }
 
     // One zero-delay saboteur per net: every net of the external design is an
     // injectable interconnect, exactly like the hand-written DUTs.
-    for (const std::string& net : d.nets()) {
-        addDigitalSaboteur(
-            dig.add<fault::DigitalSaboteur>(dig, netSaboteurName(net), *driven[net],
-                                            *faulty[net]));
+    for (std::size_t n = 0; n < netCount; ++n) {
+        addDigitalSaboteur(dig.add<fault::DigitalSaboteur>(
+            dig, netSaboteurName(index.nets[n]), *driven[n], *faulty[n]));
     }
 
-    // Gates read the faulty sides and drive the driven sides (canonical
-    // order, matching nets()).
-    std::vector<const NetlistGate*> ordered;
-    ordered.reserve(d.gates.size());
-    for (const NetlistGate& g : d.gates) {
-        ordered.push_back(&g);
-    }
-    std::sort(ordered.begin(), ordered.end(),
-              [](const NetlistGate* a, const NetlistGate* b) { return a->output < b->output; });
-    for (const NetlistGate* g : ordered) {
-        std::vector<std::string> ins = g->inputs;
-        std::sort(ins.begin(), ins.end());
+    // Gates read the faulty sides and drive the driven sides, in net order
+    // (gate outputs follow the inputs, sorted by name).
+    for (std::size_t n = d.inputs.size(); n < netCount; ++n) {
+        const std::size_t gi = index.gateOf[n];
+        const NetlistGate& g = d.gates[gi];
         std::vector<digital::LogicSignal*> inputs;
-        inputs.reserve(ins.size());
-        for (const std::string& in : ins) {
-            inputs.push_back(faulty.at(in));
+        inputs.reserve(index.inputsBegin[gi + 1] - index.inputsBegin[gi]);
+        for (std::size_t k = index.inputsBegin[gi]; k < index.inputsBegin[gi + 1]; ++k) {
+            inputs.push_back(faulty[index.inputs[k]]);
         }
-        dig.add<digital::Gate>(dig, prefix + "/" + g->name, g->kind, std::move(inputs),
-                               *driven.at(g->output), config_.gateDelay);
+        dig.add<digital::Gate>(dig, prefix + "/" + g.name, g.kind, std::move(inputs),
+                               *driven[n], config_.gateDelay);
     }
 
     // Stimulus: pattern k forces the primary inputs at k*period; only bits
@@ -194,13 +221,13 @@ IngestTestbench::IngestTestbench(std::shared_ptr<const NetlistDesc> desc,
             if (row[i] == previous[i]) {
                 continue;
             }
-            stimuli.at(static_cast<SimTime>(k) * pat.period, *driven.at(d.inputs[i]),
+            stimuli.at(static_cast<SimTime>(k) * pat.period, *driven[i],
                        row[i] ? Logic::One : Logic::Zero);
             previous[i] = row[i];
         }
     }
-    for (const std::string& in : d.inputs) {
-        dig.noteExternalDriver(*driven.at(in));
+    for (std::size_t i = 0; i < d.inputs.size(); ++i) {
+        dig.noteExternalDriver(*driven[i]);
     }
 
     // Observation: the faulty side of every primary output, so a stuck-at on

@@ -8,23 +8,13 @@ namespace gfi::trace {
 DigitalDiff compareDigital(const DigitalTrace& golden, const DigitalTrace& test, SimTime tEnd,
                            SimTime minWindow)
 {
-    // Merge the event timelines and walk both traces.
-    std::vector<SimTime> times;
-    times.reserve(golden.events.size() + test.events.size() + 2);
-    times.push_back(0);
-    for (const auto& [t, v] : golden.events) {
-        times.push_back(t);
-    }
-    for (const auto& [t, v] : test.events) {
-        times.push_back(t);
-    }
-    times.push_back(tEnd);
-    std::sort(times.begin(), times.end());
-    times.erase(std::unique(times.begin(), times.end()), times.end());
-
-    // Monotone cursors over both event lists: the merged timeline is
-    // ascending, so each trace is walked once (valueAt per point would make
-    // this quadratic in the event count — clock traces have thousands).
+    // Walk the merged timeline {0, tEnd} + both event lists, each point once,
+    // in ascending order up to tEnd. Both lists are recorded in time order,
+    // so this is a linear merge: the cursors consume every event at or
+    // before the current point, and the next point is the smallest event
+    // time after it, or tEnd (which also skips duplicate timestamps).
+    const auto& ge = golden.events;
+    const auto& te = test.events;
     std::size_t gi = 0;
     std::size_t ti = 0;
     digital::Logic gv = golden.initial;
@@ -33,15 +23,13 @@ DigitalDiff compareDigital(const DigitalTrace& golden, const DigitalTrace& test,
     DigitalDiff diff;
     bool inMismatch = false;
     SimTime windowStart = 0;
-    for (SimTime t : times) {
-        if (t > tEnd) {
-            break;
+    SimTime t = 0;
+    for (;;) {
+        while (gi < ge.size() && ge[gi].first <= t) {
+            gv = ge[gi++].second;
         }
-        while (gi < golden.events.size() && golden.events[gi].first <= t) {
-            gv = golden.events[gi++].second;
-        }
-        while (ti < test.events.size() && test.events[ti].first <= t) {
-            tv = test.events[ti++].second;
+        while (ti < te.size() && te[ti].first <= t) {
+            tv = te[ti++].second;
         }
         const bool differs = digital::toX01(gv) != digital::toX01(tv);
         if (differs && !inMismatch) {
@@ -51,6 +39,17 @@ DigitalDiff compareDigital(const DigitalTrace& golden, const DigitalTrace& test,
             inMismatch = false;
             diff.mismatchWindows.emplace_back(windowStart, t);
         }
+        if (t >= tEnd) {
+            break;
+        }
+        SimTime next = tEnd;
+        if (gi < ge.size()) {
+            next = std::min(next, ge[gi].first);
+        }
+        if (ti < te.size()) {
+            next = std::min(next, te[ti].first);
+        }
+        t = next;
     }
     if (inMismatch) {
         diff.mismatchWindows.emplace_back(windowStart, tEnd);

@@ -27,10 +27,11 @@ struct DigitalDiff {
     }
 };
 
-/// Compares two digital traces over [0, tEnd]. Mismatch windows shorter than
-/// @p minWindow are discarded: this is the digital counterpart of the analog
-/// tolerance — edge jitter below the threshold (e.g. sub-ps clock wobble
-/// while a PLL relocks) is not a functional error.
+/// Compares two digital traces over [0, tEnd]. Event times must be
+/// non-negative and non-decreasing, as recorded; tEnd >= 0. Mismatch windows
+/// shorter than @p minWindow are discarded: this is the digital counterpart
+/// of the analog tolerance — edge jitter below the threshold (e.g. sub-ps
+/// clock wobble while a PLL relocks) is not a functional error.
 [[nodiscard]] DigitalDiff compareDigital(const DigitalTrace& golden, const DigitalTrace& test,
                                          SimTime tEnd, SimTime minWindow = 0);
 

@@ -344,13 +344,83 @@ TEST(IngestDifferential, BackendsAndWorkerWidthsAgree)
         << "fault collapsing changed classifications";
 }
 
+/// Message of the invalid_argument the elaboration of @p desc throws at
+/// @p period, or "" when it elaborates.
+std::string elaborationError(const NetlistDesc& desc, SimTime period)
+{
+    IngestConfig cfg;
+    cfg.patternCount = 4;
+    cfg.patternPeriod = period;
+    try {
+        (void)makeWorkload(desc, cfg).factory()();
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
+
 TEST(Ingest, PeriodTooShortForDepthThrows)
 {
-    NetlistDesc d = parseNetlist(kC17Bench, "c17.bench");
+    const NetlistDesc c17 = parseNetlist(kC17Bench, "c17.bench");
     IngestConfig cfg;
     cfg.patternCount = 4;
     cfg.patternPeriod = 2 * digital::kDefaultGateDelay; // depth 3 cannot settle
-    EXPECT_THROW((void)makeWorkload(std::move(d), cfg).factory()(), std::invalid_argument);
+    EXPECT_THROW((void)makeWorkload(c17, cfg).factory()(), std::invalid_argument);
+
+    // The exact boundary: the settle budget is (depth + 2) gate delays.
+    const SimTime c17Budget = 5 * digital::kDefaultGateDelay;
+    EXPECT_NE(elaborationError(c17, c17Budget).find("combinational depth 3 "),
+              std::string::npos);
+    EXPECT_EQ(elaborationError(c17, c17Budget + kFemtosecond), "");
+
+    // A 12-inverter chain listed from the last gate back to the first: each
+    // fixed-point sweep over the gate list settles only one more gate.
+    constexpr int kChain = 12;
+    std::string text = "INPUT(a)\nOUTPUT(n12)\n";
+    for (int i = kChain; i >= 1; --i) {
+        const std::string in = i == 1 ? "a" : "n" + std::to_string(i - 1);
+        text += "n" + std::to_string(i) + " = NOT(" + in + ")\n";
+    }
+    const NetlistDesc chain = parseNetlist(text, "chain.bench");
+    ASSERT_EQ(chain.gates.front().output, "n12");
+    const SimTime chainBudget = (kChain + 2) * digital::kDefaultGateDelay;
+    EXPECT_NE(elaborationError(chain, chainBudget).find("combinational depth 12 "),
+              std::string::npos);
+    EXPECT_EQ(elaborationError(chain, chainBudget + kFemtosecond), "");
+}
+
+TEST(Ingest, C17ElaborationOrder)
+{
+    // Signal and process creation order fix process wake order and batch
+    // lane compilation: nets in nets() order (inputs in declaration order,
+    // then gate outputs sorted by name), saboteurs in net order, then gates.
+    const IngestWorkload w = makeWorkload(parseNetlist(kC17Bench, "c17.bench"));
+    const auto tb = w.factory()();
+    const digital::Circuit& circuit = tb->sim().digital();
+    const std::vector<std::string> expectedSignals{
+        "c17/N1",  "c17/N1~f",  "c17/N2",  "c17/N2~f",  "c17/N3",  "c17/N3~f",
+        "c17/N6",  "c17/N6~f",  "c17/N7",  "c17/N7~f",  "c17/N10", "c17/N10~f",
+        "c17/N11", "c17/N11~f", "c17/N16", "c17/N16~f", "c17/N19", "c17/N19~f",
+        "c17/N22", "c17/N22~f", "c17/N23", "c17/N23~f"};
+    EXPECT_EQ(circuit.signalNames(), expectedSignals);
+    std::vector<std::string> processes;
+    for (const digital::ProcessConnectivity& conn : circuit.connectivity()) {
+        processes.push_back(conn.process->name());
+    }
+    const std::vector<std::string> expectedProcesses{
+        "sab/N1/pass",    "sab/N2/pass",    "sab/N3/pass",    "sab/N6/pass",
+        "sab/N7/pass",    "sab/N10/pass",   "sab/N11/pass",   "sab/N16/pass",
+        "sab/N19/pass",   "sab/N22/pass",   "sab/N23/pass",   "c17/g_N10/eval",
+        "c17/g_N11/eval", "c17/g_N16/eval", "c17/g_N19/eval", "c17/g_N22/eval",
+        "c17/g_N23/eval"};
+    EXPECT_EQ(processes, expectedProcesses);
+    // Gate inputs are sorted by net name, not by net number: N16 reads N11
+    // before N2.
+    std::vector<std::string> n16Inputs;
+    for (const digital::SignalBase* in : circuit.connectivity()[13].triggers) {
+        n16Inputs.push_back(in->name());
+    }
+    EXPECT_EQ(n16Inputs, (std::vector<std::string>{"c17/N11~f", "c17/N2~f"}));
 }
 
 // --- golden store ----------------------------------------------------------

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace gfi::digital {
 namespace {
 
@@ -195,6 +200,116 @@ TEST(Scheduler, LastValueTracksPreviousValue)
     c.runUntil(3 * kNanosecond);
     EXPECT_EQ(s.value(), Logic::Zero);
     EXPECT_EQ(s.lastValue(), Logic::One);
+}
+
+TEST(Scheduler, SameTimeTransactionsDispatchBeforeActionsInSeqOrder)
+{
+    Circuit c;
+    auto& a = c.logicSignal("a", Logic::Zero);
+    auto& b = c.logicSignal("b", Logic::Zero);
+    std::vector<std::string> log;
+    SignalWatch::onEvent(a, [&] { log.push_back("txn a"); });
+    SignalWatch::onEvent(b, [&] { log.push_back("txn b"); });
+    c.process("p", [&] { log.push_back("process"); }, {&a});
+    c.scheduler().start();
+    log.clear();
+
+    // Interleaved in schedule order: action, txn, action, txn, action.
+    Scheduler& sched = c.scheduler();
+    sched.scheduleAction(kNanosecond, [&] { log.push_back("action 1"); });
+    b.scheduleTransport(Logic::One, kNanosecond);
+    sched.scheduleAction(kNanosecond, [&] { log.push_back("action 2"); });
+    a.scheduleTransport(Logic::One, kNanosecond);
+    sched.scheduleAction(kNanosecond, [&] { log.push_back("action 3"); });
+    const std::uint64_t waves = sched.deltaCycles();
+    c.runUntil(2 * kNanosecond);
+
+    EXPECT_EQ(log, (std::vector<std::string>{"txn b", "txn a", "action 1", "action 2",
+                                             "action 3", "process"}));
+    EXPECT_EQ(sched.deltaCycles() - waves, 1u); // one wave
+    EXPECT_EQ(sched.eventsDispatched(), 5u);
+}
+
+TEST(Scheduler, ActionScheduledAtNowRunsInNextWaveOfSameTime)
+{
+    Circuit c;
+    Scheduler& sched = c.scheduler();
+    std::vector<std::pair<SimTime, std::uint64_t>> seen; // (time, wave id)
+    sched.scheduleAction(3 * kNanosecond, [&] {
+        seen.emplace_back(sched.now(), sched.waveId());
+        sched.scheduleAction(sched.now(), [&] {
+            seen.emplace_back(sched.now(), sched.waveId());
+        });
+    });
+    c.runUntil(5 * kNanosecond);
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[0].first, 3 * kNanosecond);
+    EXPECT_EQ(seen[1].first, 3 * kNanosecond);
+    EXPECT_EQ(seen[1].second, seen[0].second + 1);
+    EXPECT_EQ(sched.pendingEvents(), 0u);
+}
+
+TEST(Scheduler, RestoreDropsActionsPendingAtCapture)
+{
+    Circuit c;
+    Scheduler& sched = c.scheduler();
+    auto& s = c.logicSignal("s", Logic::Zero);
+    std::vector<std::string> fired;
+    sched.scheduleAction(4 * kNanosecond, [&] { fired.push_back("before capture"); });
+    s.scheduleTransport(Logic::One, 6 * kNanosecond);
+    c.runUntil(2 * kNanosecond);
+
+    snapshot::Writer w;
+    sched.captureState(w);
+    s.captureState(w);
+    sched.scheduleAction(3 * kNanosecond, [&] { fired.push_back("after capture"); });
+
+    // Restore into the same kernel: every closure queued before the restore
+    // is gone, the captured transaction is back.
+    snapshot::Reader r(w.bytes());
+    sched.restoreState(r, [&](const std::string& name) -> SignalBase& {
+        return c.findSignal(name);
+    });
+    s.restoreState(r);
+    EXPECT_EQ(sched.pendingEvents(), 1u);
+    sched.scheduleAction(5 * kNanosecond, [&] { fired.push_back("after restore"); });
+    c.runUntil(10 * kNanosecond);
+
+    EXPECT_EQ(fired, (std::vector<std::string>{"after restore"}));
+    EXPECT_EQ(s.value(), Logic::One);
+    EXPECT_EQ(s.lastEventTime(), 6 * kNanosecond);
+    EXPECT_EQ(sched.pendingEvents(), 0u);
+}
+
+TEST(Scheduler, QueueDrainsAfterLongClockedRun)
+{
+    Circuit c;
+    Scheduler& sched = c.scheduler();
+    auto& clk = c.logicSignal("clk", Logic::Zero);
+    auto& n1 = c.logicSignal("n1", Logic::U);
+    auto& n2 = c.logicSignal("n2", Logic::U);
+    NotGate inv(c, "inv", clk, n1);
+    BufGate buf(c, "buf", n1, n2);
+    int edges = 0;
+    std::uint64_t n2Events = 0;
+    SignalWatch::onEvent(n2, [&] { ++n2Events; });
+    constexpr int kEdges = 20000;
+    std::function<void()> toggle = [&] {
+        // Two writes per edge: the first is canceled by the second (inertial),
+        // so canceled entries go through the queue as well.
+        clk.scheduleInertial(Logic::X, 10 * kPicosecond);
+        clk.scheduleInertial(flipped(clk.value()), 0);
+        if (++edges < kEdges) {
+            sched.scheduleAction(sched.now() + kNanosecond, toggle);
+        }
+    };
+    sched.scheduleAction(kNanosecond, toggle);
+    c.runUntil(static_cast<SimTime>(kEdges + 10) * kNanosecond);
+
+    EXPECT_EQ(edges, kEdges);
+    EXPECT_EQ(n2Events, static_cast<std::uint64_t>(kEdges) + 1); // U -> 1 at start
+    EXPECT_EQ(sched.pendingEvents(), 0u);
+    EXPECT_LE(sched.queueHighWater(), 4u);
 }
 
 } // namespace

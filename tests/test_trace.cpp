@@ -6,9 +6,11 @@
 #include "analog/passive.hpp"
 #include "analog/sources.hpp"
 #include "digital/sequential.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 namespace gfi::trace {
@@ -99,6 +101,103 @@ TEST(CompareDigitalTest, WeakValuesNormalized)
     const auto golden = makeTrace(Logic::One, {});
     const auto faulty = makeTrace(Logic::H, {});
     EXPECT_TRUE(compareDigital(golden, faulty, 100).identical());
+}
+
+/// Sort-based reference for compareDigital: the union of {0, tEnd} and both
+/// event timelines, sorted and deduplicated, each point evaluated with
+/// valueAt. Windows and the minWindow filter follow the documented contract.
+DigitalDiff referenceCompareDigital(const DigitalTrace& golden, const DigitalTrace& test,
+                                    SimTime tEnd, SimTime minWindow)
+{
+    std::vector<SimTime> times{0, tEnd};
+    for (const auto& [t, v] : golden.events) {
+        times.push_back(t);
+    }
+    for (const auto& [t, v] : test.events) {
+        times.push_back(t);
+    }
+    std::sort(times.begin(), times.end());
+    times.erase(std::unique(times.begin(), times.end()), times.end());
+    DigitalDiff diff;
+    bool inMismatch = false;
+    SimTime windowStart = 0;
+    for (const SimTime t : times) {
+        if (t > tEnd) {
+            break;
+        }
+        const bool differs =
+            digital::toX01(golden.valueAt(t)) != digital::toX01(test.valueAt(t));
+        if (differs && !inMismatch) {
+            inMismatch = true;
+            windowStart = t;
+        } else if (!differs && inMismatch) {
+            inMismatch = false;
+            diff.mismatchWindows.emplace_back(windowStart, t);
+        }
+    }
+    if (inMismatch) {
+        diff.mismatchWindows.emplace_back(windowStart, tEnd);
+    }
+    std::erase_if(diff.mismatchWindows, [&](const std::pair<SimTime, SimTime>& w) {
+        return minWindow > 0 && w.second - w.first < minWindow;
+    });
+    if (!diff.mismatchWindows.empty()) {
+        diff.firstMismatch = diff.mismatchWindows.front().first;
+        diff.lastMismatchEnd = diff.mismatchWindows.back().second;
+        for (const auto& [a, b] : diff.mismatchWindows) {
+            diff.totalMismatch += b - a;
+        }
+    }
+    return diff;
+}
+
+/// A time-ordered random trace on a coarse grid (so timestamps collide
+/// within and across traces), some events past @p horizon.
+DigitalTrace randomTrace(Rng& rng, SimTime horizon)
+{
+    static constexpr Logic kValues[] = {Logic::Zero, Logic::One, Logic::X, Logic::H, Logic::L};
+    DigitalTrace t = makeTrace(kValues[rng.below(5)], {});
+    const std::uint64_t count = rng.below(4) == 0 ? 0 : rng.below(40);
+    SimTime now = 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        now += static_cast<SimTime>(rng.below(3)) * (horizon / 16); // 0 = same timestamp
+        t.events.emplace_back(now, kValues[rng.below(5)]);
+    }
+    return t;
+}
+
+TEST(CompareDigitalTest, LinearMergeMatchesSortReference)
+{
+    Rng rng(20261017);
+    constexpr SimTime kHorizon = 1600;
+    for (int round = 0; round < 2000; ++round) {
+        const DigitalTrace golden = randomTrace(rng, kHorizon);
+        const DigitalTrace test = rng.below(4) == 0 ? golden : randomTrace(rng, kHorizon);
+        // tEnd on and off the event grid, including 0 and a point before
+        // the last events of both traces.
+        const SimTime tEnd = static_cast<SimTime>(rng.below(2 * kHorizon / 100)) * 100 +
+                             static_cast<SimTime>(rng.below(2)) * 50;
+        const SimTime minWindow = static_cast<SimTime>(rng.below(3)) * 100;
+        const DigitalDiff got = compareDigital(golden, test, tEnd, minWindow);
+        const DigitalDiff want = referenceCompareDigital(golden, test, tEnd, minWindow);
+        SCOPED_TRACE("round " + std::to_string(round));
+        ASSERT_EQ(got.mismatchWindows, want.mismatchWindows);
+        EXPECT_EQ(got.firstMismatch, want.firstMismatch);
+        EXPECT_EQ(got.lastMismatchEnd, want.lastMismatchEnd);
+        EXPECT_EQ(got.totalMismatch, want.totalMismatch);
+    }
+}
+
+TEST(CompareDigitalTest, EmptyTraces)
+{
+    const auto zero = makeTrace(Logic::Zero, {});
+    const auto one = makeTrace(Logic::One, {});
+    EXPECT_TRUE(compareDigital(zero, zero, 100).identical());
+    const DigitalDiff diff = compareDigital(zero, one, 100);
+    ASSERT_EQ(diff.mismatchWindows.size(), 1u);
+    EXPECT_EQ(diff.mismatchWindows[0], (std::pair<SimTime, SimTime>{0, 100}));
+    EXPECT_EQ(compareDigital(zero, one, 0).mismatchWindows,
+              referenceCompareDigital(zero, one, 0, 0).mismatchWindows);
 }
 
 TEST(CompareAnalogTest, WithinTolerance)
