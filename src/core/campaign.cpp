@@ -12,11 +12,14 @@
 #include "util/units.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <stdexcept>
+#include <string_view>
 
 namespace gfi::campaign {
 
@@ -59,6 +62,11 @@ std::string fnv1aHex(const std::string& s)
     std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
     return buf;
 }
+
+/// Where a fault index's verdict comes from; run() consults the sources in
+/// declaration order and each index takes its verdict from the first that has
+/// one.
+enum class Source : std::uint8_t { Journal, Expand, Batch, Kernel };
 
 } // namespace
 
@@ -255,60 +263,50 @@ std::string targetOf(const fault::FaultSpec& fault)
 // CampaignRunner
 
 CampaignRunner::CampaignRunner(fault::TestbenchFactory factory, Tolerance tolerance)
-    : factory_(std::move(factory)), tolerance_(tolerance)
+    : factory_(std::move(factory))
 {
+    options_.tolerance = tolerance;
+    // The one environment resolver. Unset or empty keeps the default;
+    // anything outside the accepted syntax throws instead of guessing, so a
+    // typo ("off", "5us") can never silently flip a mode.
+    const auto reject = [](const char* name, const char* value, const char* expected) {
+        return std::invalid_argument(std::string(name) + "=\"" + value + "\": expected " +
+                                     expected);
+    };
+    const auto readSwitch = [&](const char* name, bool& field) {
+        const char* env = std::getenv(name);
+        if (env == nullptr || *env == '\0') {
+            return;
+        }
+        if (std::string_view(env) != "0" && std::string_view(env) != "1") {
+            throw reject(name, env, "0 or 1");
+        }
+        field = *env == '1';
+    };
+    readSwitch("GFI_COLLAPSE", options_.collapse);
+    readSwitch("GFI_BATCH", options_.batch);
+    if (const char* env = std::getenv("GFI_CHECKPOINT"); env != nullptr && *env != '\0') {
+        // The whole value must be one positive seconds literal whose
+        // femtosecond count fits SimTime.
+        char* end = nullptr;
+        const double seconds = std::strtod(env, &end);
+        if (*end != '\0' || !(seconds > 0.0) ||
+            seconds >= static_cast<double>(kTimeMax) / static_cast<double>(kSecond) ||
+            fromSeconds(seconds) <= 0) {
+            throw reject("GFI_CHECKPOINT", env, "a positive cadence in seconds, e.g. 1e-6");
+        }
+        options_.checkpointCadence = fromSeconds(seconds);
+    }
+    if (const char* env = std::getenv("GFI_FORENSICS")) {
+        options_.forensicsDir = env;
+    }
 }
 
 CampaignRunner::~CampaignRunner() = default;
 
-SimTime CampaignRunner::effectiveCheckpointCadence() const
-{
-    if (checkpointCadence_ > 0) {
-        return checkpointCadence_;
-    }
-    if (checkpointCadence_ < 0) {
-        return 0; // explicit opt-out beats the environment
-    }
-    const char* env = std::getenv("GFI_CHECKPOINT");
-    if (env != nullptr && *env != '\0') {
-        const double seconds = std::strtod(env, nullptr);
-        if (seconds > 0.0 && seconds < 1e30) {
-            return fromSeconds(seconds);
-        }
-    }
-    return 0;
-}
-
 std::size_t CampaignRunner::checkpointCount() const
 {
     return checkpoints_.count(kGoldenCheckpoints);
-}
-
-bool CampaignRunner::faultCollapsingEnabled() const
-{
-    if (collapseMode_ != 0) {
-        return collapseMode_ > 0;
-    }
-    const char* env = std::getenv("GFI_COLLAPSE");
-    return env != nullptr && *env != '\0' && *env != '0';
-}
-
-bool CampaignRunner::batchBackendEnabled() const
-{
-    if (batchMode_ != 0) {
-        return batchMode_ > 0;
-    }
-    const char* env = std::getenv("GFI_BATCH");
-    return env != nullptr && *env != '\0' && *env != '0';
-}
-
-std::string CampaignRunner::forensicsDir() const
-{
-    if (forensicsSet_) {
-        return forensicsDir_; // explicit setting (possibly empty = off) wins
-    }
-    const char* env = std::getenv("GFI_FORENSICS");
-    return env != nullptr ? std::string(env) : std::string();
 }
 
 void CampaignRunner::runGolden()
@@ -319,8 +317,7 @@ void CampaignRunner::runGolden()
     if (!golden_) {
         golden_ = factory_(); // may already exist: preflight lints it pre-run
     }
-    const SimTime cadence = effectiveCheckpointCadence();
-    if (cadence > 0) {
+    if (forking()) {
         // Fork-from-golden: advance event by event and capture at the first
         // scheduled event past each cadence mark. Scheduled event times are
         // exactly where an uninterrupted run's kernels stop anyway (the
@@ -330,7 +327,7 @@ void CampaignRunner::runGolden()
         auto& sim = golden_->sim();
         sim.elaborate();
         const SimTime duration = golden_->duration();
-        SimTime nextMark = cadence;
+        SimTime nextMark = options_.checkpointCadence;
         while (true) {
             const SimTime ev = sim.digital().scheduler().nextEventTime();
             if (ev >= duration) {
@@ -340,7 +337,7 @@ void CampaignRunner::runGolden()
             if (ev >= nextMark) {
                 checkpoints_.put(kGoldenCheckpoints, std::make_shared<const snapshot::Snapshot>(
                                                          sim.captureSnapshot()));
-                nextMark = ev + cadence;
+                nextMark = ev + options_.checkpointCadence;
                 if (obs::Telemetry* tel = activeTelemetry();
                     tel != nullptr && tel->trace() != nullptr) {
                     tel->trace()->instantEvent("checkpoint", "golden",
@@ -388,7 +385,7 @@ RunResult CampaignRunner::classify(fault::Testbench& tb, const fault::FaultSpec&
         const auto diff =
             trace::compareDigital(golden_->recorder().digitalTrace(name),
                                   tb.recorder().digitalTrace(name), tEnd,
-                                  tolerance_.digitalJitter);
+                                  options_.tolerance.digitalJitter);
         if (!diff.identical()) {
             anyOutputError = true;
             result.erredSignals.push_back(name);
@@ -407,8 +404,8 @@ RunResult CampaignRunner::classify(fault::Testbench& tb, const fault::FaultSpec&
     for (const std::string& name : tb.observedAnalog()) {
         const auto diff =
             trace::compareAnalog(golden_->recorder().analogTrace(name),
-                                 tb.recorder().analogTrace(name), tolerance_.analogAbs,
-                                 tolerance_.analogRel);
+                                 tb.recorder().analogTrace(name), options_.tolerance.analogAbs,
+                                 options_.tolerance.analogRel);
         result.maxAnalogDeviation = std::max(result.maxAnalogDeviation, diff.maxDeviation);
         if (!diff.withinTolerance()) {
             anyOutputError = true;
@@ -459,13 +456,13 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
         }
     }
 
-    Watchdog watchdog(watchdogConfig_.scaledFor(activeWorkers_));
+    Watchdog watchdog(options_.watchdog.scaledFor(activeWorkers_));
     obs::Telemetry* const tel = activeTelemetry();
     // Forensics: a bounded kernel-event ring rides along with the run; it is
     // declared before the testbench so the simulator's recorder pointer never
     // outlives it. Recording is a branch plus a fixed-slot write, so arming
     // it for every run of a campaign is fine.
-    const std::string forensics = forensicsDir();
+    const std::string& forensics = options_.forensicsDir;
     std::unique_ptr<obs::FlightRecorder> recorder;
     if (!forensics.empty()) {
         recorder = std::make_unique<obs::FlightRecorder>(obs::FlightRecorder::kDefaultCapacity);
@@ -480,8 +477,9 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
         if (recorder) {
             tb->sim().setFlightRecorder(recorder.get());
         }
-        if (attempt > 1 && retryPolicy_.stepTighten > 0.0 && retryPolicy_.stepTighten < 1.0) {
-            tb->sim().setSolverStepScale(std::pow(retryPolicy_.stepTighten, attempt - 1));
+        const double tighten = options_.retry.stepTighten;
+        if (attempt > 1 && tighten > 0.0 && tighten < 1.0) {
+            tb->sim().setSolverStepScale(std::pow(tighten, attempt - 1));
         }
         if (cp) {
             obs::Span span(tel, "restore", "run");
@@ -534,8 +532,8 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
             result.diagnostics.probes = tb->sim().sampleProbes().delta(baseline);
         }
     }
-    result.diagnostics.wallSeconds = recordTiming_ ? watchdog.elapsedSeconds() : 0.0;
-    if (cp && recordTiming_) {
+    result.diagnostics.wallSeconds = options_.recordTiming ? watchdog.elapsedSeconds() : 0.0;
+    if (cp && options_.recordTiming) {
         result.diagnostics.checkpointTime = cp->time;
         if (tb) {
             result.diagnostics.resimulatedTime =
@@ -568,13 +566,13 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
 
 RunResult CampaignRunner::runContained(const fault::FaultSpec& fault)
 {
-    const int maxAttempts = std::max(1, retryPolicy_.maxAttempts);
+    const int maxAttempts = std::max(1, options_.retry.maxAttempts);
     RunResult result;
     for (int attempt = 1;; ++attempt) {
         result = attemptOne(fault, attempt);
         result.diagnostics.attempts = attempt;
         if (!isAbnormal(result.outcome) || attempt >= maxAttempts ||
-            !retryPolicy_.shouldRetry(result.outcome)) {
+            !options_.retry.shouldRetry(result.outcome)) {
             return result;
         }
         // Counted at decision time because only the final outcome survives
@@ -668,10 +666,10 @@ CampaignReport CampaignRunner::run(
 
     // Static-analysis phase: a broken design or malformed fault list fails
     // here in O(1), before the golden run and before any journal restore.
-    if (preflight_) {
+    if (options_.preflight) {
         obs::Span span(tel, "preflight", "campaign");
         lint::Report rep = preflightReport(faults);
-        if (effectiveCheckpointCadence() > 0) {
+        if (forking()) {
             // Fork-from-golden restores component state through the
             // Snapshottable interface; a stateful component outside it would
             // silently resume stale (PRE006).
@@ -693,9 +691,8 @@ CampaignReport CampaignRunner::run(
     // classes; only class representatives simulate, members expand at commit
     // time. Purely structural (declared connectivity only), so the plan
     // costs microseconds even for thousands of faults.
-    const bool collapsing = faultCollapsingEnabled();
     std::unique_ptr<analyze::CollapsePlan> plan;
-    if (collapsing) {
+    if (options_.collapse) {
         obs::Span span(tel, "collapse", "campaign");
         plan = std::make_unique<analyze::CollapsePlan>(
             analyze::collapseFaults(*golden_, faults));
@@ -715,110 +712,120 @@ CampaignReport CampaignRunner::run(
         }
     }
 
-    // Bit-parallel backend availability. Per-run watchdog budgets cannot be
-    // metered inside a shared 64-lane word run, and fork-from-golden restores
-    // event-kernel snapshots the word kernel cannot consume — either feature
-    // falls the whole campaign back to the event-driven kernel, loudly.
-    bool batching = batchBackendEnabled();
-    if (batching && (watchdogConfig_.wallClockSeconds > 0.0 ||
-                     watchdogConfig_.digitalWaves != 0 || watchdogConfig_.analogSteps != 0)) {
-        std::fprintf(stderr, "gfi: batch: disabled (per-run watchdog budgets require "
-                             "the event-driven kernel)\n");
-        batching = false;
+    // The batch-off rules. Per-run watchdog budgets cannot be metered inside
+    // a shared 64-lane word run, and fork-from-golden restores event-kernel
+    // snapshots the word kernel cannot consume — either feature falls the
+    // whole campaign back to the event-driven kernel, loudly.
+    const WatchdogConfig& budget = options_.watchdog;
+    const char* batchOff = nullptr;
+    if (budget.wallClockSeconds > 0.0 || budget.digitalWaves != 0 || budget.analogSteps != 0) {
+        batchOff = "per-run watchdog budgets require the event-driven kernel";
+    } else if (forking()) {
+        batchOff = "fork-from-golden uses event-kernel checkpoints";
     }
-    if (batching && effectiveCheckpointCadence() > 0) {
-        std::fprintf(stderr, "gfi: batch: disabled (fork-from-golden uses event-kernel "
-                             "checkpoints)\n");
-        batching = false;
+    const bool batching = options_.batch && batchOff == nullptr;
+    if (options_.batch && batchOff != nullptr) {
+        std::fprintf(stderr, "gfi: batch: disabled (%s)\n", batchOff);
     }
 
-    // Resume: index -> journal entry of an earlier (possibly killed) campaign.
-    std::map<std::size_t, JournalEntry> done;
-    std::unique_ptr<CampaignJournal> journal;
-    std::size_t journalSkipped = 0;
-    if (!journalPath_.empty()) {
-        CampaignJournal::LoadResult loaded = CampaignJournal::loadWithStats(journalPath_);
-        journalSkipped = loaded.skippedLines;
-        for (JournalEntry& e : loaded.entries) {
-            done[e.index] = std::move(e); // later duplicates win
+    // The per-index verdict table: report.runs[i] holds index i's verdict and
+    // source[i] says where it comes from. The sources fill it in order —
+    // journal restore, collapse expansion, the batch backend — and the
+    // worker phase simulates every index still left to the event kernel.
+    CampaignReport report;
+    report.runs.resize(faults.size());
+    std::vector<Source> source(faults.size(), Source::Kernel);
+
+    // Journal restore reads the latest line per index of an earlier
+    // (possibly killed) campaign.
+    CampaignJournal::LoadResult loaded;
+    if (!options_.journalPath.empty()) {
+        loaded = CampaignJournal::loadWithStats(options_.journalPath);
+    }
+    report.journalSkippedLines = loaded.skippedLines;
+    std::set<std::size_t> loadedIndices;
+    std::vector<const JournalEntry*> latest(faults.size(), nullptr);
+    for (const JournalEntry& e : loaded.entries) {
+        loadedIndices.insert(e.index);
+        if (e.index < faults.size()) {
+            latest[e.index] = &e; // later duplicates win
         }
-        journal = std::make_unique<CampaignJournal>(journalPath_);
+    }
+
+    // Journal restore, then collapse expansion, in one pass decided up front
+    // (serially — preflightFault is cheap registry lookups), so the worker
+    // phase only ever simulates.
+    std::size_t restored = 0;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+        // A checkpoint for a fault that no longer passes preflight (e.g. a
+        // stale sim-error row) must not be resurrected.
+        if (latest[i] != nullptr && latest[i]->faultDescription == fault::describe(faults[i]) &&
+            !(options_.preflight &&
+              lint::preflightFault(*golden_, faults[i], i).count(lint::Severity::Error) > 0)) {
+            report.runs[i] = latest[i]->result;
+            report.runs[i].fault = faults[i];
+            // The provenance rule: a restored verdict keeps the provenance of
+            // the modes this campaign runs in and drops the rest. Summary
+            // footers and report keys derive from per-run provenance, so a
+            // journal written in any mode resumes into the report a fresh
+            // campaign in this mode prints (no "forked runs" footer for a
+            // campaign that forked nothing).
+            RunDiagnostics& d = report.runs[i].diagnostics;
+            if (!forking()) {
+                d.checkpointTime = 0;
+                d.resimulatedTime = 0;
+            }
+            if (!options_.collapse) {
+                d.collapsedFrom.clear();
+            }
+            if (!batching) {
+                d.batchLane = 0;
+            }
+            if (options_.forensicsDir.empty()) {
+                d.forensic.clear();
+            }
+            source[i] = Source::Journal;
+            ++restored;
+        } else if (plan && !plan->isRepresentative(i)) {
+            // Collapse-class member: its representative (an earlier index)
+            // commits first, so the verdict is expanded inside the ordered
+            // commit, where the representative's slot is guaranteed populated.
+            source[i] = Source::Expand;
+        }
+    }
+    // Resume log line: operators must be able to tell a clean resume from a
+    // lossy one (skipped lines mean those runs re-simulate).
+    const std::size_t skipped = loaded.skippedLines;
+    if (!loadedIndices.empty() || skipped > 0) {
+        std::fprintf(stderr,
+                     "gfi: journal %s: %zu entr%s loaded, %zu restorable, %zu "
+                     "torn/corrupt line%s skipped\n",
+                     options_.journalPath.c_str(), loadedIndices.size(),
+                     loadedIndices.size() == 1 ? "y" : "ies", restored, skipped,
+                     skipped == 1 ? "" : "s");
+    }
+    if (tel != nullptr && skipped > 0) {
+        tel->metrics()
+            .counter("gfi_journal_skipped_lines_total",
+                     "Torn/corrupt journal lines skipped on resume")
+            .inc(skipped);
+    }
+    std::unique_ptr<CampaignJournal> journal;
+    if (!options_.journalPath.empty()) {
+        journal = std::make_unique<CampaignJournal>(options_.journalPath);
         // With a sink attached, journal lines carry the per-run kernel deltas
         // so a resumed campaign rebuilds the same metric totals from restored
         // entries. Without one the line format stays exactly historical.
         journal->setEmbedProbes(tel != nullptr);
     }
 
-    // Decide up front (serially — preflightFault is cheap registry lookups)
-    // which journal entries are restorable, so the worker phase only ever
-    // simulates.
-    std::map<std::size_t, RunResult> restored;
-    const bool forking = effectiveCheckpointCadence() > 0;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-        const auto it = done.find(i);
-        bool restorable =
-            it != done.end() && it->second.faultDescription == fault::describe(faults[i]);
-        if (restorable && preflight_ &&
-            lint::preflightFault(*golden_, faults[i], i).count(lint::Severity::Error) > 0) {
-            // A checkpoint for a fault that no longer passes preflight (e.g.
-            // a stale sim-error row) must not be resurrected.
-            restorable = false;
-        }
-        if (restorable) {
-            RunResult r = it->second.result;
-            r.fault = faults[i];
-            if (!forking) {
-                // A journal written by an earlier fork-mode campaign carries
-                // fork bookkeeping; resurrecting it into a non-forking
-                // campaign would print a "forked runs" summary footer for a
-                // campaign that forked nothing.
-                r.diagnostics.checkpointTime = 0;
-                r.diagnostics.resimulatedTime = 0;
-            }
-            if (!collapsing) {
-                // Same for collapse provenance: a non-collapsing campaign
-                // must not print a "collapsed runs" footer.
-                r.diagnostics.collapsedFrom.clear();
-            }
-            if (!batching) {
-                // And for batch provenance: a journal written by a batched
-                // campaign must restore cleanly into an event-driven one.
-                r.diagnostics.batchLane = 0;
-            }
-            if (forensicsDir().empty()) {
-                // And for forensic provenance: with forensics off, restored
-                // reports must match a never-instrumented campaign's.
-                r.diagnostics.forensic.clear();
-            }
-            restored.emplace(i, std::move(r));
-        }
-    }
-    // Resume log line: operators must be able to tell a clean resume from a
-    // lossy one (skipped lines mean those runs re-simulate).
-    if (!done.empty() || journalSkipped > 0) {
-        std::fprintf(stderr,
-                     "gfi: journal %s: %zu entr%s loaded, %zu restorable, %zu "
-                     "torn/corrupt line%s skipped\n",
-                     journalPath_.c_str(), done.size(), done.size() == 1 ? "y" : "ies",
-                     restored.size(), journalSkipped, journalSkipped == 1 ? "" : "s");
-    }
-    if (tel != nullptr && journalSkipped > 0) {
-        tel->metrics()
-            .counter("gfi_journal_skipped_lines_total",
-                     "Torn/corrupt journal lines skipped on resume")
-            .inc(journalSkipped);
-    }
-    CampaignReport report;
-    report.journalSkippedLines = journalSkipped;
-    report.runs.resize(faults.size());
-
-    // Bit-parallel pre-phase: pack the batch-eligible faults that still need
-    // simulating into 64-lane word runs. Whatever the word kernel classifies
-    // lands in `batched`; everything else (ineligible faults, ineligible
-    // designs, cross-check fallbacks) flows through the ordinary contained
-    // path below. Lane assignment ignores restoration status, so journals of
-    // interrupted batched campaigns resume with identical batch_lane keys.
-    std::map<std::size_t, RunResult> batched;
+    // Bit-parallel backend: pack the batch-eligible faults that still need
+    // simulating into 64-lane word runs. Whatever the word kernel cannot
+    // classify (ineligible faults, ineligible designs, cross-check fallbacks)
+    // stays with the event kernel. Lane assignment ignores restoration
+    // status, so journals of interrupted batched campaigns resume with
+    // identical batch_lane keys.
+    std::size_t batchedPlanned = 0;
     if (batching) {
         obs::Span span(tel, "batch", "campaign");
         batch::BatchRequest breq;
@@ -836,12 +843,18 @@ CampaignReport CampaignRunner::run(
                 continue;
             }
             breq.candidates.push_back(i);
-            breq.needSim.push_back(restored.count(i) == 0 ? 1 : 0);
+            breq.needSim.push_back(source[i] == Source::Kernel ? 1 : 0);
         }
-        breq.tolerance = tolerance_;
-        breq.workers = workers_;
-        breq.recordTiming = recordTiming_;
+        breq.tolerance = options_.tolerance;
+        breq.workers = options_.workers;
+        breq.recordTiming = options_.recordTiming;
+        std::map<std::size_t, RunResult> batched;
         const batch::BatchStats bstats = batch::runBatchedCampaign(breq, batched);
+        for (auto& [i, r] : batched) {
+            report.runs[i] = std::move(r);
+            source[i] = Source::Batch;
+        }
+        batchedPlanned = batched.size();
         if (!bstats.designEligible) {
             std::fprintf(stderr, "gfi: batch: event-driven fallback (%s)\n",
                          bstats.designReason.c_str());
@@ -871,7 +884,7 @@ CampaignReport CampaignRunner::run(
     // Worker phase: simulations run concurrently, commits (journal append,
     // live counters, progress callback, report slot) run serialized in
     // fault-list order — byte-identical observable output at any width.
-    core::Executor exec(workers_);
+    core::Executor exec(options_.workers);
     activeWorkers_ = exec.effectiveWorkers();
 
     // Live progress stream (NDJSON). Counts are cumulative across the whole
@@ -880,15 +893,12 @@ CampaignReport CampaignRunner::run(
     // newly executed (simulated or word-batched) runs only. All emission
     // happens on the serialized commit path plus the start/done bookends, so
     // the counters need no synchronization of their own.
-    struct ProgressCounters {
-        std::map<Outcome, int> outcomes; ///< committed-run outcome counts
-        std::size_t completed = 0;       ///< committed runs, restored included
-        std::size_t restored = 0;        ///< committed from the journal
-        std::size_t batched = 0;         ///< committed from the word kernel
-        std::size_t collapsed = 0;       ///< expanded from a collapse representative
-        std::size_t executed = 0;        ///< newly simulated or word-batched
+    std::map<Outcome, int> outcomes;        ///< committed-run outcome counts
+    std::array<std::size_t, 4> bySource{}; ///< committed runs per verdict source
+    std::size_t completed = 0;              ///< committed runs, restored included
+    const auto committed = [&bySource](Source s) {
+        return bySource[static_cast<std::size_t>(s)];
     };
-    ProgressCounters prog;
     const auto progressStart = std::chrono::steady_clock::now();
     auto lastBeat = progressStart;
     const auto emitProgress = [&](const char* event, const std::string& extra = "") {
@@ -896,103 +906,77 @@ CampaignReport CampaignRunner::run(
             return;
         }
         std::string line = "{\"event\": \"" + std::string(event) + "\"";
-        line += ", \"completed\": " + std::to_string(prog.completed);
+        line += ", \"completed\": " + std::to_string(completed);
         line += ", \"total\": " + std::to_string(faults.size());
         line += ", \"outcomes\": {";
         bool first = true;
         for (Outcome o : kAllOutcomes) {
-            const auto it = prog.outcomes.find(o);
+            const auto it = outcomes.find(o);
             line += std::string(first ? "" : ", ") + "\"" + toString(o) +
-                    "\": " + std::to_string(it != prog.outcomes.end() ? it->second : 0);
+                    "\": " + std::to_string(it != outcomes.end() ? it->second : 0);
             first = false;
         }
         line += "}";
-        line += ", \"restored\": " + std::to_string(prog.restored);
-        line += ", \"batched\": " + std::to_string(prog.batched);
-        line += ", \"collapsed\": " + std::to_string(prog.collapsed);
+        line += ", \"restored\": " + std::to_string(committed(Source::Journal));
+        line += ", \"batched\": " + std::to_string(committed(Source::Batch));
+        line += ", \"collapsed\": " + std::to_string(committed(Source::Expand));
         line += ", \"workers\": " + std::to_string(activeWorkers_);
         // With timing recording off, elapsed is pinned to 0 and the derived
         // rate/ETA fields are omitted, so the stream is byte-deterministic.
         const double elapsed =
-            recordTiming_ ? std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                          progressStart)
-                                .count()
-                          : 0.0;
+            options_.recordTiming
+                ? std::chrono::duration<double>(std::chrono::steady_clock::now() - progressStart)
+                      .count()
+                : 0.0;
         line += ", \"elapsed_s\": " + formatDouble(elapsed, 3);
-        if (elapsed > 0.0 && prog.executed > 0) {
-            const double rate = static_cast<double>(prog.executed) / elapsed;
+        const std::size_t executed = committed(Source::Kernel) + committed(Source::Batch);
+        if (elapsed > 0.0 && executed > 0) {
+            const double rate = static_cast<double>(executed) / elapsed;
             line += ", \"runs_per_s\": " + formatDouble(rate, 3);
-            if (prog.completed < faults.size()) {
+            if (completed < faults.size()) {
                 line += ", \"eta_s\": " +
-                        formatDouble(static_cast<double>(faults.size() - prog.completed) / rate, 3);
+                        formatDouble(static_cast<double>(faults.size() - completed) / rate, 3);
             }
         }
         line += extra;
         line += "}\n";
         progressSink_(line);
     };
-    emitProgress("start", ", \"restorable\": " + std::to_string(restored.size()) +
+    emitProgress("start", ", \"restorable\": " + std::to_string(restored) +
                               ", \"collapsed_planned\": " +
                               std::to_string(plan ? plan->collapsedRuns() : 0) +
-                              ", \"batched_planned\": " + std::to_string(batched.size()));
+                              ", \"batched_planned\": " + std::to_string(batchedPlanned));
 
     try {
         exec.forEachOrdered(faults.size(), [&](std::size_t i) -> core::CommitFn {
-            RunResult r;
-            bool fromJournal = false;
-            bool expand = false;
-            if (const auto it = restored.find(i); it != restored.end()) {
-                // Already classified by a previous invocation: restore only.
-                r = it->second;
-                fromJournal = true;
-            } else if (const auto bt = batched.find(i); bt != batched.end()) {
-                // Classified by the bit-parallel pre-phase: commit as-is.
-                r = bt->second;
-            } else if (plan && !plan->isRepresentative(i)) {
-                // Collapse-class member: its representative (an earlier
-                // index) commits first, so the verdict is expanded inside
-                // the ordered commit, where the representative's slot is
-                // guaranteed populated.
-                expand = true;
-            } else {
+            if (source[i] == Source::Kernel) {
                 if (tel != nullptr && tel->trace() != nullptr) {
                     tel->trace()->nameCurrentTrack(
                         "worker " + std::to_string(obs::TraceWriter::currentTrackId()));
                 }
                 obs::Span span(tel, "run #" + std::to_string(i), "campaign");
-                r = runContained(faults[i]);
+                report.runs[i] = runContained(faults[i]);
                 span.setArgs("{\"fault\": \"" + util::jsonEscape(fault::describe(faults[i])) +
-                             "\", \"outcome\": \"" + toString(r.outcome) + "\"}");
+                             "\", \"outcome\": \"" + toString(report.runs[i].outcome) + "\"}");
             }
-            return [this, &report, &journal, &progress, &faults, &prog, &lastBeat,
-                    &emitProgress, plan = plan.get(), i, fromJournal, expand,
-                    r = std::move(r)]() mutable {
-                if (expand) {
+            return [&, i] {
+                RunResult& r = report.runs[i];
+                if (source[i] == Source::Expand) {
                     r = expandCollapsed(report.runs[plan->repOf[i]], faults[i]);
                 }
-                if (journal && !fromJournal) {
+                if (journal && source[i] != Source::Journal) {
                     journal->append(i, r);
                 }
-                ++prog.outcomes[r.outcome];
-                ++prog.completed;
+                ++outcomes[r.outcome];
+                ++completed;
+                ++bySource[static_cast<std::size_t>(source[i])];
                 // Commit-order metric application: counters only see the
                 // deterministic per-run deltas, so totals match at any
                 // worker width; restored entries re-apply their journaled
                 // deltas, reproducing the interrupted campaign's telemetry.
                 recordRunMetrics(r);
-                if (fromJournal) {
-                    ++prog.restored;
-                } else if (r.diagnostics.batchLane > 0) {
-                    ++prog.batched;
-                    ++prog.executed;
-                } else if (!r.diagnostics.collapsedFrom.empty()) {
-                    ++prog.collapsed;
-                } else {
-                    ++prog.executed;
-                }
-                report.runs[i] = std::move(r);
                 if (progress) {
-                    progress(i, report.runs[i]);
+                    progress(i, r);
                 }
                 if (progressSink_) {
                     const auto beatNow = std::chrono::steady_clock::now();

@@ -206,6 +206,11 @@ private:
 class CampaignRunner {
 public:
     /// @param factory  builds a fresh instrumented testbench per run.
+    ///
+    /// The environment is read here, once: GFI_CHECKPOINT, GFI_COLLAPSE,
+    /// GFI_BATCH and GFI_FORENSICS seed the matching options, and the setters
+    /// below overwrite them (README "Campaign options"). A malformed value
+    /// throws std::invalid_argument naming the variable and its value.
     explicit CampaignRunner(fault::TestbenchFactory factory, Tolerance tolerance = {});
     ~CampaignRunner(); // out of line: owns a fwd-declared obs::Telemetry
 
@@ -243,8 +248,8 @@ public:
     /// hardware_concurrency; 1 = serial on the calling thread). The factory
     /// must be safe to call concurrently — it should build each testbench
     /// from per-instance state only.
-    void setWorkers(unsigned n) noexcept { workers_ = n; }
-    [[nodiscard]] unsigned workers() const noexcept { return workers_; }
+    void setWorkers(unsigned n) noexcept { options_.workers = n; }
+    [[nodiscard]] unsigned workers() const noexcept { return options_.workers; }
 
     /// Fork-from-golden execution: with a cadence > 0, runGolden() advances
     /// the golden run event by event and captures a full simulator snapshot
@@ -257,12 +262,13 @@ public:
     /// from scratch. run()'s preflight phase adds the PRE006 snapshot-
     /// readiness check while forking is enabled.
     ///
-    /// 0 (the default) defers to the GFI_CHECKPOINT environment variable
-    /// (cadence in seconds); a negative cadence disables forking even when
-    /// the variable is set. Requires testbenches that use the default
-    /// Testbench::run() (plain sim().run(duration())).
-    void setCheckpointCadence(SimTime cadence) noexcept { checkpointCadence_ = cadence; }
-    [[nodiscard]] SimTime checkpointCadence() const noexcept { return checkpointCadence_; }
+    /// A cadence <= 0 disables forking. The default comes from the
+    /// GFI_CHECKPOINT environment variable (cadence in seconds), read at
+    /// construction; this setter overrides it either way. Requires
+    /// testbenches that use the default Testbench::run() (plain
+    /// sim().run(duration())).
+    void setCheckpointCadence(SimTime cadence) noexcept { options_.checkpointCadence = cadence; }
+    [[nodiscard]] SimTime checkpointCadence() const noexcept { return options_.checkpointCadence; }
 
     /// Golden checkpoints captured so far (0 until runGolden() in fork mode).
     [[nodiscard]] std::size_t checkpointCount() const;
@@ -275,11 +281,11 @@ public:
     /// classifications are byte-identical to a full campaign (that is the
     /// soundness contract of the collapser); resource diagnostics of
     /// expanded members are zero and their journal lines carry the
-    /// "collapsed_from" provenance key. By default (unset) the GFI_COLLAPSE
-    /// environment variable decides ("1"/non-empty = on); setFaultCollapsing
-    /// beats the environment either way.
-    void setFaultCollapsing(bool on) noexcept { collapseMode_ = on ? 1 : -1; }
-    [[nodiscard]] bool faultCollapsingEnabled() const;
+    /// "collapsed_from" provenance key. The default comes from the
+    /// GFI_COLLAPSE environment variable ("1" = on, "0" = off), read at
+    /// construction; this setter overrides it either way.
+    void setFaultCollapsing(bool on) noexcept { options_.collapse = on; }
+    [[nodiscard]] bool faultCollapsingEnabled() const noexcept { return options_.collapse; }
 
     /// Bit-parallel batch backend: when enabled, run() packs batch-eligible
     /// digital faults into 64-lane word simulations (lane 0 golden, lanes
@@ -294,23 +300,23 @@ public:
     /// batch, members expand), journal resume and the worker pool. Per-run
     /// watchdog budgets disable batching for the campaign (a shared word run
     /// cannot meter per-fault budgets), as does fork-from-golden cadence
-    /// (checkpointed prefixes are event-kernel snapshots). By default
-    /// (unset) the GFI_BATCH environment variable decides ("1"/non-empty =
-    /// on); setBatchBackend beats the environment either way.
-    void setBatchBackend(bool on) noexcept { batchMode_ = on ? 1 : -1; }
-    [[nodiscard]] bool batchBackendEnabled() const;
+    /// (checkpointed prefixes are event-kernel snapshots). The default comes
+    /// from the GFI_BATCH environment variable ("1" = on, "0" = off), read at
+    /// construction; this setter overrides it either way.
+    void setBatchBackend(bool on) noexcept { options_.batch = on; }
+    [[nodiscard]] bool batchBackendEnabled() const noexcept { return options_.batch; }
 
     /// When disabled, diagnostics.wallSeconds, checkpointTime and
     /// resimulatedTime are recorded as 0 so journals and reports are
     /// byte-stable across runs, worker counts and fork-from-golden modes
     /// (the wall clock is nondeterministic; the checkpoint fields depend on
     /// the configured cadence). Default: enabled.
-    void setRecordTiming(bool on) noexcept { recordTiming_ = on; }
-    [[nodiscard]] bool recordTiming() const noexcept { return recordTiming_; }
+    void setRecordTiming(bool on) noexcept { options_.recordTiming = on; }
+    [[nodiscard]] bool recordTiming() const noexcept { return options_.recordTiming; }
 
     /// Enables/disables run()'s static-analysis phase (default: enabled).
-    void setPreflight(bool on) noexcept { preflight_ = on; }
-    [[nodiscard]] bool preflightEnabled() const noexcept { return preflight_; }
+    void setPreflight(bool on) noexcept { options_.preflight = on; }
+    [[nodiscard]] bool preflightEnabled() const noexcept { return options_.preflight; }
 
     /// The report run()'s preflight phase gates on: design lint of the
     /// golden testbench (built, not simulated) plus fault-list validation.
@@ -323,27 +329,27 @@ public:
     [[nodiscard]] std::unique_ptr<fault::Testbench> makeTestbench() const { return factory_(); }
 
     /// The tolerance in use.
-    [[nodiscard]] const Tolerance& tolerance() const noexcept { return tolerance_; }
+    [[nodiscard]] const Tolerance& tolerance() const noexcept { return options_.tolerance; }
 
     /// Adjusts the analog tolerance (ablation sweeps re-classify with this).
-    void setTolerance(Tolerance t) { tolerance_ = t; }
+    void setTolerance(Tolerance t) { options_.tolerance = t; }
 
     /// Per-run watchdog budgets (default: unlimited).
-    void setWatchdogConfig(WatchdogConfig c) noexcept { watchdogConfig_ = c; }
+    void setWatchdogConfig(WatchdogConfig c) noexcept { options_.watchdog = c; }
     [[nodiscard]] const WatchdogConfig& watchdogConfig() const noexcept
     {
-        return watchdogConfig_;
+        return options_.watchdog;
     }
 
     /// Retry policy for abnormal runs (default: single attempt).
-    void setRetryPolicy(RetryPolicy p) noexcept { retryPolicy_ = p; }
-    [[nodiscard]] const RetryPolicy& retryPolicy() const noexcept { return retryPolicy_; }
+    void setRetryPolicy(RetryPolicy p) noexcept { options_.retry = p; }
+    [[nodiscard]] const RetryPolicy& retryPolicy() const noexcept { return options_.retry; }
 
     /// Enables the JSONL campaign journal (empty path disables). run() then
     /// checkpoints each result as it completes and resumes from an existing
     /// journal, so an interrupted campaign loses at most one run.
-    void setJournalPath(std::string path) { journalPath_ = std::move(path); }
-    [[nodiscard]] const std::string& journalPath() const noexcept { return journalPath_; }
+    void setJournalPath(std::string path) { options_.journalPath = std::move(path); }
+    [[nodiscard]] const std::string& journalPath() const noexcept { return options_.journalPath; }
 
     /// Attaches a telemetry sink (not owned; must outlive run()). run() then
     /// records campaign metrics into its registry, emits Chrome-trace spans
@@ -364,16 +370,13 @@ public:
     /// Perfetto-loadable "....trace.json"; diagnostics.forensic then names
     /// the artifact stem and the journal line carries a "forensic" key.
     /// Events hold simulated time and kernel counters only, so the artifacts
-    /// are byte-identical across reruns and worker widths. An explicit empty
-    /// @p dir disables; unset, the GFI_FORENSICS environment variable (a
-    /// directory path) decides. A failed dump warns on stderr and leaves the
+    /// are byte-identical across reruns and worker widths. An empty @p dir
+    /// disables. The default comes from the GFI_FORENSICS environment
+    /// variable (a directory path), read at construction; this setter
+    /// overrides it either way. A failed dump warns on stderr and leaves the
     /// run classified — forensics never turn a data point into a crash.
-    void setForensics(std::string dir)
-    {
-        forensicsDir_ = std::move(dir);
-        forensicsSet_ = true;
-    }
-    [[nodiscard]] std::string forensicsDir() const;
+    void setForensics(std::string dir) { options_.forensicsDir = std::move(dir); }
+    [[nodiscard]] const std::string& forensicsDir() const noexcept { return options_.forensicsDir; }
 
     /// Attaches a live progress sink: run() then emits one NDJSON line per
     /// event — a "start" line before the worker phase, "heartbeat" lines from
@@ -397,6 +400,25 @@ public:
     [[nodiscard]] RunResult classify(fault::Testbench& tb, const fault::FaultSpec& fault) const;
 
 private:
+    /// Everything the setters configure. The constructor seeds it once
+    /// (defaults, then the environment); setters overwrite single fields.
+    struct Options {
+        Tolerance tolerance;
+        WatchdogConfig watchdog;
+        RetryPolicy retry;
+        std::string journalPath;
+        unsigned workers = 0;          ///< 0 = auto (GFI_JOBS / hardware_concurrency)
+        bool recordTiming = true;
+        bool preflight = true;
+        SimTime checkpointCadence = 0; ///< <= 0 = no forking
+        bool collapse = false;
+        bool batch = false;
+        std::string forensicsDir;      ///< empty = off
+    };
+
+    /// True when golden checkpoints are captured and first attempts fork.
+    [[nodiscard]] bool forking() const noexcept { return options_.checkpointCadence > 0; }
+
     /// One contained attempt: build, arm, run under the watchdog, classify.
     RunResult attemptOne(const fault::FaultSpec& fault, int attempt);
 
@@ -404,10 +426,6 @@ private:
     /// requires runGolden() to have completed, touches only run-local state
     /// plus the read-only golden reference.
     RunResult runContained(const fault::FaultSpec& fault);
-
-    /// Resolves the fork-from-golden cadence: the explicit setting when
-    /// positive, else GFI_CHECKPOINT (seconds), else 0 (disabled).
-    [[nodiscard]] SimTime effectiveCheckpointCadence() const;
 
     /// The sink instrumentation sites use: the attached one, else the
     /// environment-built one while run() executes, else nullptr (no-op).
@@ -422,26 +440,15 @@ private:
     void recordRunMetrics(const RunResult& r);
 
     fault::TestbenchFactory factory_;
-    Tolerance tolerance_;
-    WatchdogConfig watchdogConfig_;
-    RetryPolicy retryPolicy_;
-    std::string journalPath_;
-    unsigned workers_ = 0;        ///< 0 = auto (GFI_JOBS / hardware_concurrency)
+    Options options_;
     unsigned activeWorkers_ = 1;  ///< resolved count while run() executes
-    bool recordTiming_ = true;
-    bool preflight_ = true;
     bool goldenRan_ = false;
-    SimTime checkpointCadence_ = 0; ///< 0 = GFI_CHECKPOINT env, negative = off
-    int collapseMode_ = 0;          ///< 0 = GFI_COLLAPSE env, 1 = on, -1 = off
-    int batchMode_ = 0;             ///< 0 = GFI_BATCH env, 1 = on, -1 = off
     std::unique_ptr<fault::Testbench> golden_;
     std::map<std::string, std::uint64_t> goldenState_;
     snapshot::CheckpointStore checkpoints_; ///< golden snapshots, fork mode only
     obs::Telemetry* telemetry_ = nullptr;   ///< attached sink (not owned)
     std::unique_ptr<obs::Telemetry> envTelemetry_; ///< GFI_TRACE/GFI_METRICS sink
     snapshot::CheckpointStore::Stats statsApplied_; ///< store stats already billed
-    std::string forensicsDir_;        ///< flight-recorder dump directory
-    bool forensicsSet_ = false;       ///< explicit setting beats GFI_FORENSICS
     std::function<void(const std::string&)> progressSink_; ///< NDJSON consumer
     double progressCadence_ = 1.0;    ///< min seconds between heartbeats
 };

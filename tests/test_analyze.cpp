@@ -10,9 +10,9 @@
 //     golden/U-stuck/zero-width stay singletons;
 //   * SCOAP scores: monotone controllability along the chain, "n/a"
 //     observability in the dead cone;
-//   * collapsed campaigns report byte-identical per-fault classifications to
-//     full campaigns (chain DUT, digital DUT, CPU system), serial and at 8
-//     workers, including mid-campaign journal resume;
+//   * GFI_COLLAPSE and the setter switch collapsed campaigns, and journals
+//     round-trip the expansion provenance (byte identity with full
+//     campaigns is covered by test_campaign_matrix.cpp);
 //   * PRE007 warns on statically-unobservable fault targets.
 
 #include "analyze/analyze.hpp"
@@ -20,30 +20,16 @@
 #include "analyze/graph.hpp"
 #include "core/campaign.hpp"
 #include "core/journal.hpp"
-#include "core/report.hpp"
 #include "duts/chain_dut.hpp"
-#include "duts/cpu_system.hpp"
-#include "duts/digital_dut.hpp"
 #include "lint/lint.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
 
 namespace gfi {
 namespace {
-
-std::string slurp(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
 
 // ---------------------------------------------------------------------------
 // SignalGraph: levels and observability on the chain DUT
@@ -210,73 +196,8 @@ TEST(AnalyzeCollapse, ChainSweepPartition)
 }
 
 // ---------------------------------------------------------------------------
-// collapsed campaigns == full campaigns, per-fault classification for
-// classification, byte for byte
-
-struct CampaignOutput {
-    std::string journal;
-    std::string detail;
-    std::string summary;
-    std::string json;
-    campaign::CampaignReport report;
-};
-
-CampaignOutput runCampaign(const fault::TestbenchFactory& factory,
-                           const std::vector<fault::FaultSpec>& faults, unsigned workers,
-                           bool collapse, const std::string& tag)
-{
-    const std::string path = ::testing::TempDir() + "gfi_analyze_" + tag + ".jsonl";
-    std::remove(path.c_str());
-    campaign::CampaignRunner runner(factory);
-    runner.setWorkers(workers);
-    runner.setRecordTiming(false); // keep reports byte-comparable across modes
-    runner.setFaultCollapsing(collapse);
-    runner.setJournalPath(path);
-    CampaignOutput out;
-    out.report = runner.run(faults);
-    out.journal = slurp(path);
-    out.detail = out.report.detailTable();
-    out.summary = out.report.summaryTable();
-    out.json = campaign::reportToJson(out.report);
-    std::remove(path.c_str());
-    return out;
-}
-
-void expectCollapsedEqualsFull(const fault::TestbenchFactory& factory,
-                               const std::vector<fault::FaultSpec>& faults,
-                               const std::string& tag, bool expectCollapse)
-{
-    const CampaignOutput full = runCampaign(factory, faults, 1, false, tag + "_full");
-    ASSERT_EQ(full.report.runs.size(), faults.size());
-
-    const CampaignOutput collapsed =
-        runCampaign(factory, faults, 1, true, tag + "_collapsed");
-    ASSERT_EQ(collapsed.report.runs.size(), faults.size());
-
-    // The per-fault classification listing is byte-identical across modes.
-    EXPECT_EQ(collapsed.detail, full.detail) << tag << ": classifications diverge";
-
-    std::size_t expanded = 0;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-        EXPECT_EQ(collapsed.report.runs[i].outcome, full.report.runs[i].outcome) << i;
-        if (!collapsed.report.runs[i].diagnostics.collapsedFrom.empty()) {
-            ++expanded;
-        }
-    }
-    if (expectCollapse) {
-        EXPECT_GT(expanded, 0u) << tag << ": nothing collapsed";
-        EXPECT_NE(collapsed.summary.find("collapsed runs"), std::string::npos)
-            << collapsed.summary;
-        EXPECT_NE(collapsed.journal.find("\"collapsed_from\""), std::string::npos);
-        EXPECT_NE(collapsed.json.find("\"collapsed_from\""), std::string::npos);
-    }
-
-    // Within collapsed mode, 8 workers are byte-identical to serial.
-    const CampaignOutput wide = runCampaign(factory, faults, 8, true, tag + "_wide");
-    EXPECT_EQ(wide.journal, collapsed.journal) << tag << ": 8-worker journal differs";
-    EXPECT_EQ(wide.summary, collapsed.summary) << tag << ": 8-worker summary differs";
-    EXPECT_EQ(wide.json, collapsed.json) << tag << ": 8-worker JSON differs";
-}
+// collapsed campaigns (byte identity with full campaigns, at any width and
+// across resume, is pinned down by test_campaign_matrix.cpp)
 
 std::vector<fault::FaultSpec> chainSweep()
 {
@@ -291,87 +212,6 @@ std::vector<fault::FaultSpec> chainSweep()
     faults.emplace_back(fault::StuckAtFault{duts::ChainDutTestbench::deadSaboteur(),
                                             digital::Logic::Zero, kMicrosecond, 0});
     return faults;
-}
-
-TEST(AnalyzeCollapse, ChainCampaignByteIdentical)
-{
-    expectCollapsedEqualsFull([] { return std::make_unique<duts::ChainDutTestbench>(); },
-                              chainSweep(), "chain", /*expectCollapse=*/true);
-}
-
-TEST(AnalyzeCollapse, DigitalDutCampaignByteIdentical)
-{
-    const duts::DigitalDutTestbench probe;
-    std::vector<fault::FaultSpec> faults{fault::FaultSpec{}};
-    const SimTime t = 2 * kMicrosecond + 7 * kNanosecond;
-    for (const auto& [name, hook] : probe.sim().digital().instrumentation().all()) {
-        faults.emplace_back(fault::BitFlipFault{name, 0, t});
-        (void)hook;
-    }
-    for (const std::string& sab : probe.digitalSaboteurNames()) {
-        faults.emplace_back(fault::DigitalPulseFault{sab, t, 25 * kNanosecond});
-        faults.emplace_back(fault::StuckAtFault{sab, digital::Logic::One, t, 0});
-    }
-    ASSERT_GE(faults.size(), 6u);
-    // The digital DUT observes its whole cone: nothing may collapse, and the
-    // collapsed mode must degrade to a plain campaign.
-    expectCollapsedEqualsFull([] { return std::make_unique<duts::DigitalDutTestbench>(); },
-                              faults, "dut", /*expectCollapse=*/false);
-}
-
-TEST(AnalyzeCollapse, CpuSystemCampaignByteIdentical)
-{
-    duts::CpuSystemConfig cfg;
-    const duts::CpuSystemTestbench probe(cfg);
-    std::vector<fault::FaultSpec> faults{fault::FaultSpec{}};
-    const auto names = probe.sim().digital().instrumentation().names();
-    std::size_t added = 0;
-    for (const std::string& name : names) {
-        if (added == 8) {
-            break;
-        }
-        faults.emplace_back(
-            fault::BitFlipFault{name, 0, 2 * kMicrosecond + static_cast<SimTime>(added) * 41});
-        ++added;
-    }
-    ASSERT_GE(faults.size(), 5u);
-    expectCollapsedEqualsFull(
-        [cfg] { return std::make_unique<duts::CpuSystemTestbench>(cfg); }, faults, "cpu",
-        /*expectCollapse=*/false);
-}
-
-// Mid-campaign journal resume under collapsing: phase 1 journals the first k
-// runs (representatives AND expansions) and dies; phase 2 restores them and
-// finishes. The converged journal must equal the uninterrupted one.
-TEST(AnalyzeCollapse, JournalResumeConvergesToCollapsedBytes)
-{
-    const auto factory = [] { return std::make_unique<duts::ChainDutTestbench>(); };
-    const std::vector<fault::FaultSpec> faults = chainSweep();
-
-    const CampaignOutput reference = runCampaign(factory, faults, 1, true, "resume_ref");
-
-    const std::string path = ::testing::TempDir() + "gfi_analyze_resume.jsonl";
-    std::remove(path.c_str());
-    const std::size_t k = faults.size() / 2;
-    {
-        campaign::CampaignRunner partial(factory);
-        partial.setRecordTiming(false);
-        partial.setFaultCollapsing(true);
-        partial.setJournalPath(path);
-        (void)partial.run({faults.begin(), faults.begin() + static_cast<long>(k)});
-    }
-    campaign::CampaignRunner resumed(factory);
-    resumed.setRecordTiming(false);
-    resumed.setFaultCollapsing(true);
-    resumed.setJournalPath(path);
-    resumed.setWorkers(2);
-    const campaign::CampaignReport report = resumed.run(faults);
-
-    for (std::size_t i = 0; i < k; ++i) {
-        EXPECT_TRUE(report.runs[i].diagnostics.fromJournal) << i;
-    }
-    EXPECT_EQ(slurp(path), reference.journal);
-    std::remove(path.c_str());
 }
 
 // The GFI_COLLAPSE environment variable enables collapsing; the explicit

@@ -3,283 +3,33 @@
 //
 // The contract under test: a campaign run with the batch backend enabled
 // produces *identical observable output* to the event-driven run — the same
-// per-fault classifications, byte-identical journals (modulo the additive
-// "batch_lane" provenance key), identical summary/detail/JSON reports — on
-// every digital DUT, at 1 and 8 workers, with fault collapsing on and off.
-// Designs the word compiler cannot lift (CpuSystem's custom components) must
-// fall back wholesale and still match. A seeded random-netlist fuzzer sweeps
-// ≥100 generated circuits × random fault lists through both backends, and a
-// mid-campaign journal resume of a batched campaign must reproduce the
-// uninterrupted run byte-for-byte.
+// per-fault classifications and byte-identical journals (modulo the additive
+// "batch_lane" provenance key). The curated DUTs go through every mode
+// combination in test_campaign_matrix.cpp; here a seeded random-netlist
+// fuzzer sweeps ≥100 generated circuits × random fault lists through both
+// backends, and the word compiler's design and fault eligibility is pinned
+// down.
+
+#include "campaign_harness.hpp"
 
 #include "batch/word_model.hpp"
-#include "core/campaign.hpp"
-#include "core/report.hpp"
 #include "core/saboteur.hpp"
 #include "digital/gates.hpp"
 #include "digital/sequential.hpp"
 #include "digital/stimulus.hpp"
-#include "duts/chain_dut.hpp"
 #include "duts/cpu_system.hpp"
 #include "duts/digital_dut.hpp"
 #include "util/rng.hpp"
 
-#include <gtest/gtest.h>
-
-#include <cctype>
-#include <cstdio>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 namespace gfi::campaign {
 namespace {
 
-std::string slurp(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
-
-/// Removes every `, "batch_lane": N` provenance key — the only journal bytes
-/// the batch backend is allowed to add relative to the event-driven kernel.
-std::string stripBatchLane(std::string s)
-{
-    const std::string key = ", \"batch_lane\": ";
-    std::size_t pos = 0;
-    while ((pos = s.find(key, pos)) != std::string::npos) {
-        std::size_t end = pos + key.size();
-        while (end < s.size() && std::isdigit(static_cast<unsigned char>(s[end]))) {
-            ++end;
-        }
-        s.erase(pos, end - pos);
-    }
-    return s;
-}
-
-/// Removes the value of the trailing batch_lane CSV column (batched rows end
-/// ",N"; event-driven rows end ","), leaving the rest of the row untouched.
-std::string stripCsvLaneColumn(std::string s)
-{
-    std::string out;
-    out.reserve(s.size());
-    std::size_t start = 0;
-    while (start < s.size()) {
-        std::size_t end = s.find('\n', start);
-        if (end == std::string::npos) {
-            end = s.size();
-        }
-        std::size_t cut = end;
-        while (cut > start && std::isdigit(static_cast<unsigned char>(s[cut - 1]))) {
-            --cut;
-        }
-        if (cut == end || cut == start || s[cut - 1] != ',') {
-            cut = end; // not a ",<digits>" tail — keep the line as-is
-        }
-        out.append(s, start, cut - start);
-        if (end < s.size()) {
-            out += '\n';
-        }
-        start = end + 1;
-    }
-    return out;
-}
-
-struct CampaignOutput {
-    std::string journal; ///< raw JSONL bytes
-    std::string summary;
-    std::string detail;
-    std::string json;
-    std::string csv;
-    CampaignReport report;
-};
-
-CampaignOutput runOne(const fault::TestbenchFactory& factory,
-                      const std::vector<fault::FaultSpec>& faults, unsigned workers,
-                      bool batch, bool collapse, const std::string& tag)
-{
-    const std::string path = ::testing::TempDir() + "gfi_batch_" + tag + "_" +
-                             std::to_string(workers) + (batch ? "_b" : "_e") +
-                             (collapse ? "_c" : "_n") + ".jsonl";
-    std::remove(path.c_str());
-    CampaignRunner runner(factory);
-    runner.setWorkers(workers);
-    runner.setRecordTiming(false); // wall clock is the only nondeterministic field
-    runner.setJournalPath(path);
-    runner.setBatchBackend(batch);
-    runner.setFaultCollapsing(collapse);
-    CampaignOutput out;
-    out.report = runner.run(faults);
-    out.journal = slurp(path);
-    out.summary = out.report.summaryTable();
-    out.detail = out.report.detailTable();
-    out.json = reportToJson(out.report);
-    const std::string csvPath = path + ".csv";
-    writeReportCsv(out.report, csvPath);
-    out.csv = slurp(csvPath);
-    std::remove(csvPath.c_str());
-    std::remove(path.c_str());
-    return out;
-}
-
-/// Runs @p faults through both backends at 1 and 8 workers, collapse off and
-/// on, and requires byte-identical output. @p expectLanes says whether the
-/// batched journal must (true) or must not (false) carry lane provenance.
-void expectBatchEqualsEvent(const fault::TestbenchFactory& factory,
-                            const std::vector<fault::FaultSpec>& faults,
-                            const std::string& tag, bool expectLanes)
-{
-    // Batched outputs (lane fields included) must also be byte-identical
-    // across worker widths: lane assignment is list-order deterministic.
-    std::map<bool, CampaignOutput> batchAtOneWorker;
-    for (const unsigned workers : {1u, 8u}) {
-        for (const bool collapse : {false, true}) {
-            const std::string where = tag + " workers=" + std::to_string(workers) +
-                                      " collapse=" + (collapse ? "on" : "off");
-            const CampaignOutput event =
-                runOne(factory, faults, workers, false, collapse, tag);
-            const CampaignOutput batch =
-                runOne(factory, faults, workers, true, collapse, tag);
-            ASSERT_EQ(event.report.runs.size(), faults.size()) << where;
-            EXPECT_FALSE(event.journal.empty()) << where;
-            EXPECT_EQ(stripBatchLane(batch.journal), event.journal)
-                << where << ": journal not byte-identical";
-            EXPECT_EQ(batch.summary, event.summary) << where << ": summary differs";
-            EXPECT_EQ(batch.detail, event.detail) << where << ": detail table differs";
-            EXPECT_EQ(stripBatchLane(batch.json), event.json)
-                << where << ": JSON report differs";
-            EXPECT_EQ(stripCsvLaneColumn(batch.csv), event.csv)
-                << where << ": CSV report differs";
-            if (expectLanes) {
-                EXPECT_NE(batch.journal.find("\"batch_lane\""), std::string::npos)
-                    << where << ": batched journal carries no lane provenance — "
-                              "the backend silently fell back";
-            } else {
-                EXPECT_EQ(batch.journal.find("\"batch_lane\""), std::string::npos)
-                    << where << ": design-ineligible campaign must not record lanes";
-            }
-            ASSERT_EQ(batch.report.runs.size(), event.report.runs.size()) << where;
-            for (std::size_t i = 0; i < event.report.runs.size(); ++i) {
-                EXPECT_EQ(batch.report.runs[i].outcome, event.report.runs[i].outcome)
-                    << where << ": fault " << i << " reclassified";
-                EXPECT_EQ(batch.report.runs[i].erredSignals,
-                          event.report.runs[i].erredSignals)
-                    << where << ": fault " << i;
-                EXPECT_EQ(batch.report.runs[i].corruptedState,
-                          event.report.runs[i].corruptedState)
-                    << where << ": fault " << i;
-                EXPECT_EQ(batch.report.runs[i].diagnostics.digitalWaves,
-                          event.report.runs[i].diagnostics.digitalWaves)
-                    << where << ": fault " << i << " wave count diverged";
-            }
-            if (workers == 1) {
-                batchAtOneWorker[collapse] = batch;
-            } else {
-                const CampaignOutput& serial = batchAtOneWorker[collapse];
-                EXPECT_EQ(batch.journal, serial.journal)
-                    << where << ": batched journal not worker-width invariant";
-                EXPECT_EQ(batch.json, serial.json)
-                    << where << ": batched JSON not worker-width invariant";
-                EXPECT_EQ(batch.csv, serial.csv)
-                    << where << ": batched CSV not worker-width invariant";
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Curated DUTs
-
-/// Every registered digital fault on the DigitalDut — bit flips across all
-/// state hooks, stuck-ats and SET pulses on every saboteur, an FSM transition
-/// corruption and a state write. The SET pulses are deliberately included:
-/// they are batch-INeligible (timing-dependent) and must fall back per-fault
-/// while their eligible neighbours batch.
-std::vector<fault::FaultSpec> digitalDutFaults()
-{
-    std::vector<fault::FaultSpec> faults{fault::FaultSpec{}};
-    const duts::DigitalDutTestbench probe;
-    const auto& registry = probe.sim().digital().instrumentation();
-    const SimTime t = 2 * kMicrosecond + 7 * kNanosecond;
-    for (const auto& [name, hook] : registry.all()) {
-        faults.emplace_back(fault::BitFlipFault{name, 0, t});
-        if (hook.width > 1) {
-            faults.emplace_back(
-                fault::BitFlipFault{name, hook.width - 1, t + 40 * kNanosecond});
-            faults.emplace_back(
-                fault::DoubleBitFlipFault{name, 0, hook.width - 1, t + 11 * kNanosecond});
-        }
-        faults.emplace_back(fault::StateWriteFault{name, 0x2A, t + 23 * kNanosecond});
-    }
-    for (const std::string& sab : probe.digitalSaboteurNames()) {
-        faults.emplace_back(fault::StuckAtFault{sab, digital::Logic::One, t, 0});
-        faults.emplace_back(
-            fault::StuckAtFault{sab, digital::Logic::Zero, t, 300 * kNanosecond});
-        faults.emplace_back(fault::DigitalPulseFault{sab, t, 25 * kNanosecond});
-    }
-    faults.emplace_back(fault::FsmTransitionFault{"dut/fsm", 3, t + 5 * kNanosecond});
-    return faults;
-}
-
-TEST(BatchCampaign, DigitalDutEquivalence)
-{
-    const auto factory = [] { return std::make_unique<duts::DigitalDutTestbench>(); };
-    const auto faults = digitalDutFaults();
-    ASSERT_GE(faults.size(), 20u);
-    expectBatchEqualsEvent(factory, faults, "digital", /*expectLanes=*/true);
-}
-
-TEST(BatchCampaign, ChainDutEquivalence)
-{
-    const auto factory = [] { return std::make_unique<duts::ChainDutTestbench>(); };
-    std::vector<fault::FaultSpec> faults{fault::FaultSpec{}};
-    const duts::ChainDutTestbench probe;
-    const SimTime t = 800 * kNanosecond + 3 * kNanosecond;
-    for (const auto& [name, hook] : probe.sim().digital().instrumentation().all()) {
-        faults.emplace_back(fault::BitFlipFault{name, 0, t});
-        if (hook.width > 1) {
-            faults.emplace_back(
-                fault::BitFlipFault{name, hook.width - 1, t + 60 * kNanosecond});
-        }
-    }
-    for (const std::string& sab : probe.digitalSaboteurNames()) {
-        faults.emplace_back(fault::StuckAtFault{sab, digital::Logic::One, t, 0});
-        faults.emplace_back(
-            fault::StuckAtFault{sab, digital::Logic::Zero, t + 20 * kNanosecond,
-                                150 * kNanosecond});
-    }
-    ASSERT_GE(faults.size(), 8u);
-    expectBatchEqualsEvent(factory, faults, "chain", /*expectLanes=*/true);
-}
-
-// CpuSystem overrides run() and registers components (TinyCpu, Ram) outside
-// the word library: the whole design is batch-ineligible. Enabling the batch
-// backend must be a silent no-op — every fault runs event-driven and no lane
-// provenance appears.
-TEST(BatchCampaign, CpuSystemFallsBackWholeDesign)
-{
-    const auto factory = [] { return std::make_unique<duts::CpuSystemTestbench>(); };
-    const duts::CpuSystemTestbench probe;
-    {
-        const batch::CompileResult compiled = batch::compileWordModel(probe);
-        EXPECT_EQ(compiled.model, nullptr);
-        EXPECT_FALSE(compiled.reason.empty());
-    }
-    std::vector<fault::FaultSpec> faults{fault::FaultSpec{}};
-    const auto names = probe.sim().digital().instrumentation().names();
-    const SimTime t = 2 * kMicrosecond + 13 * kNanosecond;
-    for (std::size_t i = 0; i < names.size() && i < 5; ++i) {
-        faults.emplace_back(fault::BitFlipFault{names[i], 0, t});
-    }
-    ASSERT_GE(faults.size(), 4u);
-    expectBatchEqualsEvent(factory, faults, "cpu", /*expectLanes=*/false);
-}
+using test::CampaignOutput;
 
 // ---------------------------------------------------------------------------
 // Property-based fuzz: random netlists × random fault lists
@@ -410,11 +160,17 @@ TEST(BatchFuzz, RandomNetlistsMatchEventDriven)
         }
         ASSERT_GE(faults.size(), 4u) << "seed " << seed;
 
-        const CampaignOutput event =
-            runOne(factory, faults, 1, false, false, "fuzz" + std::to_string(seed));
-        const CampaignOutput batch =
-            runOne(factory, faults, 1, true, false, "fuzz" + std::to_string(seed));
-        ASSERT_EQ(stripBatchLane(batch.journal), event.journal)
+        const auto backend = [](bool batch) {
+            return [batch](CampaignRunner& r) {
+                r.setWorkers(1);
+                r.setBatchBackend(batch);
+                r.setFaultCollapsing(false);
+            };
+        };
+        const std::string tag = "batch_fuzz" + std::to_string(seed);
+        const CampaignOutput event = test::runCampaign(factory, faults, tag, backend(false));
+        const CampaignOutput batch = test::runCampaign(factory, faults, tag, backend(true));
+        ASSERT_EQ(test::stripBatchLane(batch.journal), event.journal)
             << "seed " << seed << ": journal diverged";
         ASSERT_EQ(batch.summary, event.summary) << "seed " << seed;
         for (std::size_t i = 0; i < event.report.runs.size(); ++i) {
@@ -429,63 +185,6 @@ TEST(BatchFuzz, RandomNetlistsMatchEventDriven)
     // majority of seeds must actually batch — equality alone could be
     // trivially satisfied by a backend that always falls back.
     EXPECT_GE(lanesSeen, 95) << "batch backend fell back on too many seeds";
-}
-
-// ---------------------------------------------------------------------------
-// Journal resume
-
-// Interrupting a batched campaign after k faults and resuming with the full
-// list must reproduce the uninterrupted journal byte-for-byte: restored rows
-// keep their recorded batch_lane, fresh rows are assigned the same lanes the
-// uninterrupted run would have used (lane assignment is restoration-blind).
-TEST(BatchCampaign, ResumeReproducesUninterruptedRun)
-{
-    const auto factory = [] { return std::make_unique<duts::DigitalDutTestbench>(); };
-    const auto faults = digitalDutFaults();
-    const CampaignOutput reference =
-        runOne(factory, faults, 1, true, false, "resume_ref");
-    ASSERT_NE(reference.journal.find("\"batch_lane\""), std::string::npos);
-
-    const std::string path = ::testing::TempDir() + "gfi_batch_resume.jsonl";
-    std::remove(path.c_str());
-    const std::size_t k = faults.size() / 2;
-    {
-        CampaignRunner partial(factory);
-        partial.setWorkers(1);
-        partial.setRecordTiming(false);
-        partial.setJournalPath(path);
-        partial.setBatchBackend(true);
-        partial.setFaultCollapsing(false);
-        const std::vector<fault::FaultSpec> prefix(faults.begin(),
-                                                   faults.begin() + static_cast<long>(k));
-        (void)partial.run(prefix);
-    }
-    ASSERT_FALSE(slurp(path).empty());
-
-    CampaignRunner resumed(factory);
-    resumed.setWorkers(1);
-    resumed.setRecordTiming(false);
-    resumed.setJournalPath(path);
-    resumed.setBatchBackend(true);
-    resumed.setFaultCollapsing(false);
-    const CampaignReport report = resumed.run(faults);
-    std::size_t restored = 0;
-    for (const RunResult& r : report.runs) {
-        restored += r.diagnostics.fromJournal ? 1u : 0u;
-    }
-    EXPECT_GE(restored, k - 1); // golden may or may not re-run
-    EXPECT_EQ(slurp(path), reference.journal)
-        << "resumed journal differs from the uninterrupted run";
-    std::remove(path.c_str());
-
-    ASSERT_EQ(report.runs.size(), reference.report.runs.size());
-    for (std::size_t i = 0; i < report.runs.size(); ++i) {
-        EXPECT_EQ(report.runs[i].outcome, reference.report.runs[i].outcome)
-            << "fault " << i;
-        EXPECT_EQ(report.runs[i].diagnostics.batchLane,
-                  reference.report.runs[i].diagnostics.batchLane)
-            << "fault " << i << ": lane provenance not resume-invariant";
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -511,6 +210,16 @@ TEST(BatchWordModel, DigitalDutCompilesAndClassifiesEligibility)
     EXPECT_FALSE(stuckX.eligible);
     const auto unknown = eligible(fault::BitFlipFault{"no/such", 0, t});
     EXPECT_FALSE(unknown.eligible);
+}
+
+// CpuSystem overrides run() and registers components (TinyCpu, Ram) outside
+// the word library: the whole design is ineligible, with a reason.
+TEST(BatchWordModel, CpuSystemIsDesignIneligible)
+{
+    const duts::CpuSystemTestbench probe;
+    const batch::CompileResult compiled = batch::compileWordModel(probe);
+    EXPECT_EQ(compiled.model, nullptr);
+    EXPECT_FALSE(compiled.reason.empty());
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 // budget; and hardening the data RAM with SEC-DED + scrubbing strictly
 // reduces the RAM-target SDC cross-section.
 
+#include "campaign_harness.hpp"
+
 #include "core/journal.hpp"
 #include "inject/supervisor.hpp"
 #include "inject/sweep.hpp"
@@ -17,22 +19,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <variant>
 
 namespace gfi::inject {
 namespace {
 
-std::string slurp(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
+using test::slurp;
+
 
 duts::CpuSystemConfig configFor(duts::HardeningMode mode)
 {

@@ -5,6 +5,8 @@
 // (byte-identical replay, corruption hard errors, the PRE009 stale-cache
 // gate).
 
+#include "campaign_harness.hpp"
+
 #include "core/report.hpp"
 #include "digital/gates.hpp"
 #include "digital/stimulus.hpp"
@@ -24,6 +26,8 @@
 
 namespace gfi::io {
 namespace {
+
+using test::slurp;
 
 const char* kC17Bench = R"(# c17
 INPUT(N1)
@@ -515,14 +519,7 @@ TEST(GoldenStoreTest, NamePointerAndStaleCachePre009)
     }
 }
 
-/// Whole-file read/write helpers for tampering with store entries.
-std::string slurp(const std::filesystem::path& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
+/// Whole-file write helper for tampering with store entries.
 
 void spit(const std::filesystem::path& path, const std::string& text)
 {

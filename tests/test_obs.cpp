@@ -5,6 +5,8 @@
 // telemetry on produces counter totals that are invariant across worker
 // widths and reproducible from a journal resume.
 
+#include "campaign_harness.hpp"
+
 #include "core/campaign.hpp"
 #include "core/cost.hpp"
 #include "core/journal.hpp"
@@ -34,16 +36,11 @@
 namespace gfi {
 namespace {
 
+using test::slurp;
+
 // ---------------------------------------------------------------------------
 // Helpers
 
-std::string slurp(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
 
 /// Structural JSON check: braces/brackets balance outside string literals and
 /// the text is one complete value. Catches the classic emitter bugs (trailing

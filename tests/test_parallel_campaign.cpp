@@ -1,25 +1,22 @@
 // Parallel campaign executor: determinism and thread-safety guarantees.
 //
-// The contract under test: a campaign sharded across N workers produces
-// *identical observable output* to the serial run — byte-identical JSONL
-// journal, identical per-fault classifications, identical summary/JSON
-// reports and an in-order progress-callback sequence — for digital, PLL and
-// ADC campaigns, at 1/2/4/8 workers, with retry and preflight enabled, and
-// across mid-campaign journal resume. Plus regression coverage for the
-// thread-safety of CampaignJournal::append and the runner's live counters
-// (hammered from 8 threads; run these under GFI_SANITIZE=thread in CI).
+// The contract under test: the executor commits in index order at any
+// width; a campaign resumed mid-way at a random width converges to the
+// serial journal bytes without re-simulating journaled faults; progress
+// callbacks arrive in order. Per-design serial == parallel equivalence
+// (digital, PLL, ADC, abnormal outcomes with retries) is one axis of
+// test_campaign_matrix.cpp. Plus regression coverage for the thread-safety of CampaignJournal::append
+// and the runner's live counters (hammered from 8 threads; run these under
+// GFI_SANITIZE=thread in CI).
 
-#include "adc/sar.hpp"
-#include "analog/passive.hpp"
-#include "analog/sources.hpp"
+#include "campaign_harness.hpp"
+
 #include "core/campaign.hpp"
 #include "core/executor.hpp"
 #include "core/faultlist.hpp"
 #include "core/journal.hpp"
-#include "core/report.hpp"
 #include "core/stats.hpp"
 #include "duts/digital_dut.hpp"
-#include "pll/pll.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
@@ -27,22 +24,12 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <numeric>
-#include <sstream>
 #include <thread>
 
 namespace gfi::campaign {
 namespace {
-
-std::string slurp(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
 
 // ---------------------------------------------------------------------------
 // core::Executor
@@ -189,179 +176,6 @@ TEST(Watchdog, ScaledForStretchesOnlyOversubscribedWallClock)
 }
 
 // ---------------------------------------------------------------------------
-// Parallel == serial equivalence
-
-struct CampaignOutput {
-    std::string journal; ///< raw JSONL bytes
-    std::string summary;
-    std::string json;
-    CampaignReport report;
-};
-
-CampaignOutput runAt(const fault::TestbenchFactory& factory,
-                     const std::function<void(CampaignRunner&)>& configure,
-                     const std::vector<fault::FaultSpec>& faults, unsigned workers,
-                     const std::string& tag)
-{
-    const std::string path = ::testing::TempDir() + "gfi_parallel_" + tag + "_" +
-                             std::to_string(workers) + ".jsonl";
-    std::remove(path.c_str());
-    CampaignRunner runner(factory);
-    runner.setWorkers(workers);
-    runner.setRecordTiming(false); // wall clock is the only nondeterministic field
-    runner.setJournalPath(path);
-    if (configure) {
-        configure(runner);
-    }
-    CampaignOutput out;
-    out.report = runner.run(faults);
-    out.journal = slurp(path);
-    out.summary = out.report.summaryTable();
-    out.json = reportToJson(out.report);
-    std::remove(path.c_str());
-    return out;
-}
-
-void expectParallelEqualsSerial(const fault::TestbenchFactory& factory,
-                                const std::function<void(CampaignRunner&)>& configure,
-                                const std::vector<fault::FaultSpec>& faults,
-                                const std::string& tag)
-{
-    const CampaignOutput serial = runAt(factory, configure, faults, 1, tag);
-    ASSERT_EQ(serial.report.runs.size(), faults.size());
-    EXPECT_FALSE(serial.journal.empty());
-    for (unsigned workers : {2u, 4u, 8u}) {
-        const CampaignOutput parallel = runAt(factory, configure, faults, workers, tag);
-        EXPECT_EQ(parallel.journal, serial.journal)
-            << tag << ": journal not byte-identical at " << workers << " workers";
-        EXPECT_EQ(parallel.summary, serial.summary)
-            << tag << ": summary differs at " << workers << " workers";
-        EXPECT_EQ(parallel.json, serial.json)
-            << tag << ": JSON report differs at " << workers << " workers";
-        ASSERT_EQ(parallel.report.runs.size(), serial.report.runs.size());
-        for (std::size_t i = 0; i < serial.report.runs.size(); ++i) {
-            EXPECT_EQ(parallel.report.runs[i].outcome, serial.report.runs[i].outcome)
-                << tag << ": fault " << i << " reclassified at " << workers << " workers";
-            EXPECT_EQ(parallel.report.runs[i].erredSignals, serial.report.runs[i].erredSignals);
-            EXPECT_EQ(parallel.report.runs[i].diagnostics.attempts,
-                      serial.report.runs[i].diagnostics.attempts);
-        }
-    }
-}
-
-TEST(ParallelCampaign, DigitalDutEquivalence)
-{
-    const auto factory = [] { return std::make_unique<duts::DigitalDutTestbench>(); };
-    // Bit-flips on sequential elements plus SET/stuck-at saboteur faults —
-    // the paper's Figure 2 fault population in miniature.
-    std::vector<fault::FaultSpec> faults{fault::FaultSpec{}};
-    const duts::DigitalDutTestbench probe;
-    const auto& registry = probe.sim().digital().instrumentation();
-    const SimTime t = 2 * kMicrosecond + 7 * kNanosecond;
-    for (const auto& [name, hook] : registry.all()) {
-        faults.emplace_back(fault::BitFlipFault{name, 0, t});
-        if (hook.width > 1) {
-            faults.emplace_back(fault::BitFlipFault{name, hook.width - 1, t + 40 * kNanosecond});
-        }
-    }
-    for (const std::string& sab : probe.digitalSaboteurNames()) {
-        faults.emplace_back(fault::DigitalPulseFault{sab, t, 25 * kNanosecond});
-        faults.emplace_back(fault::StuckAtFault{sab, digital::Logic::One, t, 0});
-    }
-    ASSERT_GE(faults.size(), 10u);
-    expectParallelEqualsSerial(
-        factory,
-        [](CampaignRunner& r) {
-            r.setRetryPolicy(RetryPolicy{.maxAttempts = 2});
-            ASSERT_TRUE(r.preflightEnabled());
-        },
-        faults, "digital");
-}
-
-TEST(ParallelCampaign, PllEquivalence)
-{
-    pll::PllConfig cfg;
-    cfg.duration = 20 * kMicrosecond; // enough loop activity, cheap per run
-    const auto factory = [cfg] { return std::make_unique<pll::PllTestbench>(cfg); };
-    auto pulse = std::make_shared<fault::TrapezoidPulse>(2e-3, 300e-12, 300e-12, 1e-9);
-    const pll::PllTestbench probe(cfg);
-    const std::string reg = probe.sim().digital().instrumentation().names().front();
-    const std::vector<fault::FaultSpec> faults{
-        fault::FaultSpec{},
-        fault::CurrentPulseFault{pll::names::kSabFilter, 8e-6, pulse},
-        fault::CurrentPulseFault{pll::names::kSabVcoOut, 12e-6, pulse},
-        fault::BitFlipFault{reg, 0, 10 * kMicrosecond},
-        fault::ParametricFault{"pll/kvco", 1.15, 5 * kMicrosecond},
-    };
-    expectParallelEqualsSerial(
-        factory, [](CampaignRunner& r) { r.setRetryPolicy(RetryPolicy{.maxAttempts = 2}); },
-        faults, "pll");
-}
-
-TEST(ParallelCampaign, AdcEquivalence)
-{
-    adc::SarConfig cfg;
-    cfg.inputLevels = {1.7, 2.9}; // two conversions keep the run short
-    const auto factory = [cfg] { return std::make_unique<adc::SarAdcTestbench>(cfg); };
-    auto pulse = std::make_shared<fault::TrapezoidPulse>(5e-3, 500e-12, 500e-12, 1e-9);
-    const adc::SarAdcTestbench probe(cfg);
-    std::vector<fault::FaultSpec> faults{fault::FaultSpec{}};
-    const auto names = probe.sim().digital().instrumentation().names();
-    for (std::size_t i = 0; i < names.size() && i < 4; ++i) {
-        faults.emplace_back(fault::BitFlipFault{names[i], 0, 12 * kMicrosecond});
-    }
-    faults.emplace_back(fault::CurrentPulseFault{"sab/dac_out", 14e-6, pulse});
-    faults.emplace_back(fault::CurrentPulseFault{"sab/vin", 3e-6, pulse});
-    expectParallelEqualsSerial(
-        factory, [](CampaignRunner& r) { r.setRetryPolicy(RetryPolicy{.maxAttempts = 2}); },
-        faults, "adc");
-}
-
-// Abnormal outcomes (Diverged / SimError / Timeout) and retries must also be
-// deterministic across worker counts: every attempt runs on a fresh bench
-// with deterministic budgets (wave counts, not wall clock).
-TEST(ParallelCampaign, AbnormalOutcomesAndRetriesEquivalence)
-{
-    const auto factory = [] {
-        auto tb = std::make_unique<fault::Testbench>();
-        auto& ana = tb->sim().analog();
-        auto& dig = tb->sim().digital();
-        const analog::NodeId n1 = ana.node("n1");
-        auto& src = ana.add<analog::CurrentSource>(ana, "src", n1, analog::kGround, 1e-3);
-        ana.add<analog::Resistor>(ana, "r1", n1, analog::kGround, 1e3);
-        tb->observeAnalog("n1");
-        tb->addParameter("src/amps", [&src](double f) { src.setLevel(1e-3 * f); });
-
-        auto& en = dig.logicSignal("osc/en", digital::Logic::Zero);
-        auto& loop = dig.logicSignal("osc/loop", digital::Logic::Zero);
-        dig.process(
-            "osc/proc",
-            [&en, &loop] {
-                if (en.value() == digital::Logic::One) {
-                    loop.scheduleInertial(digital::logicNot(loop.value()), 0);
-                }
-            },
-            {&en, &loop});
-        tb->addParameter("osc/en", [&en](double) { en.forceValue(digital::Logic::One); });
-        dig.scheduler().setDeltaLimit(5'000);
-        tb->setDuration(100 * kNanosecond);
-        return tb;
-    };
-    const std::vector<fault::FaultSpec> faults{
-        fault::FaultSpec{},
-        fault::ParametricFault{"src/amps", std::nan(""), 0},      // Diverged (retried)
-        fault::ParametricFault{"osc/en", 1.0, 10 * kNanosecond},  // SimError
-        fault::ParametricFault{"src/amps", 2.0, 0},               // clean deviation
-    };
-    expectParallelEqualsSerial(
-        factory,
-        [](CampaignRunner& r) {
-            r.setRetryPolicy(RetryPolicy{.maxAttempts = 2, .stepTighten = 0.25});
-        },
-        faults, "abnormal");
-}
-
-// ---------------------------------------------------------------------------
 // Randomized stress: seeded fault lists, random widths, mid-campaign resume
 
 TEST(ParallelCampaign, RandomizedResumeMatchesSerialExactly)
@@ -376,7 +190,9 @@ TEST(ParallelCampaign, RandomizedResumeMatchesSerialExactly)
 
         // Serial reference for the full list.
         const auto factory = [] { return std::make_unique<duts::DigitalDutTestbench>(); };
-        const CampaignOutput reference = runAt(factory, {}, faults, 1, tag + "_ref");
+        const test::CampaignOutput reference =
+            test::runCampaign(factory, faults, "parallel_" + tag + "_ref",
+                              [](CampaignRunner& r) { r.setWorkers(1); });
 
         // Phase 1: a "killed" campaign journals only the first k faults.
         const std::size_t k = 1 + rng.below(8);
@@ -411,7 +227,7 @@ TEST(ParallelCampaign, RandomizedResumeMatchesSerialExactly)
             EXPECT_EQ(report.runs[i].outcome, reference.report.runs[i].outcome);
         }
         // ... and the journal converged to the exact serial bytes.
-        EXPECT_EQ(slurp(path), reference.journal) << "trial " << trial;
+        EXPECT_EQ(test::slurp(path), reference.journal) << "trial " << trial;
         std::remove(path.c_str());
     }
 }

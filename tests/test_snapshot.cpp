@@ -6,16 +6,15 @@
 //   * capture -> restore -> run is bit-identical to an uninterrupted run for
 //     the digital DUT, the PLL and the SAR ADC (traces, wave counts, solver
 //     stats) — the determinism contract of DESIGN.md §9;
-//   * fork-from-golden campaigns produce byte-identical journals, reports and
-//     summary tables to from-scratch execution, serial and at 8 workers,
-//     including mid-campaign journal resume and the retry interaction;
+//   * fork-from-golden campaigns record their checkpoint bookkeeping, and
+//     retries fall back to from-scratch simulation (byte identity with
+//     from-scratch campaigns is covered by test_campaign_matrix.cpp);
 //   * watchdog budgets meter only post-restore work in fork mode;
 //   * PRE006 rejects fork mode when a stateful component is not Snapshottable.
 
 #include "adc/sar.hpp"
 #include "core/campaign.hpp"
 #include "core/journal.hpp"
-#include "core/report.hpp"
 #include "digital/sequential.hpp"
 #include "duts/digital_dut.hpp"
 #include "lint/lint.hpp"
@@ -26,23 +25,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <functional>
 #include <memory>
-#include <sstream>
 
 namespace gfi {
 namespace {
-
-std::string slurp(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
 
 // ---------------------------------------------------------------------------
 // serialize: primitives, header, truncation
@@ -262,122 +249,8 @@ TEST(SnapshotRestore, RestoreRejectsStructuralMismatch)
 }
 
 // ---------------------------------------------------------------------------
-// fork-from-golden campaigns == from-scratch campaigns, byte for byte
-
-struct CampaignOutput {
-    std::string journal;
-    std::string summary;
-    std::string json;
-    campaign::CampaignReport report;
-};
-
-CampaignOutput runCampaign(const fault::TestbenchFactory& factory,
-                           const std::vector<fault::FaultSpec>& faults, unsigned workers,
-                           SimTime cadence, const std::string& tag,
-                           const std::function<void(campaign::CampaignRunner&)>& configure = {})
-{
-    const std::string path = ::testing::TempDir() + "gfi_snapshot_" + tag + ".jsonl";
-    std::remove(path.c_str());
-    campaign::CampaignRunner runner(factory);
-    runner.setWorkers(workers);
-    runner.setRecordTiming(false); // zero wall clock AND checkpoint bookkeeping
-    runner.setCheckpointCadence(cadence > 0 ? cadence : -1);
-    runner.setJournalPath(path);
-    if (configure) {
-        configure(runner);
-    }
-    CampaignOutput out;
-    out.report = runner.run(faults);
-    out.journal = slurp(path);
-    out.summary = out.report.summaryTable();
-    out.json = reportToJson(out.report);
-    if (cadence > 0) {
-        EXPECT_GT(runner.checkpointCount(), 0u) << tag << ": fork mode captured nothing";
-    }
-    std::remove(path.c_str());
-    return out;
-}
-
-void expectForkEqualsScratch(const fault::TestbenchFactory& factory,
-                             const std::vector<fault::FaultSpec>& faults, SimTime cadence,
-                             const std::string& tag,
-                             const std::function<void(campaign::CampaignRunner&)>& configure = {})
-{
-    const CampaignOutput scratch =
-        runCampaign(factory, faults, 1, 0, tag + "_scratch", configure);
-    ASSERT_EQ(scratch.report.runs.size(), faults.size());
-    EXPECT_FALSE(scratch.journal.empty());
-
-    const CampaignOutput forked =
-        runCampaign(factory, faults, 1, cadence, tag + "_forked", configure);
-    EXPECT_EQ(forked.journal, scratch.journal) << tag << ": forked journal differs";
-    EXPECT_EQ(forked.summary, scratch.summary) << tag << ": forked summary differs";
-    EXPECT_EQ(forked.json, scratch.json) << tag << ": forked JSON differs";
-
-    const CampaignOutput wide =
-        runCampaign(factory, faults, 8, cadence, tag + "_forked8", configure);
-    EXPECT_EQ(wide.journal, scratch.journal) << tag << ": 8-worker forked journal differs";
-    EXPECT_EQ(wide.summary, scratch.summary) << tag << ": 8-worker summary differs";
-    EXPECT_EQ(wide.json, scratch.json) << tag << ": 8-worker JSON differs";
-}
-
-TEST(ForkFromGolden, DigitalCampaignByteIdentical)
-{
-    const auto factory = [] { return std::make_unique<duts::DigitalDutTestbench>(); };
-    const duts::DigitalDutTestbench probe;
-    std::vector<fault::FaultSpec> faults{fault::FaultSpec{}};
-    const SimTime t = 2 * kMicrosecond + 7 * kNanosecond;
-    for (const auto& [name, hook] : probe.sim().digital().instrumentation().all()) {
-        faults.emplace_back(fault::BitFlipFault{name, 0, t});
-        if (hook.width > 1) {
-            faults.emplace_back(
-                fault::BitFlipFault{name, hook.width - 1, 3 * kMicrosecond + 13 * kNanosecond});
-        }
-    }
-    for (const std::string& sab : probe.digitalSaboteurNames()) {
-        faults.emplace_back(fault::DigitalPulseFault{sab, t, 25 * kNanosecond});
-        faults.emplace_back(fault::StuckAtFault{sab, digital::Logic::One, t, 0});
-    }
-    ASSERT_GE(faults.size(), 10u);
-    expectForkEqualsScratch(factory, faults, 500 * kNanosecond, "digital");
-}
-
-TEST(ForkFromGolden, PllCampaignByteIdentical)
-{
-    pll::PllConfig cfg;
-    cfg.duration = 20 * kMicrosecond;
-    const auto factory = [cfg] { return std::make_unique<pll::PllTestbench>(cfg); };
-    auto pulse = std::make_shared<fault::TrapezoidPulse>(2e-3, 300e-12, 300e-12, 1e-9);
-    const pll::PllTestbench probe(cfg);
-    const std::string reg = probe.sim().digital().instrumentation().names().front();
-    const std::vector<fault::FaultSpec> faults{
-        fault::FaultSpec{},
-        fault::CurrentPulseFault{pll::names::kSabFilter, 8e-6, pulse},
-        fault::CurrentPulseFault{pll::names::kSabVcoOut, 14e-6, pulse},
-        fault::BitFlipFault{reg, 0, 12 * kMicrosecond},
-        fault::ParametricFault{"pll/kvco", 1.15, 10 * kMicrosecond},
-    };
-    expectForkEqualsScratch(factory, faults, 4 * kMicrosecond, "pll",
-                            [](campaign::CampaignRunner& r) {
-                                r.setRetryPolicy(campaign::RetryPolicy{.maxAttempts = 2});
-                            });
-}
-
-TEST(ForkFromGolden, AdcCampaignByteIdentical)
-{
-    adc::SarConfig cfg;
-    cfg.inputLevels = {1.7, 2.9};
-    const auto factory = [cfg] { return std::make_unique<adc::SarAdcTestbench>(cfg); };
-    auto pulse = std::make_shared<fault::TrapezoidPulse>(5e-3, 500e-12, 500e-12, 1e-9);
-    const adc::SarAdcTestbench probe(cfg);
-    std::vector<fault::FaultSpec> faults{fault::FaultSpec{}};
-    const auto names = probe.sim().digital().instrumentation().names();
-    for (std::size_t i = 0; i < names.size() && i < 3; ++i) {
-        faults.emplace_back(fault::BitFlipFault{names[i], 0, 12 * kMicrosecond});
-    }
-    faults.emplace_back(fault::CurrentPulseFault{"sab/dac_out", 14e-6, pulse});
-    expectForkEqualsScratch(factory, faults, 5 * kMicrosecond, "adc");
-}
+// fork-from-golden campaigns (byte identity with from-scratch campaigns, at
+// any width and across resume, is pinned down by test_campaign_matrix.cpp)
 
 // A forked run must record which checkpoint it used and how much it re-ran
 // (when timing recording is on), and the summary table must show the savings.
@@ -428,7 +301,7 @@ TEST(ForkFromGolden, EnvVarEnablesAndExplicitOptOutWins)
     {
         campaign::CampaignRunner runner(
             [] { return std::make_unique<duts::DigitalDutTestbench>(); });
-        runner.runGolden(); // cadence 0 defers to GFI_CHECKPOINT
+        runner.runGolden(); // the constructor read GFI_CHECKPOINT
         EXPECT_GE(runner.checkpointCount(), 3u);
     }
     {
@@ -439,47 +312,6 @@ TEST(ForkFromGolden, EnvVarEnablesAndExplicitOptOutWins)
         EXPECT_EQ(runner.checkpointCount(), 0u);
     }
     ::unsetenv("GFI_CHECKPOINT");
-}
-
-// Mid-campaign journal resume interacts with forking: phase 1 journals the
-// first k runs under fork mode and dies; phase 2 restores them and forks the
-// rest. The converged journal must equal the from-scratch serial reference.
-TEST(ForkFromGolden, JournalResumeConvergesToScratchBytes)
-{
-    const auto factory = [] { return std::make_unique<duts::DigitalDutTestbench>(); };
-    const duts::DigitalDutTestbench probe;
-    std::vector<fault::FaultSpec> faults{fault::FaultSpec{}};
-    const auto names = probe.sim().digital().instrumentation().names();
-    for (std::size_t i = 0; i < names.size() && i < 6; ++i) {
-        faults.emplace_back(
-            fault::BitFlipFault{names[i], 0, 2 * kMicrosecond + static_cast<SimTime>(i) * 37});
-    }
-    ASSERT_GE(faults.size(), 5u);
-
-    const CampaignOutput reference = runCampaign(factory, faults, 1, 0, "resume_ref");
-
-    const std::string path = ::testing::TempDir() + "gfi_snapshot_resume.jsonl";
-    std::remove(path.c_str());
-    const std::size_t k = faults.size() / 2;
-    {
-        campaign::CampaignRunner partial(factory);
-        partial.setRecordTiming(false);
-        partial.setCheckpointCadence(kMicrosecond);
-        partial.setJournalPath(path);
-        (void)partial.run({faults.begin(), faults.begin() + static_cast<long>(k)});
-    }
-    campaign::CampaignRunner resumed(factory);
-    resumed.setRecordTiming(false);
-    resumed.setCheckpointCadence(kMicrosecond);
-    resumed.setJournalPath(path);
-    resumed.setWorkers(2);
-    const campaign::CampaignReport report = resumed.run(faults);
-
-    for (std::size_t i = 0; i < k; ++i) {
-        EXPECT_TRUE(report.runs[i].diagnostics.fromJournal) << i;
-    }
-    EXPECT_EQ(slurp(path), reference.journal);
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
