@@ -9,6 +9,9 @@
 // full and collapsed campaign wall-clock times, the shrink factor, the
 // speedup, and whether the two campaigns produced byte-identical per-fault
 // classifications.
+//
+// Both campaigns run at one worker (recorded as "workers": 1 in the meta
+// block), so the speedup measures the collapse, not the host's core count.
 
 #include "fault_list_common.hpp"
 #include "pll_bench_common.hpp"
@@ -33,6 +36,7 @@ struct CampaignResult {
 // Long enough that the full campaign takes tenths of a second: the measured
 // speedup has to clear its gate on noisy shared CI runners.
 constexpr SimTime kDuration = 40 * kMicrosecond;
+constexpr unsigned kWorkers = 1;
 
 CampaignResult runCampaign(const std::vector<fault::FaultSpec>& faults, bool collapse)
 {
@@ -43,6 +47,7 @@ CampaignResult runCampaign(const std::vector<fault::FaultSpec>& faults, bool col
     });
     runner.setRecordTiming(false); // keep reports byte-comparable across modes
     runner.setFaultCollapsing(collapse);
+    runner.setWorkers(kWorkers);
     CampaignResult out;
     campaign::CampaignReport report;
     out.wallSeconds = seconds([&] { report = runner.run(faults); });
@@ -87,7 +92,7 @@ int main()
                   "\"speedup\": %.2f, \"identical\": %s",
                   faults.size(), plan.classes(), shrink, full.wallSeconds,
                   collapsed.wallSeconds, speedup, identical ? "true" : "false");
-    const std::string doc = bench::benchJsonLine("perf_collapse", jsonLine);
+    const std::string doc = bench::benchJsonLine("perf_collapse", jsonLine, kWorkers);
     std::fputs(doc.c_str(), stdout);
     if (!writeTextFile("BENCH_perf_collapse.json", doc)) {
         std::fprintf(stderr, "warning: cannot write BENCH_perf_collapse.json\n");

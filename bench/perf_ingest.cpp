@@ -7,7 +7,8 @@
 //
 // Emits a single JSON object (machine-readable, consumed by CI) with the
 // parse throughput, both campaign times, the cache speedup and the
-// byte-identity verdict.
+// byte-identity verdict. Both campaigns run at one worker (recorded as
+// "workers": 1 in the meta block).
 
 #include "fault_list_common.hpp"
 #include "pll_bench_common.hpp"
@@ -30,6 +31,7 @@ constexpr int kInputs = 8;
 constexpr int kLayers = 9;
 constexpr int kGatesPerLayer = 8;  // 72 gates, ~160 stuck-at faults
 constexpr int kParseRepeats = 200; // parser throughput sample size
+constexpr unsigned kWorkers = 1;
 
 /// Deterministic layered benchmark netlist: every layer reads the previous
 /// one, gate kinds cycle through the whole grammar.
@@ -91,6 +93,7 @@ int main()
     io::GoldenStore store(storeRoot);
 
     campaign::CampaignRunner coldRunner(workload.factory());
+    coldRunner.setWorkers(kWorkers);
     io::CachedCampaign cold;
     const double coldSeconds =
         seconds([&] { cold = io::runCampaignCached(coldRunner, workload, store); });
@@ -98,6 +101,7 @@ int main()
                  cold.hit ? "unexpected hit" : "recorded");
 
     campaign::CampaignRunner warmRunner(workload.factory());
+    warmRunner.setWorkers(kWorkers);
     io::CachedCampaign warm;
     const double warmSeconds =
         seconds([&] { warm = io::runCampaignCached(warmRunner, workload, store); });
@@ -117,7 +121,7 @@ int main()
                   desc.gates.size(), workload.faults.size(), mbPerSecond, coldSeconds,
                   warmSeconds, speedup, warm.hit ? "true" : "false",
                   identical ? "true" : "false");
-    const std::string doc = bench::benchJsonLine("perf_ingest", jsonLine);
+    const std::string doc = bench::benchJsonLine("perf_ingest", jsonLine, kWorkers);
     std::fputs(doc.c_str(), stdout);
     if (!writeTextFile("BENCH_perf_ingest.json", doc)) {
         std::fprintf(stderr, "warning: cannot write BENCH_perf_ingest.json\n");

@@ -13,7 +13,7 @@ AtoDBridge::AtoDBridge(MixedSimulator& sim, std::string name, analog::NodeId nod
       hysteresis_(hysteresis)
 {
     sim.digital().noteExternalDriver(out); // forced from the analog domain
-    sim.bridgeRegistry().add(name_, this);
+    sim.stateRegistry().add(name_, this);
     sim.onElaborate([this, &sim](analog::TransientSolver& solver) {
         // Initial digital value from the DC operating point.
         const double v0 = sim.analog().voltage(node_);
@@ -60,7 +60,7 @@ DtoABridge::DtoABridge(MixedSimulator& sim, std::string name, digital::LogicSign
 {
     source_ = &sim.analog().add<analog::VoltageSource>(sim.analog(), name_ + "/vsrc", node,
                                                        analog::kGround, lowVolts);
-    sim.bridgeRegistry().add(name_, this);
+    sim.stateRegistry().add(name_, this);
     digital::SignalWatch::onEvent(in, [this, &sim] { drive(sim); });
     sim.onElaborate([this, &sim](analog::TransientSolver&) {
         // Pick up the digital value present at elaboration.
@@ -124,7 +124,7 @@ DigitalVoltageDriver::DigitalVoltageDriver(MixedSimulator& sim, std::string name
 {
     source_ = &sim.analog().add<analog::VoltageSource>(sim.analog(), name_ + "/vsrc", node,
                                                        analog::kGround, 0.0);
-    sim.bridgeRegistry().add(name_, this);
+    sim.stateRegistry().add(name_, this);
     for (digital::LogicSignal* in : inputs_) {
         digital::SignalWatch::onEvent(*in, [this, &sim] { drive(sim); });
     }
@@ -165,7 +165,7 @@ DigitalCurrentDriver::DigitalCurrentDriver(MixedSimulator& sim, std::string name
 {
     source_ = &sim.analog().add<analog::CurrentSource>(sim.analog(), name_ + "/isrc", node,
                                                        analog::kGround, 0.0);
-    sim.bridgeRegistry().add(name_, this);
+    sim.stateRegistry().add(name_, this);
     for (digital::LogicSignal* in : inputs_) {
         digital::SignalWatch::onEvent(*in, [this, &sim] { drive(sim); });
     }

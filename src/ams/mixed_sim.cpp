@@ -79,30 +79,48 @@ snapshot::SnapshotRegistry analogRegistry(const analog::AnalogSystem& sys)
 snapshot::Snapshot MixedSimulator::captureSnapshot()
 {
     elaborate();
+    return capture();
+}
+
+snapshot::Snapshot MixedSimulator::capturePreStartSnapshot() const
+{
+    if (elaborated() || digital_.scheduler().started()) {
+        throw std::logic_error("MixedSimulator: a pre-start snapshot needs a never-run simulator");
+    }
+    if (analog_.unknownCount() > 0) {
+        throw std::logic_error(
+            "MixedSimulator: a pre-start snapshot needs a purely digital design");
+    }
+    return capture();
+}
+
+snapshot::Snapshot MixedSimulator::capture() const
+{
     snapshot::Writer w;
     snapshot::writeHeader(w);
+    w.boolean(elaborated());
 
     digital_.scheduler().captureState(w);
 
     // Signals, creation order; each payload length-prefixed and name-tagged.
-    const auto& names = digital_.signalNames();
-    w.u64(names.size());
-    for (const std::string& name : names) {
-        w.str(name);
-        snapshot::Writer sub;
-        digital_.findSignal(name).captureState(sub);
-        w.blob(sub.bytes());
+    const auto& signals = digital_.signals();
+    w.u64(signals.size());
+    for (const digital::SignalBase* sig : signals) {
+        w.str(sig->name());
+        const std::size_t mark = w.beginBlob();
+        sig->captureState(w);
+        w.endBlob(mark);
     }
 
     digitalRegistry(digital_).capture(w);
-    bridges_.capture(w);
+    extraState_.capture(w);
 
-    const bool hasAnalog = analog_.unknownCount() > 0;
+    const bool hasAnalog = elaborated() && analog_.unknownCount() > 0;
     w.boolean(hasAnalog);
     if (hasAnalog) {
-        snapshot::Writer sub;
-        solver_->captureState(sub);
-        w.blob(sub.bytes());
+        const std::size_t mark = w.beginBlob();
+        solver_->captureState(w);
+        w.endBlob(mark);
         analogRegistry(analog_).capture(w);
     }
 
@@ -115,9 +133,19 @@ snapshot::Snapshot MixedSimulator::captureSnapshot()
 
 void MixedSimulator::restoreSnapshot(const snapshot::Snapshot& snap)
 {
-    elaborate();
     snapshot::Reader r(snap.bytes);
     snapshot::readHeader(r);
+    if (r.boolean()) {
+        elaborate();
+    } else {
+        if (analog_.unknownCount() > 0) {
+            throw snapshot::SnapshotFormatError(
+                "snapshot: pre-start capture restored into a design with analog unknowns");
+        }
+        // Back to the as-built state: the next run() elaborates afresh, as on
+        // a new build, and the fresh solver counts only that elaboration.
+        solver_.reset();
+    }
 
     digital_.scheduler().restoreState(
         r, [this](const std::string& name) -> digital::SignalBase& {
@@ -131,39 +159,37 @@ void MixedSimulator::restoreSnapshot(const snapshot::Snapshot& snap)
         });
 
     const std::uint64_t n = r.u64();
-    const auto& names = digital_.signalNames();
-    if (n != names.size()) {
+    const auto& signals = digital_.signals();
+    if (n != signals.size()) {
         throw snapshot::SnapshotFormatError(
             "snapshot: stream has " + std::to_string(n) + " signals, circuit has " +
-            std::to_string(names.size()) + " (testbench factory mismatch?)");
+            std::to_string(signals.size()) + " (testbench factory mismatch?)");
     }
-    for (const std::string& expected : names) {
-        const std::string name = r.str();
-        if (name != expected) {
-            throw snapshot::SnapshotFormatError("snapshot: signal '" + name +
-                                                "' where '" + expected + "' was expected");
+    for (digital::SignalBase* sig : signals) {
+        const std::string_view name = r.strView();
+        if (name != sig->name()) {
+            throw snapshot::SnapshotFormatError("snapshot: signal '" + std::string(name) +
+                                                "' where '" + sig->name() + "' was expected");
         }
-        const std::vector<std::uint8_t> payload = r.blob();
-        snapshot::Reader sub(payload);
-        digital_.findSignal(name).restoreState(sub);
+        snapshot::Reader sub = r.blobReader();
+        sig->restoreState(sub);
         if (!sub.atEnd()) {
-            throw snapshot::SnapshotFormatError("snapshot: signal '" + name + "' left " +
+            throw snapshot::SnapshotFormatError("snapshot: signal '" + sig->name() + "' left " +
                                                 std::to_string(sub.remaining()) +
                                                 " unread payload bytes");
         }
     }
 
     digitalRegistry(digital_).restore(r);
-    bridges_.restore(r);
+    extraState_.restore(r);
 
     const bool hasAnalog = r.boolean();
-    if (hasAnalog != (analog_.unknownCount() > 0)) {
+    if (hasAnalog != (elaborated() && analog_.unknownCount() > 0)) {
         throw snapshot::SnapshotFormatError(
             "snapshot: analog-domain presence differs from the capture");
     }
     if (hasAnalog) {
-        const std::vector<std::uint8_t> payload = r.blob();
-        snapshot::Reader sub(payload);
+        snapshot::Reader sub = r.blobReader();
         solver_->restoreState(sub);
         if (!sub.atEnd()) {
             throw snapshot::SnapshotFormatError(

@@ -95,24 +95,37 @@ public:
 
     // --- snapshot/restore ---------------------------------------------------
 
-    /// Registry the AMS bridges add themselves to at construction; their
-    /// hysteresis/level state rides along in every snapshot.
-    [[nodiscard]] snapshot::SnapshotRegistry& bridgeRegistry() noexcept { return bridges_; }
+    /// Registry of the Snapshottables outside the digital component list:
+    /// the AMS bridges add themselves at construction (hysteresis/level
+    /// state), testbenches add state of their own (a supervisor's flags).
+    /// Everything registered rides along in every snapshot.
+    [[nodiscard]] snapshot::SnapshotRegistry& stateRegistry() noexcept { return extraState_; }
 
     /// Serializes the full simulator state — digital scheduler (time, seq,
     /// wave counters, pending transactions), every signal, every Snapshottable
-    /// digital component, the AMS bridges, and the analog solver plus
+    /// digital component, the state registry, and the analog solver plus
     /// per-component companion history — into one byte-stable stream.
-    /// The simulator must be quiescent: call after run(t) returns, never from
-    /// inside a process or bridge callback.
+    /// Elaborates first. The simulator must be quiescent: call after run(t)
+    /// returns, never from inside a process or bridge callback.
     [[nodiscard]] snapshot::Snapshot captureSnapshot();
 
-    /// Restores state captured by captureSnapshot() into THIS simulator,
-    /// which must be a freshly built structural twin (same testbench factory).
-    /// Elaborates first (DC solve + bridge hooks), then overwrites members
-    /// directly — no instrumentation setters, no event propagation — and
-    /// re-arms component self-scheduled actions. After this returns, run()
-    /// continues exactly as the captured simulator would have.
+    /// Captures a never-run, purely digital simulator as built: before
+    /// elaboration, before the kernel's startup pass. Restoring the result
+    /// un-elaborates the target, so the next run() elaborates and starts it
+    /// exactly as it would a freshly built twin — faults armed between the
+    /// restore and run() land before start(), as on a fresh build. Throws
+    /// std::logic_error once elaborated or when the design has analog
+    /// unknowns (their pre-DC state is not serialized).
+    [[nodiscard]] snapshot::Snapshot capturePreStartSnapshot() const;
+
+    /// Restores state captured by captureSnapshot() or
+    /// capturePreStartSnapshot() into THIS simulator, which must be a
+    /// structural twin built by the same testbench factory — freshly built or
+    /// used by earlier runs. Overwrites members directly — no instrumentation
+    /// setters, no event propagation — and re-arms component self-scheduled
+    /// actions. An elaborated capture elaborates first (DC solve + bridge
+    /// hooks); a pre-start capture drops the solver instead. After this
+    /// returns, run() continues exactly as the captured simulator would have.
     void restoreSnapshot(const snapshot::Snapshot& snap);
 
     // --- fault-tolerant execution support ----------------------------------
@@ -137,10 +150,13 @@ public:
     [[nodiscard]] double solverStepScale() const noexcept { return stepScale_; }
 
 private:
+    /// The snapshot of the current state, elaborated or not (both captures).
+    [[nodiscard]] snapshot::Snapshot capture() const;
+
     digital::Circuit digital_;
     analog::AnalogSystem analog_;
     std::unique_ptr<analog::TransientSolver> solver_;
-    snapshot::SnapshotRegistry bridges_;
+    snapshot::SnapshotRegistry extraState_;
     std::vector<std::function<void(analog::TransientSolver&)>> elaborationHooks_;
     Watchdog* watchdog_ = nullptr;
     obs::FlightRecorder* recorder_ = nullptr;

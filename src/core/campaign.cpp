@@ -317,6 +317,18 @@ void CampaignRunner::runGolden()
     if (!golden_) {
         golden_ = factory_(); // may already exist: preflight lints it pre-run
     }
+    // The pre-start checkpoint: the golden testbench as built, before it
+    // elaborates. Restoring it turns a used testbench back into a fresh
+    // build, so workers can re-run theirs instead of building one per fault
+    // — when every piece of state is in the snapshot: no analog unknowns
+    // (their pre-DC state is not serialized) and no stateful component
+    // outside Snapshottable (PRE006).
+    if (!preStart_ && !golden_->sim().elaborated() &&
+        golden_->sim().analog().unknownCount() == 0 &&
+        lint::preflightSnapshot(*golden_).count(lint::Severity::Error) == 0) {
+        preStart_ = std::make_shared<const snapshot::Snapshot>(
+            golden_->sim().capturePreStartSnapshot());
+    }
     if (forking()) {
         // Fork-from-golden: advance event by event and capture at the first
         // scheduled event past each cadence mark. Scheduled event times are
@@ -455,6 +467,11 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
             cp = checkpoints_.nearestBefore(kGoldenCheckpoints, tInj);
         }
     }
+    // Pooled testbenches: a first attempt re-runs a worker's used testbench,
+    // restored from cp or else from the pre-start checkpoint. Retries and
+    // parametric faults take the fresh path and discard their testbench.
+    const bool pooled = attempt == 1 && pooling_.load(std::memory_order_relaxed) &&
+                        !std::holds_alternative<fault::ParametricFault>(fault);
 
     Watchdog watchdog(options_.watchdog.scaledFor(activeWorkers_));
     obs::Telemetry* const tel = activeTelemetry();
@@ -468,11 +485,24 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
         recorder = std::make_unique<obs::FlightRecorder>(obs::FlightRecorder::kDefaultCapacity);
     }
     std::unique_ptr<fault::Testbench> tb;
+    if (pooled) {
+        const std::lock_guard<std::mutex> lock(poolMutex_);
+        if (!pool_.empty()) {
+            tb = std::move(pool_.back());
+            pool_.pop_back();
+        }
+    }
     obs::ProbeSnapshot baseline;
     try {
-        {
+        if (!tb) {
             obs::Span span(tel, "build", "run");
             tb = factory_();
+        } else if (!cp) {
+            // Back to the as-built state, before the flight recorder is
+            // attached: a fresh build records no restore either.
+            obs::Span span(tel, "restore", "run");
+            tb->sim().restoreSnapshot(*preStart_);
+            tb->recorder().reset();
         }
         if (recorder) {
             tb->sim().setFlightRecorder(recorder.get());
@@ -484,6 +514,7 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
         if (cp) {
             obs::Span span(tel, "restore", "run");
             tb->sim().restoreSnapshot(*cp);
+            tb->recorder().reset();
             tb->recorder().preloadPrefix(golden_->recorder(), cp->time, cp->analogTime);
             // Re-arm so the wave/step/wall budgets meter only the post-restore
             // suffix, not the restore work — a forked run must never trip a
@@ -560,6 +591,11 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
             std::fprintf(stderr, "gfi: forensics: dump failed for %s: %s\n", stem.c_str(),
                          e.what());
         }
+    }
+    // An abnormal outcome may have unwound mid-wave: that testbench is dropped.
+    if (pooled && tb && !isAbnormal(result.outcome)) {
+        const std::lock_guard<std::mutex> lock(poolMutex_);
+        pool_.push_back(std::move(tb));
     }
     return result;
 }
@@ -947,6 +983,11 @@ CampaignReport CampaignRunner::run(
                               std::to_string(plan ? plan->collapsedRuns() : 0) +
                               ", \"batched_planned\": " + std::to_string(batchedPlanned));
 
+    pooling_ = preStart_ != nullptr;
+    const auto drainPool = [this] {
+        pooling_ = false;
+        pool_.clear();
+    };
     try {
         exec.forEachOrdered(faults.size(), [&](std::size_t i) -> core::CommitFn {
             if (source[i] == Source::Kernel) {
@@ -991,8 +1032,10 @@ CampaignReport CampaignRunner::run(
         });
     } catch (...) {
         activeWorkers_ = 1;
+        drainPool();
         throw;
     }
+    drainPool();
     emitProgress("done");
     const unsigned usedWorkers = activeWorkers_;
     activeWorkers_ = 1;

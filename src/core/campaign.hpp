@@ -16,8 +16,8 @@
 //
 // Parallel execution: the fault list is embarrassingly parallel (every run
 // compares an independent simulation against one golden reference), so run()
-// shards it across a core::Executor worker pool — each worker builds its own
-// testbench, the golden trace is shared read-only, and results commit in
+// shards it across a core::Executor worker pool — each worker runs on its
+// own testbench, the golden trace is shared read-only, and results commit in
 // fault-list order so parallel output is identical to serial output.
 
 #include "core/executor.hpp"
@@ -29,8 +29,10 @@
 #include "trace/compare.hpp"
 
 #include <array>
+#include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 
 namespace gfi::obs {
 class Telemetry;
@@ -205,7 +207,9 @@ private:
 /// Runs campaigns: one golden run, then one contained run per fault.
 class CampaignRunner {
 public:
-    /// @param factory  builds a fresh instrumented testbench per run.
+    /// @param factory  builds a fresh instrumented testbench: for the golden
+    ///                 run, per worker, and per fresh-path attempt (see run()
+    ///                 and fault::TestbenchFactory).
     ///
     /// The environment is read here, once: GFI_CHECKPOINT, GFI_COLLAPSE,
     /// GFI_BATCH and GFI_FORENSICS seed the matching options, and the setters
@@ -235,12 +239,23 @@ public:
     /// lint::PreflightError when it finds errors — a broken design or a
     /// typo'd target fails once, up front, instead of once per run.
     ///
-    /// The fault list is sharded across workers() threads (each worker builds
-    /// its own testbenches through the factory; the golden trace is shared
-    /// read-only). Results still commit in fault-list order, so the report,
-    /// the journal, the progress-callback sequence and every table are
-    /// identical to a serial run — wall-clock timing fields excepted, which
-    /// setRecordTiming(false) zeroes for byte-level diffing.
+    /// The fault list is sharded across workers() threads; the golden trace
+    /// is shared read-only. Results still commit in fault-list order, so the
+    /// report, the journal, the progress-callback sequence and every table
+    /// are identical to a serial run — wall-clock timing fields excepted,
+    /// which setRecordTiming(false) zeroes for byte-level diffing.
+    ///
+    /// Testbenches: for a purely digital design whose stateful components
+    /// are all Snapshottable (PRE006 clean), each worker builds one testbench
+    /// through the factory and re-runs it: every later first attempt takes
+    /// it from a per-runner pool, restores it from the nearest fork
+    /// checkpoint before the injection (fork mode) or else from a pre-start
+    /// checkpoint the golden testbench captured before it elaborated, resets
+    /// its recorder and arms the fault. Retries, ParametricFault attempts
+    /// (their setters change state no snapshot holds) and every attempt on a
+    /// design with analog unknowns build a fresh testbench and discard it; so
+    /// does an attempt that ends abnormally. Verdicts, probes and wave counts
+    /// are the same either way; the pool is emptied before run() returns.
     CampaignReport run(const std::vector<fault::FaultSpec>& faults,
                        const std::function<void(std::size_t, const RunResult&)>& progress = {});
 
@@ -419,7 +434,8 @@ private:
     /// True when golden checkpoints are captured and first attempts fork.
     [[nodiscard]] bool forking() const noexcept { return options_.checkpointCadence > 0; }
 
-    /// One contained attempt: build, arm, run under the watchdog, classify.
+    /// One contained attempt: build (or take a pooled testbench and restore
+    /// it), arm, run under the watchdog, classify.
     RunResult attemptOne(const fault::FaultSpec& fault, int attempt);
 
     /// runOne() minus the golden-run bootstrap — the worker entry point:
@@ -446,6 +462,12 @@ private:
     std::unique_ptr<fault::Testbench> golden_;
     std::map<std::string, std::uint64_t> goldenState_;
     snapshot::CheckpointStore checkpoints_; ///< golden snapshots, fork mode only
+    /// The golden testbench as built, before elaboration; null when the
+    /// design cannot re-run pooled testbenches (analog unknowns, PRE006).
+    std::shared_ptr<const snapshot::Snapshot> preStart_;
+    std::atomic<bool> pooling_{false}; ///< run()'s worker phase re-runs testbenches
+    std::mutex poolMutex_;
+    std::vector<std::unique_ptr<fault::Testbench>> pool_; ///< idle testbenches
     obs::Telemetry* telemetry_ = nullptr;   ///< attached sink (not owned)
     std::unique_ptr<obs::Telemetry> envTelemetry_; ///< GFI_TRACE/GFI_METRICS sink
     snapshot::CheckpointStore::Stats statsApplied_; ///< store stats already billed

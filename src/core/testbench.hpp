@@ -1,11 +1,14 @@
 #pragma once
 // Testbench: one self-contained, instrumented simulation instance.
 //
-// A fault-injection campaign needs a *fresh* circuit per run (the paper's
-// flow re-runs the instrumented description once per fault). A Testbench
-// bundles the mixed simulator, the trace recorder, the saboteur/mutant/
-// parameter registries the injector addresses by name, and the observation
-// configuration (which signals/nodes/states the classifier compares).
+// A fault-injection campaign needs a circuit in its as-built state per run
+// (the paper's flow re-runs the instrumented description once per fault). A
+// Testbench bundles the mixed simulator, the trace recorder, the saboteur/
+// mutant/parameter registries the injector addresses by name, and the
+// observation configuration (which signals/nodes/states the classifier
+// compares). The campaign runner gets that state either from a fresh build
+// or by restoring a used testbench from a golden checkpoint (TestbenchFactory
+// states the contract).
 
 #include "ams/mixed_sim.hpp"
 #include "core/fault.hpp"
@@ -156,6 +159,8 @@ public:
     [[nodiscard]] SimTime duration() const noexcept { return duration_; }
 
     /// Runs the experiment (default: run the mixed simulation to duration()).
+    /// Must be re-runnable after sim().restoreSnapshot(): everything it reads
+    /// besides the simulator (flags, overlays) is Snapshottable state.
     virtual void run() { sim_->run(duration_); }
 
 private:
@@ -172,7 +177,16 @@ private:
     SimTime duration_ = kMicrosecond;
 };
 
-/// Builds a fresh testbench instance; campaigns call this once per run.
+/// Builds a fresh testbench instance. A campaign calls it once for the golden
+/// run, once per worker, and once per fresh-path attempt (retries,
+/// parametric faults, designs with analog unknowns or state outside the
+/// snapshot; CampaignRunner::run). Every other attempt re-runs a worker's
+/// used testbench after restoring it from a golden checkpoint, so every
+/// mutable piece of state a run depends on must be captured by a
+/// snapshot::Snapshottable — a digital component, or an entry of
+/// sim().stateRegistry() — and run() must be re-runnable after
+/// sim().restoreSnapshot(). Called concurrently from worker threads: build
+/// each testbench from per-instance state only.
 using TestbenchFactory = std::function<std::unique_ptr<Testbench>()>;
 
 /// Arms @p fault on @p tb (schedules the injection); throws

@@ -141,6 +141,13 @@ public:
         return signalOrder_;
     }
 
+    /// All signals, in creation order (snapshot capture and restore walk
+    /// these without a name lookup).
+    [[nodiscard]] const std::vector<SignalBase*>& signals() const noexcept
+    {
+        return signalList_;
+    }
+
     /// Creates (and owns) a process sensitive to @p sensitivity.
     Process& process(const std::string& name, std::function<void()> fn,
                      std::initializer_list<SignalBase*> sensitivity = {});
@@ -227,6 +234,7 @@ private:
     Scheduler sched_;
     std::unordered_map<std::string, std::unique_ptr<SignalBase>> signals_;
     std::vector<std::string> signalOrder_;
+    std::vector<SignalBase*> signalList_;
     std::vector<std::unique_ptr<Process>> processes_;
     std::vector<std::unique_ptr<Component>> components_;
     std::vector<ProcessConnectivity> connectivity_;

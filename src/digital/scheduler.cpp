@@ -39,6 +39,12 @@ void Scheduler::scheduleAction(SimTime t, std::function<void()> action)
     push(Entry{t, seq_++, nullptr, slot});
 }
 
+void Scheduler::registerProcess(Process* p)
+{
+    p->index_ = processes_.size();
+    processes_.push_back(p);
+}
+
 void Scheduler::wake(Process* p)
 {
     if (p->queued_) {
@@ -165,6 +171,11 @@ void Scheduler::captureState(snapshot::Writer& w) const
     w.u64(seq_);
     w.u64(waveId_);
     w.u64(deltasRun_);
+    w.boolean(started_);
+    w.u64(runnable_.size());
+    for (const Process* p : runnable_) {
+        w.u64(p->index_);
+    }
     // Drain a copy of the queue so pending transactions serialize in exact
     // (time, seq) pop order — the order they would apply in.
     auto copy = queue_;
@@ -191,14 +202,24 @@ void Scheduler::restoreState(snapshot::Reader& r,
     seq_ = r.u64();
     waveId_ = r.u64();
     deltasRun_ = r.u64();
-    started_ = true; // the captured kernel had completed its startup pass
-    queue_ = {};
-    actions_.clear();
-    freeActionSlots_.clear();
+    started_ = r.boolean();
     for (Process* p : runnable_) {
         p->queued_ = false;
     }
     runnable_.clear();
+    const std::uint64_t woken = r.u64();
+    for (std::uint64_t i = 0; i < woken; ++i) {
+        const std::uint64_t index = r.u64();
+        if (index >= processes_.size()) {
+            throw snapshot::SnapshotFormatError(
+                "snapshot: runnable process #" + std::to_string(index) + " of " +
+                std::to_string(processes_.size()) + " (testbench factory mismatch?)");
+        }
+        wake(processes_[index]);
+    }
+    queue_ = {};
+    actions_.clear();
+    freeActionSlots_.clear();
     lastEventSignal_ = nullptr;
     lastProcessRun_ = nullptr;
     const std::uint64_t n = r.u64();
@@ -212,12 +233,12 @@ void Scheduler::restoreState(snapshot::Reader& r,
         // draw from the restored seq_ counter and sort after these.
         queue_.push(Entry{t, seq, &sig, txnId});
     }
-    // Probe counters are not part of the snapshot format: the campaign layer
-    // samples a post-restore baseline and bills runs by delta, so they only
-    // need to keep counting monotonically from here.
-    if (queue_.size() > queueHighWater_) {
-        queueHighWater_ = queue_.size();
-    }
+    // The dispatch counter is not part of the snapshot format: the campaign
+    // layer samples a post-restore baseline and bills runs by delta, so it
+    // only needs to keep counting monotonically. The high-water mark is a
+    // level, not a count, so it restarts here: whatever depth the kernel
+    // reached before the restore is no part of the restored run.
+    queueHighWater_ = queue_.size();
 }
 
 } // namespace gfi::digital

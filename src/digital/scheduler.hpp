@@ -56,7 +56,8 @@ private:
     friend class Scheduler;
     std::string name_;
     std::function<void()> fn_;
-    bool queued_ = false; // already in the runnable set
+    std::size_t index_ = 0; // registration position (snapshots name it by this)
+    bool queued_ = false;   // already in the runnable set
 };
 
 /// The digital event queue / delta-cycle engine.
@@ -113,7 +114,7 @@ public:
 
     /// Registers a process so the kernel can run it once at startup
     /// (VHDL elaboration semantics). Called by Circuit.
-    void registerProcess(Process* p) { processes_.push_back(p); }
+    void registerProcess(Process* p);
 
     /// Queues a signal-value update at absolute time @p t (phase 1 of a wave):
     /// when due, the kernel calls @p sig->applyTxn(txnId). Transactions are
@@ -147,17 +148,22 @@ public:
 
     // --- snapshot support ---------------------------------------------------
 
-    /// Serializes the kernel counters plus every pending *transaction*
-    /// (time, seq, signal name, txn id). Pending *actions* are closures and
-    /// are not captured: their owners (clock generators, stimulus schedules,
-    /// PFD resets, scrubbers) record their fire times and re-arm on restore.
-    /// Must be called at a quiescent point (no wave in flight).
+    /// Serializes the kernel counters, whether the startup pass has run, the
+    /// runnable processes (woken by values forced before the next wave) and
+    /// every pending *transaction* (time, seq, signal name, txn id). Pending
+    /// *actions* are closures and are not captured: their owners (clock
+    /// generators, stimulus schedules, PFD resets, scrubbers) record their
+    /// fire times and re-arm on restore. Must be called at a quiescent point
+    /// (no wave in flight) — after run(t) returns, or before the kernel
+    /// started (a pre-start capture).
     void captureState(snapshot::Writer& w) const;
 
-    /// Restores the counters, clears the queue and the action table and
-    /// re-inserts the captured transactions with their original sequence
-    /// numbers (so same-wave apply order is preserved exactly). @p resolve
-    /// maps a signal name back to the freshly built circuit's signal object.
+    /// Restores the counters and the started flag, clears the queue and the
+    /// action table and re-inserts the captured transactions with their
+    /// original sequence numbers (so same-wave apply order is preserved
+    /// exactly). @p resolve maps a signal name back to this circuit's signal
+    /// object. The queue high-water mark restarts at the restored depth, so a
+    /// used kernel reports what a freshly built twin would.
     void restoreState(snapshot::Reader& r,
                       const std::function<SignalBase&(const std::string&)>& resolve);
 

@@ -147,6 +147,7 @@ CpuSystemTestbench::CpuSystemTestbench(CpuSystemConfig config) : config_(std::mo
         kMemImageHook, 64, [this] { return memoryDigest() ^ digestXor_; },
         [this](std::uint64_t v) { digestXor_ = memoryDigest() ^ v; },
         [this](int bit) { digestXor_ ^= 1ull << bit; }});
+    sim().stateRegistry().add("sys/sup", this);
 
     // Compared outputs: the registered OUT-port stream and the halt line.
     for (int b = 0; b < 8; ++b) {
@@ -216,6 +217,22 @@ void CpuSystemTestbench::run()
         return;
     }
     sim().run(duration());
+}
+
+void CpuSystemTestbench::captureState(snapshot::Writer& w) const
+{
+    w.boolean(hang_);
+    w.boolean(detectedFlip_);
+    w.boolean(correctedFlip_);
+    w.u64(digestXor_);
+}
+
+void CpuSystemTestbench::restoreState(snapshot::Reader& r)
+{
+    hang_ = r.boolean();
+    detectedFlip_ = r.boolean();
+    correctedFlip_ = r.boolean();
+    digestXor_ = r.u64();
 }
 
 bool CpuSystemTestbench::traceSawOne(const std::string& signal) const

@@ -77,7 +77,10 @@ inline constexpr const char* kCorrectedHook = "sys/sup/corrected";
 inline constexpr const char* kMemImageHook = "sys/sup/memimage";
 
 /// The elaborated CPU system: core + ROM + (ECC) RAM + hardened out-register.
-class CpuSystemTestbench : public fault::Testbench {
+/// The supervisor's own state (the hang flag and the meta-hook overlays) is
+/// Snapshottable and sits in the simulator's state registry, so a restored
+/// testbench re-runs without a stale verdict from its previous run.
+class CpuSystemTestbench : public fault::Testbench, public snapshot::Snapshottable {
 public:
     explicit CpuSystemTestbench(CpuSystemConfig config = {});
 
@@ -114,6 +117,9 @@ public:
     /// a golden program that halts before the deadline this is equivalent to
     /// the default run(), which keeps fork-from-golden checkpoints valid.
     void run() override;
+
+    void captureState(snapshot::Writer& w) const override;
+    void restoreState(snapshot::Reader& r) override;
 
 private:
     [[nodiscard]] bool traceSawOne(const std::string& signal) const;

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gfi::snapshot {
@@ -27,7 +28,7 @@ public:
 };
 
 /// Bumped on any layout change of the serialized state.
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Stream magic: identifies a gfi snapshot byte stream.
 inline constexpr char kMagic[8] = {'G', 'F', 'I', 'S', 'N', 'A', 'P', '\0'};
@@ -46,9 +47,9 @@ public:
 
     void u64(std::uint64_t v)
     {
-        for (int i = 0; i < 8; ++i) {
-            bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-        }
+        const std::size_t at = bytes_.size();
+        bytes_.resize(at + 8);
+        put64(at, v);
     }
 
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
@@ -69,18 +70,29 @@ public:
         bytes_.insert(bytes_.end(), s.begin(), s.end());
     }
 
-    /// Length-prefixed nested byte block (isolates one component's payload so
-    /// a buggy writer/reader pair cannot silently shift every later field).
-    void blob(const std::vector<std::uint8_t>& b)
+    /// Opens a length-prefixed nested block (isolates one component's
+    /// payload so a buggy writer/reader pair cannot silently shift every
+    /// later field). Write the payload in place, then pass the returned mark
+    /// to endBlob(), which fills in the length.
+    [[nodiscard]] std::size_t beginBlob()
     {
-        u64(b.size());
-        bytes_.insert(bytes_.end(), b.begin(), b.end());
+        u64(0); // length, patched by endBlob()
+        return bytes_.size();
     }
+
+    void endBlob(std::size_t mark) { put64(mark - 8, bytes_.size() - mark); }
 
     [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
     [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
 private:
+    void put64(std::size_t at, std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            bytes_[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
+        }
+    }
+
     std::vector<std::uint8_t> bytes_;
 };
 
@@ -138,13 +150,25 @@ public:
         return s;
     }
 
-    std::vector<std::uint8_t> blob()
+    /// str() without the copy; valid as long as the underlying bytes.
+    std::string_view strView()
     {
         const std::uint64_t n = u64();
         need(n);
-        std::vector<std::uint8_t> b(data_ + pos_, data_ + pos_ + n);
+        const std::string_view s(reinterpret_cast<const char*>(data_) + pos_, n);
         pos_ += n;
-        return b;
+        return s;
+    }
+
+    /// The next nested block (Writer::beginBlob) as a reader over the same
+    /// bytes; valid as long as they are.
+    Reader blobReader()
+    {
+        const std::uint64_t n = u64();
+        need(n);
+        const Reader sub(data_ + pos_, n);
+        pos_ += n;
+        return sub;
     }
 
     [[nodiscard]] bool atEnd() const noexcept { return pos_ == size_; }

@@ -7,9 +7,9 @@ void SnapshotRegistry::capture(Writer& w) const
     w.u64(entries_.size());
     for (const auto& [name, obj] : entries_) {
         w.str(name);
-        Writer payload;
-        obj->captureState(payload);
-        w.blob(payload.bytes());
+        const std::size_t mark = w.beginBlob();
+        obj->captureState(w);
+        w.endBlob(mark);
     }
 }
 
@@ -22,13 +22,12 @@ void SnapshotRegistry::restore(Reader& r) const
                                   std::to_string(entries_.size()) + ")");
     }
     for (const auto& [name, obj] : entries_) {
-        const std::string streamName = r.str();
+        const std::string_view streamName = r.strView();
         if (streamName != name) {
-            throw SnapshotFormatError("snapshot: registry entry '" + streamName +
+            throw SnapshotFormatError("snapshot: registry entry '" + std::string(streamName) +
                                       "' does not match simulator entry '" + name + "'");
         }
-        const std::vector<std::uint8_t> payload = r.blob();
-        Reader sub(payload);
+        Reader sub = r.blobReader();
         obj->restoreState(sub);
         if (!sub.atEnd()) {
             throw SnapshotFormatError("snapshot: registry entry '" + name + "' left " +

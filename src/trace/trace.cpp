@@ -116,6 +116,17 @@ void Recorder::preloadPrefix(const Recorder& golden, SimTime tDigital, double tA
     }
 }
 
+void Recorder::reset()
+{
+    for (auto& [tr, initial] : constructionInitial_) {
+        tr->initial = initial;
+        tr->events.clear();
+    }
+    for (auto& [name, tr] : analog_) {
+        tr.samples.clear();
+    }
+}
+
 void Recorder::recordDigital(const std::string& signalName)
 {
     auto& sig = sim_->digital().findLogic(signalName);
@@ -126,6 +137,7 @@ void Recorder::recordDigital(const std::string& signalName)
     DigitalTrace& tr = it->second;
     tr.name = signalName;
     tr.initial = sig.value();
+    constructionInitial_.emplace_back(&tr, tr.initial);
     digital::SignalWatch::onEvent(sig, [&tr, &sig, this] {
         tr.events.emplace_back(sim_->digital().scheduler().now(), sig.value());
     });

@@ -61,6 +61,13 @@ public:
     /// byte-identical to an uninterrupted run's.
     void preloadPrefix(const Recorder& golden, SimTime tDigital, double tAnalog);
 
+    /// Back to the construction state: every digital trace holds only the
+    /// initial value its signal had when recording began, every analog trace
+    /// is empty. Call right after MixedSimulator::restoreSnapshot() when a
+    /// used testbench is re-run (a reset plus a pre-start restore leaves the
+    /// recorder exactly as a freshly built testbench's).
+    void reset();
+
     /// Recorded digital trace (throws std::out_of_range if not recorded).
     [[nodiscard]] const DigitalTrace& digitalTrace(const std::string& name) const;
 
@@ -82,6 +89,8 @@ public:
 private:
     ams::MixedSimulator* sim_;
     std::map<std::string, DigitalTrace> digital_;
+    /// Each digital trace with its initial value as recorded at construction.
+    std::vector<std::pair<DigitalTrace*, digital::Logic>> constructionInitial_;
     std::map<std::string, AnalogTrace> analog_;
 };
 

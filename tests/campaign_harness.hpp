@@ -1,22 +1,46 @@
 #pragma once
 // Shared campaign-test plumbing: whole-file capture, one campaign captured in
-// every output format, and the normalisers that remove the provenance bytes
-// the batch backend is allowed to add.
+// every output format, the normalisers that remove the provenance bytes the
+// batch backend is allowed to add, and a run()-counting testbench wrapper.
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 namespace gfi::test {
+
+/// A testbench of type @p Tb that counts its run() calls: how many
+/// simulations a campaign started, whether on a fresh or a restored
+/// testbench (the pattern of perfbench's Metered<Tb>).
+template <typename Tb>
+class Counted final : public Tb {
+public:
+    template <typename... Args>
+    explicit Counted(std::shared_ptr<std::atomic<int>> runs, Args&&... args)
+        : Tb(std::forward<Args>(args)...), runs_(std::move(runs))
+    {
+    }
+
+    void run() override
+    {
+        runs_->fetch_add(1, std::memory_order_relaxed);
+        Tb::run();
+    }
+
+private:
+    std::shared_ptr<std::atomic<int>> runs_;
+};
 
 /// The whole file as bytes ("" when it does not exist).
 inline std::string slurp(const std::string& path)

@@ -15,6 +15,13 @@
 // but the batch decision. A resumed cell journals the first half of the
 // fault list, then reruns the whole list on that journal.
 //
+// Every cell also counts what it simulated: each run() call of a Counted
+// testbench, which must equal the golden run plus every attempt of an
+// event-kernel verdict, and each factory build, which must stay within one
+// per worker plus the fresh-path attempts (exactly so at one worker) — the
+// digital designs re-run pooled testbenches. A fresh-bench oracle (factory,
+// arm, run, classify per fault, nothing pooled) pins the plain reference.
+//
 // Also here: journals written in one mode and resumed in another (the
 // runner's provenance rule), and the environment parsing of the options.
 
@@ -26,6 +33,7 @@
 #include "duts/chain_dut.hpp"
 #include "duts/cpu_system.hpp"
 #include "duts/digital_dut.hpp"
+#include "io/ingest.hpp"
 #include "pll/pll.hpp"
 
 #include <atomic>
@@ -40,17 +48,34 @@ namespace gfi::campaign {
 namespace {
 
 using test::CampaignOutput;
+using RunCounter = std::shared_ptr<std::atomic<int>>;
 
 /// One design of the matrix with its fault list and mode parameters.
 struct Design {
-    fault::TestbenchFactory factory;
+    /// A factory stamping out the design's testbenches as test::Counted,
+    /// counting their run() calls into the given counter.
+    std::function<fault::TestbenchFactory(RunCounter)> counted;
+    fault::TestbenchFactory factory; ///< counted() into a throwaway counter
     std::vector<fault::FaultSpec> faults;
     SimTime forkCadence = 0;
     RetryPolicy retry;
     bool expectCheckpoints = true; ///< fork mode captures golden checkpoints
     bool expectLanes = false;      ///< the batch reference word-simulates runs
     bool expectCollapse = false;   ///< the collapse reference expands runs
+    bool expectPooling = false;    ///< first attempts re-run pooled testbenches
 };
+
+/// Sets both factories of @p d to build test::Counted<Tb>(runs, args...).
+template <typename Tb, typename... Args>
+void setFactories(Design& d, Args... args)
+{
+    d.counted = [args...](RunCounter runs) -> fault::TestbenchFactory {
+        return [runs, args...]() -> std::unique_ptr<fault::Testbench> {
+            return std::make_unique<test::Counted<Tb>>(runs, args...);
+        };
+    };
+    d.factory = d.counted(std::make_shared<std::atomic<int>>(0));
+}
 
 // ---------------------------------------------------------------------------
 // Designs
@@ -61,7 +86,7 @@ struct Design {
 Design chainDesign()
 {
     Design d;
-    d.factory = [] { return std::make_unique<duts::ChainDutTestbench>(); };
+    setFactories<duts::ChainDutTestbench>(d);
     d.faults.emplace_back(fault::FaultSpec{});
     for (const std::string& sab : duts::ChainDutTestbench::chainSaboteurs()) {
         d.faults.emplace_back(fault::DigitalPulseFault{sab, kMicrosecond, 2 * kNanosecond});
@@ -88,6 +113,7 @@ Design chainDesign()
     d.forkCadence = 200 * kNanosecond;
     d.expectLanes = true;
     d.expectCollapse = true;
+    d.expectPooling = true;
     return d;
 }
 
@@ -100,7 +126,7 @@ Design chainDesign()
 Design digitalDesign()
 {
     Design d;
-    d.factory = [] { return std::make_unique<duts::DigitalDutTestbench>(); };
+    setFactories<duts::DigitalDutTestbench>(d);
     d.faults.emplace_back(fault::FaultSpec{});
     const duts::DigitalDutTestbench probe;
     const SimTime t = 2 * kMicrosecond + 7 * kNanosecond;
@@ -126,17 +152,25 @@ Design digitalDesign()
     d.forkCadence = 500 * kNanosecond;
     d.retry = RetryPolicy{.maxAttempts = 2};
     d.expectLanes = true;
+    d.expectPooling = true;
     return d;
 }
 
 /// CpuSystem overrides run() and registers components (TinyCpu, Ram)
 /// outside the word library: the whole design is batch-ineligible, so
 /// enabling the backend must be a silent no-op. Nothing collapses either.
+/// The hang fault comes early, so a pooled testbench re-runs after its
+/// no-halt detector tripped, and the supervisor-hook writes leave overlays
+/// the next run on that testbench must not inherit.
 Design cpuDesign()
 {
     Design d;
-    d.factory = [] { return std::make_unique<duts::CpuSystemTestbench>(); };
+    setFactories<duts::CpuSystemTestbench>(d);
     d.faults.emplace_back(fault::FaultSpec{});
+    // An odd stride multiplies the iteration count: the program hangs.
+    d.faults.emplace_back(fault::StateWriteFault{"sys/ram/w16", 17, kMicrosecond});
+    d.faults.emplace_back(fault::StateWriteFault{duts::kDetectedHook, 1, kMicrosecond});
+    d.faults.emplace_back(fault::BitFlipFault{duts::kMemImageHook, 5, kMicrosecond});
     const duts::CpuSystemTestbench probe;
     const auto names = probe.sim().digital().instrumentation().names();
     for (std::size_t i = 0; i < names.size() && i < 8; ++i) {
@@ -144,6 +178,7 @@ Design cpuDesign()
             fault::BitFlipFault{names[i], 0, 2 * kMicrosecond + static_cast<SimTime>(i) * 41});
     }
     d.forkCadence = 500 * kNanosecond;
+    d.expectPooling = true;
     return d;
 }
 
@@ -154,7 +189,7 @@ Design pllDesign()
     pll::PllConfig cfg;
     cfg.duration = 6 * kMicrosecond; // three reference cycles: loop activity, cheap runs
     Design d;
-    d.factory = [cfg] { return std::make_unique<pll::PllTestbench>(cfg); };
+    setFactories<pll::PllTestbench>(d, cfg);
     auto pulse = std::make_shared<fault::TrapezoidPulse>(2e-3, 300e-12, 300e-12, 1e-9);
     const pll::PllTestbench probe(cfg);
     const std::string reg = probe.sim().digital().instrumentation().names().front();
@@ -177,7 +212,7 @@ Design adcDesign()
     adc::SarConfig cfg;
     cfg.inputLevels = {1.7, 2.9}; // two conversions keep the run short
     Design d;
-    d.factory = [cfg] { return std::make_unique<adc::SarAdcTestbench>(cfg); };
+    setFactories<adc::SarAdcTestbench>(d, cfg);
     auto pulse = std::make_shared<fault::TrapezoidPulse>(5e-3, 500e-12, 500e-12, 1e-9);
     const adc::SarAdcTestbench probe(cfg);
     d.faults.emplace_back(fault::FaultSpec{});
@@ -192,6 +227,33 @@ Design adcDesign()
     return d;
 }
 
+/// The abnormal design's circuit: a current source into a resistor, beside
+/// a zero-delay oscillator that a parametric fault enables.
+void buildAbnormal(fault::Testbench& tb)
+{
+    auto& ana = tb.sim().analog();
+    auto& dig = tb.sim().digital();
+    const analog::NodeId n1 = ana.node("n1");
+    auto& src = ana.add<analog::CurrentSource>(ana, "src", n1, analog::kGround, 1e-3);
+    ana.add<analog::Resistor>(ana, "r1", n1, analog::kGround, 1e3);
+    tb.observeAnalog("n1");
+    tb.addParameter("src/amps", [&src](double f) { src.setLevel(1e-3 * f); });
+
+    auto& en = dig.logicSignal("osc/en", digital::Logic::Zero);
+    auto& loop = dig.logicSignal("osc/loop", digital::Logic::Zero);
+    dig.process(
+        "osc/proc",
+        [&en, &loop] {
+            if (en.value() == digital::Logic::One) {
+                loop.scheduleInertial(digital::logicNot(loop.value()), 0);
+            }
+        },
+        {&en, &loop});
+    tb.addParameter("osc/en", [&en](double) { en.forceValue(digital::Logic::One); });
+    dig.scheduler().setDeltaLimit(5'000);
+    tb.setDuration(100 * kNanosecond);
+}
+
 /// Abnormal outcomes and retries: a NaN source level diverges the solver
 /// (retried with a tightened step), an enabled zero-delay oscillator hits
 /// the delta limit (SimError). Every attempt runs on a fresh bench with
@@ -200,31 +262,14 @@ Design adcDesign()
 Design abnormalDesign()
 {
     Design d;
-    d.factory = [] {
-        auto tb = std::make_unique<fault::Testbench>();
-        auto& ana = tb->sim().analog();
-        auto& dig = tb->sim().digital();
-        const analog::NodeId n1 = ana.node("n1");
-        auto& src = ana.add<analog::CurrentSource>(ana, "src", n1, analog::kGround, 1e-3);
-        ana.add<analog::Resistor>(ana, "r1", n1, analog::kGround, 1e3);
-        tb->observeAnalog("n1");
-        tb->addParameter("src/amps", [&src](double f) { src.setLevel(1e-3 * f); });
-
-        auto& en = dig.logicSignal("osc/en", digital::Logic::Zero);
-        auto& loop = dig.logicSignal("osc/loop", digital::Logic::Zero);
-        dig.process(
-            "osc/proc",
-            [&en, &loop] {
-                if (en.value() == digital::Logic::One) {
-                    loop.scheduleInertial(digital::logicNot(loop.value()), 0);
-                }
-            },
-            {&en, &loop});
-        tb->addParameter("osc/en", [&en](double) { en.forceValue(digital::Logic::One); });
-        dig.scheduler().setDeltaLimit(5'000);
-        tb->setDuration(100 * kNanosecond);
-        return tb;
+    d.counted = [](RunCounter runs) -> fault::TestbenchFactory {
+        return [runs]() -> std::unique_ptr<fault::Testbench> {
+            auto tb = std::make_unique<test::Counted<fault::Testbench>>(runs);
+            buildAbnormal(*tb);
+            return tb;
+        };
     };
+    d.factory = d.counted(std::make_shared<std::atomic<int>>(0));
     d.faults = {
         fault::FaultSpec{},
         fault::ParametricFault{"src/amps", std::nan(""), 0},     // Diverged (retried)
@@ -234,6 +279,27 @@ Design abnormalDesign()
     d.forkCadence = 20 * kNanosecond;
     d.retry = RetryPolicy{.maxAttempts = 2, .stepTighten = 0.25};
     d.expectCheckpoints = false;
+    return d;
+}
+
+/// The checked-in ISCAS-85 c17, ingested: a stuck-at-0 and -1 on every net
+/// from t = 0 — armed before the kernel's startup pass, on a fresh build as
+/// on a pooled testbench restored from the pre-start checkpoint — and one
+/// mid-run SET pulse per net (batch fallbacks; forked in fork mode). Every
+/// c17 net fans out or is observed, so nothing collapses.
+Design netlistDesign()
+{
+    const io::IngestWorkload wl =
+        io::makeWorkload(io::parseNetlistFile(GFI_TESTCASES_DIR "/c17.bench"),
+                         io::IngestConfig{.patternCount = 16},
+                         io::FaultListOptions{.setPulses = true});
+    Design d;
+    setFactories<io::IngestTestbench>(d, wl.netlist, wl.patterns, wl.config);
+    d.faults.emplace_back(fault::FaultSpec{});
+    d.faults.insert(d.faults.end(), wl.faults.begin(), wl.faults.end());
+    d.forkCadence = 30 * kNanosecond;
+    d.expectLanes = true;
+    d.expectPooling = true;
     return d;
 }
 
@@ -290,10 +356,47 @@ std::string firstDiff(const std::string& got, const std::string& want)
 #define EXPECT_SAME_BYTES(got, want, what)                                                   \
     EXPECT_TRUE((got) == (want)) << (what) << " differs at " << firstDiff((got), (want))
 
+/// What a campaign should have simulated, from its report: the attempts of
+/// every event-kernel verdict (neither restored, expanded nor word-simulated)
+/// and the testbench builds they need.
+struct SimulatedWork {
+    int attempts = 0;      ///< kernel attempts, each one run() call
+    int freshPath = 0;     ///< attempts that build (and drop) their own testbench
+    int dropped = 0;       ///< pooled attempts that ended abnormally
+    int buildsSerial = 1;  ///< exact builds at one worker, the golden one included
+};
+
+SimulatedWork simulatedWork(const Design& d, const CampaignReport& report)
+{
+    SimulatedWork w;
+    bool warm = false; // one worker: is a pooled testbench idle?
+    for (const RunResult& r : report.runs) {
+        const RunDiagnostics& diag = r.diagnostics;
+        if (diag.fromJournal || !diag.collapsedFrom.empty() || diag.batchLane > 0) {
+            continue;
+        }
+        w.attempts += diag.attempts;
+        for (int a = 1; a <= diag.attempts; ++a) {
+            // Only the final attempt may be normal: the others were retried.
+            const bool abnormal = a < diag.attempts || isAbnormal(r.outcome);
+            if (!d.expectPooling || a > 1 ||
+                std::holds_alternative<fault::ParametricFault>(r.fault)) {
+                ++w.freshPath;
+                ++w.buildsSerial;
+                continue;
+            }
+            w.buildsSerial += warm ? 0 : 1;
+            warm = !abnormal;
+            w.dropped += abnormal ? 1 : 0;
+        }
+    }
+    return w;
+}
+
 /// Runs one cell. Besides the outputs it checks what only the cell's own
 /// run can show: the progress callback's order, restoration of exactly the
-/// resumed half, checkpoint capture, and that only the golden run and
-/// simulated attempts build testbenches.
+/// resumed half, checkpoint capture, that only the golden run and
+/// event-kernel attempts simulate, and how many testbenches they built.
 CampaignOutput runCell(const Design& d, const Cell& cell, const std::string& designName)
 {
     const std::string path =
@@ -318,9 +421,10 @@ CampaignOutput runCell(const Design& d, const Cell& cell, const std::string& des
     }
 
     auto builds = std::make_shared<std::atomic<int>>(0);
-    CampaignRunner runner([&d, builds] {
+    auto runs = std::make_shared<std::atomic<int>>(0);
+    CampaignRunner runner([factory = d.counted(runs), builds] {
         builds->fetch_add(1, std::memory_order_relaxed);
-        return d.factory();
+        return factory();
     });
     configure(runner);
     std::vector<std::size_t> order; // the runner serializes progress calls
@@ -333,20 +437,23 @@ CampaignOutput runCell(const Design& d, const Cell& cell, const std::string& des
     if (cell.fork && d.expectCheckpoints) {
         EXPECT_GT(runner.checkpointCount(), 0u) << "fork mode captured nothing";
     }
-    int simulatedAttempts = 0;
+    const SimulatedWork work = simulatedWork(d, report);
+    // A fork-mode golden advances its simulator without run().
+    EXPECT_EQ(runs->load(), (cell.fork ? 0 : 1) + work.attempts)
+        << "restored, expanded or word-simulated verdicts were re-simulated";
+    if (!cell.effectiveBatch()) { // word groups build their own benches
+        if (cell.workers == 1) {
+            EXPECT_EQ(builds->load(), work.buildsSerial);
+        }
+        EXPECT_LE(builds->load(),
+                  1 + static_cast<int>(cell.workers) + work.freshPath + work.dropped);
+    }
     for (std::size_t i = 0; i < report.runs.size(); ++i) {
         RunDiagnostics& diag = report.runs[i].diagnostics;
         EXPECT_EQ(diag.fromJournal, i < half) << "fault " << i;
-        if (!diag.fromJournal && diag.collapsedFrom.empty()) {
-            simulatedAttempts += diag.attempts;
-        }
         // Restored rows are flagged in JSON/CSV; the flag is checked above,
         // so resumed cells render like fresh ones.
         diag.fromJournal = false;
-    }
-    if (!cell.effectiveBatch()) { // word groups build their own benches
-        EXPECT_EQ(builds->load(), 1 + simulatedAttempts)
-            << "restored or expanded verdicts were re-simulated";
     }
     CampaignOutput out = test::capture(std::move(report), test::slurp(path), path);
     std::remove(path.c_str());
@@ -462,13 +569,44 @@ TEST_P(CampaignMatrix, EveryCellMatchesItsEffectiveModeReference)
     }
 }
 
+// The oracle: every fault on a freshly built testbench — factory, armFault,
+// run(), classify — with no pool, checkpoint, batch or containment in the
+// way. The plain reference (pooled testbenches on the digital designs) must
+// give the same verdicts and wave counts. A first attempt that throws must be
+// an abnormal verdict; the retry that follows it is the runner's business.
+TEST_P(CampaignMatrix, FreshBenchPerFaultMatchesThePlainReference)
+{
+    const Design d = GetParam().make();
+    const CampaignOutput plain = runCell(d, Cell{}, std::string(GetParam().name) + "_oracle");
+    CampaignRunner oracle(d.factory);
+    oracle.runGolden();
+    for (std::size_t i = 0; i < d.faults.size(); ++i) {
+        SCOPED_TRACE("fault " + std::to_string(i) + " " + fault::describe(d.faults[i]));
+        const RunResult& want = plain.report.runs[i];
+        const std::unique_ptr<fault::Testbench> tb = d.factory();
+        try {
+            fault::armFault(*tb, d.faults[i]);
+            tb->run();
+        } catch (const std::exception& e) {
+            EXPECT_TRUE(isAbnormal(want.outcome) || want.diagnostics.attempts > 1) << e.what();
+            continue;
+        }
+        const RunResult got = oracle.classify(*tb, d.faults[i]);
+        EXPECT_EQ(got.outcome, want.outcome);
+        EXPECT_EQ(got.erredSignals, want.erredSignals);
+        EXPECT_EQ(got.corruptedState, want.corruptedState);
+        EXPECT_EQ(tb->sim().digital().scheduler().deltaCycles(), want.diagnostics.digitalWaves);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Designs, CampaignMatrix,
                          ::testing::Values(DesignCase{"ChainDut", &chainDesign},
                                            DesignCase{"DigitalDut", &digitalDesign},
                                            DesignCase{"CpuSystem", &cpuDesign},
                                            DesignCase{"Pll", &pllDesign},
                                            DesignCase{"Adc", &adcDesign},
-                                           DesignCase{"Abnormal", &abnormalDesign}),
+                                           DesignCase{"Abnormal", &abnormalDesign},
+                                           DesignCase{"Netlist", &netlistDesign}),
                          [](const ::testing::TestParamInfo<DesignCase>& info) {
                              return std::string(info.param.name);
                          });

@@ -413,6 +413,10 @@ TEST(ObsCampaign, TelemetryOffIsByteIdentical)
     std::remove(obsPath.c_str());
 }
 
+// Counter totals and every run's own probe reading — counters and levels
+// (queue high-water, final queue depth) alike — are worker-width invariant,
+// although which runs restore a pooled testbench and which build a fresh one
+// depends on the width.
 TEST(ObsCampaign, CounterTotalsInvariantAcrossWorkerWidths)
 {
     clearTelemetryEnv();
@@ -420,12 +424,18 @@ TEST(ObsCampaign, CounterTotalsInvariantAcrossWorkerWidths)
     ASSERT_GE(faults.size(), 8u);
 
     std::map<std::string, std::uint64_t> baseline;
+    std::vector<obs::ProbeSnapshot> baselineProbes;
     for (const unsigned workers : {1u, 4u, 8u}) {
         obs::Telemetry telemetry;
         campaign::CampaignRunner runner(dutFactory());
         configureDutRunner(runner, workers);
         runner.setTelemetry(telemetry);
-        runner.run(faults);
+        const campaign::CampaignReport report = runner.run(faults);
+        std::vector<obs::ProbeSnapshot> probes;
+        for (const campaign::RunResult& r : report.runs) {
+            ASSERT_TRUE(r.diagnostics.probes.valid);
+            probes.push_back(r.diagnostics.probes);
+        }
 
         const auto counts = telemetry.metrics().counterValues();
         std::uint64_t runsTotal = 0;
@@ -440,10 +450,28 @@ TEST(ObsCampaign, CounterTotalsInvariantAcrossWorkerWidths)
 
         if (workers == 1u) {
             baseline = counts;
-        } else {
-            EXPECT_EQ(counts, baseline)
-                << "counter totals must not depend on worker width (" << workers
-                << " workers)";
+            baselineProbes = probes;
+            continue;
+        }
+        EXPECT_EQ(counts, baseline) << "counter totals must not depend on worker width ("
+                                    << workers << " workers)";
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+            const obs::ProbeSnapshot& got = probes[i];
+            const obs::ProbeSnapshot& want = baselineProbes[i];
+            SCOPED_TRACE("fault " + std::to_string(i) + " at " + std::to_string(workers) +
+                         " workers");
+            EXPECT_EQ(got.digitalEvents, want.digitalEvents);
+            EXPECT_EQ(got.deltaCycles, want.deltaCycles);
+            EXPECT_EQ(got.queueHighWater, want.queueHighWater);
+            EXPECT_EQ(got.pendingEvents, want.pendingEvents);
+            EXPECT_EQ(got.analogAcceptedSteps, want.analogAcceptedSteps);
+            EXPECT_EQ(got.analogRejectedSteps, want.analogRejectedSteps);
+            EXPECT_EQ(got.newtonIterations, want.newtonIterations);
+            EXPECT_EQ(got.companionRebuilds, want.companionRebuilds);
+            EXPECT_EQ(got.minAcceptedDt, want.minAcceptedDt);
+            EXPECT_EQ(got.lastAcceptedDt, want.lastAcceptedDt);
+            EXPECT_EQ(got.atodCrossings, want.atodCrossings);
+            EXPECT_EQ(got.dtoaEvents, want.dtoaEvents);
         }
     }
 }

@@ -17,6 +17,7 @@
 #include "core/journal.hpp"
 #include "digital/sequential.hpp"
 #include "duts/digital_dut.hpp"
+#include "io/ingest.hpp"
 #include "lint/lint.hpp"
 #include "pll/pll.hpp"
 #include "snapshot/serialize.hpp"
@@ -45,7 +46,10 @@ TEST(SnapshotSerialize, RoundTripsEveryPrimitive)
     w.boolean(true);
     w.boolean(false);
     w.str("pll/vctrl");
-    w.blob({1, 2, 3, 255});
+    const std::size_t mark = w.beginBlob();
+    w.u8(255);
+    w.u64(7);
+    w.endBlob(mark);
 
     snapshot::Reader r(w.bytes());
     EXPECT_EQ(r.u8(), 0xAB);
@@ -56,7 +60,11 @@ TEST(SnapshotSerialize, RoundTripsEveryPrimitive)
     EXPECT_TRUE(r.boolean());
     EXPECT_FALSE(r.boolean());
     EXPECT_EQ(r.str(), "pll/vctrl");
-    EXPECT_EQ(r.blob(), (std::vector<std::uint8_t>{1, 2, 3, 255}));
+    snapshot::Reader blob = r.blobReader();
+    EXPECT_EQ(blob.remaining(), 9u) << "the length prefix covers the payload exactly";
+    EXPECT_EQ(blob.u8(), 255);
+    EXPECT_EQ(blob.u64(), 7u);
+    EXPECT_TRUE(blob.atEnd());
     EXPECT_TRUE(r.atEnd());
 }
 
@@ -235,6 +243,103 @@ TEST(SnapshotRestore, AdcBitIdentical)
     expectCaptureRestoreBitIdentical(
         [cfg] { return std::make_unique<adc::SarAdcTestbench>(cfg); }, 9 * kMicrosecond,
         "adc");
+}
+
+/// A pre-start snapshot restored into a used simulator turns it back into a
+/// fresh build: with @p fault armed after the restore, the re-run must be
+/// bit-identical to a freshly built twin's — traces, wave count, dispatched
+/// events, queue levels, and the elaboration's own solver counters.
+void expectPreStartRestoreMatchesFresh(const fault::TestbenchFactory& factory,
+                                       const fault::FaultSpec& previous,
+                                       const fault::FaultSpec& fault, const char* tag)
+{
+    const auto fresh = factory();
+    fault::armFault(*fresh, fault);
+    const obs::ProbeSnapshot freshBase = fresh->sim().sampleProbes();
+    fresh->run();
+
+    const snapshot::Snapshot preStart = factory()->sim().capturePreStartSnapshot();
+    const auto used = factory();
+    fault::armFault(*used, previous);
+    used->run();
+    // Leave the used kernel deeper than any run gets: the restore discards
+    // the pending work and restarts the high-water mark.
+    for (int i = 0; i < 256; ++i) {
+        used->sim().digital().scheduler().scheduleAction(used->duration() + kNanosecond, [] {});
+    }
+    used->sim().restoreSnapshot(preStart);
+    used->recorder().reset();
+    EXPECT_FALSE(used->sim().elaborated()) << tag;
+    EXPECT_EQ(used->sim().now(), 0) << tag;
+    fault::armFault(*used, fault);
+    const obs::ProbeSnapshot usedBase = used->sim().sampleProbes();
+    used->run();
+
+    expectIdenticalRuns(*fresh, *used, tag);
+    const obs::ProbeSnapshot want = fresh->sim().sampleProbes().delta(freshBase);
+    const obs::ProbeSnapshot got = used->sim().sampleProbes().delta(usedBase);
+    EXPECT_EQ(got.digitalEvents, want.digitalEvents) << tag;
+    EXPECT_EQ(got.queueHighWater, want.queueHighWater) << tag;
+    EXPECT_EQ(got.pendingEvents, want.pendingEvents) << tag;
+    EXPECT_EQ(got.newtonIterations, want.newtonIterations) << tag;
+    EXPECT_EQ(used->sim().solver().stats().linearSolves,
+              fresh->sim().solver().stats().linearSolves)
+        << tag;
+}
+
+/// A follower whose input is forced while the testbench is built: the
+/// process is runnable before the kernel's startup pass, and runs again in
+/// the first wave after it.
+std::unique_ptr<fault::Testbench> wokenWhileBuilt()
+{
+    auto tb = std::make_unique<fault::Testbench>();
+    auto& dig = tb->sim().digital();
+    auto& in = dig.logicSignal("in", digital::Logic::Zero);
+    auto& out = dig.logicSignal("out", digital::Logic::Zero);
+    dig.process("follow", [&in, &out] { out.scheduleInertial(in.value(), kNanosecond); },
+                {&in});
+    in.forceValue(digital::Logic::One);
+    tb->observeDigital("out");
+    tb->setDuration(10 * kNanosecond);
+    return tb;
+}
+
+// A process woken while the testbench was built, a DigitalDut bit flip, and
+// stuck-ats armed at t = 0 on the ingested c17 — before the startup pass —
+// on top of a used simulator whose previous run had a different net stuck.
+TEST(SnapshotRestore, PreStartSnapshotTurnsAUsedSimulatorBackIntoAFreshOne)
+{
+    expectPreStartRestoreMatchesFresh(wokenWhileBuilt, fault::FaultSpec{}, fault::FaultSpec{},
+                                      "woken while built");
+
+    const SimTime t = 2 * kMicrosecond + 7 * kNanosecond;
+    const duts::DigitalDutTestbench probe;
+    const std::string reg = probe.sim().digital().instrumentation().names().front();
+    expectPreStartRestoreMatchesFresh(
+        [] { return std::make_unique<duts::DigitalDutTestbench>(); },
+        fault::StateWriteFault{reg, 0x2A, t}, fault::BitFlipFault{reg, 0, t + kNanosecond},
+        "digital");
+
+    const io::IngestWorkload wl =
+        io::makeWorkload(io::parseNetlistFile(GFI_TESTCASES_DIR "/c17.bench"));
+    const fault::TestbenchFactory c17 = wl.factory();
+    expectPreStartRestoreMatchesFresh(
+        c17, fault::StuckAtFault{io::netSaboteurName("N16"), digital::Logic::Zero, 0, 0},
+        fault::StuckAtFault{io::netSaboteurName("N10"), digital::Logic::One, 0, 0}, "c17");
+    expectPreStartRestoreMatchesFresh(c17, fault::FaultSpec{}, fault::FaultSpec{},
+                                      "c17 golden");
+}
+
+TEST(SnapshotRestore, PreStartCaptureNeedsANeverRunDigitalSimulator)
+{
+    duts::DigitalDutTestbench ran;
+    ran.run();
+    EXPECT_THROW((void)ran.sim().capturePreStartSnapshot(), std::logic_error);
+
+    pll::PllConfig cfg;
+    cfg.duration = 20 * kMicrosecond;
+    const pll::PllTestbench analog(cfg);
+    EXPECT_THROW((void)analog.sim().capturePreStartSnapshot(), std::logic_error);
 }
 
 TEST(SnapshotRestore, RestoreRejectsStructuralMismatch)
