@@ -2,7 +2,7 @@
 
 #include "batch/word_sim.hpp"
 #include "core/executor.hpp"
-#include "trace/compare.hpp"
+#include "trace/trace.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -107,59 +107,29 @@ bool goldenCrossCheck(const WordSim& sim, const WordModel& model, const BatchReq
     return true;
 }
 
-/// Classifies one faulty lane against the golden reference — a word-level
-/// mirror of CampaignRunner::classify() (digital and state comparisons; the
-/// analog loop is vacuous because eligible designs observe no analog nodes).
+/// Classifies one faulty lane with the campaign's verdict rule: the lane's
+/// traces and hook values are its Observation (eligible designs observe no
+/// analog nodes, and the golden cross-check has found every observed hook),
+/// and the resource fields are the word kernel's.
 campaign::RunResult classifyLane(const WordSim& sim, const WordModel& model,
                                  const BatchRequest& req, int lane,
                                  const fault::FaultSpec& fault)
 {
-    campaign::RunResult result;
-    result.fault = fault;
-
-    const SimTime tEnd = model.duration;
-    bool anyOutputError = false;
-    bool recoveredEverywhere = true;
-
     const std::vector<std::string>& observed = req.golden->observedDigital();
+    std::vector<trace::DigitalTrace> traces;
+    traces.reserve(observed.size());
+    campaign::Observation run;
+    run.duration = model.duration;
     for (std::size_t k = 0; k < observed.size(); ++k) {
-        const trace::DigitalTrace test =
-            laneTrace(sim, static_cast<int>(k), lane, observed[k]);
-        const auto diff =
-            trace::compareDigital(req.golden->recorder().digitalTrace(observed[k]), test,
-                                  tEnd, req.tolerance.digitalJitter);
-        if (!diff.identical()) {
-            anyOutputError = true;
-            result.erredSignals.push_back(observed[k]);
-            if (result.firstOutputError < 0 || diff.firstMismatch < result.firstOutputError) {
-                result.firstOutputError = diff.firstMismatch;
-            }
-            if (diff.lastMismatchEnd > result.lastOutputErrorEnd) {
-                result.lastOutputErrorEnd = diff.lastMismatchEnd;
-            }
-            result.totalOutputErrorTime += diff.totalMismatch;
-            recoveredEverywhere = recoveredEverywhere && diff.matchesAt(tEnd);
-        }
+        run.digital.push_back(
+            &traces.emplace_back(laneTrace(sim, static_cast<int>(k), lane, observed[k])));
     }
-
     for (const std::string& name : req.golden->observedState()) {
-        const auto hook = model.hooks.find(name);
-        const auto gold = req.goldenState->find(name);
-        if (hook != model.hooks.end() && gold != req.goldenState->end() &&
-            sim.hookValue(hook->second, lane) != gold->second) {
-            result.corruptedState.push_back(name);
-        }
+        run.state.push_back(sim.hookValue(model.hooks.at(name), lane));
     }
 
-    if (anyOutputError) {
-        result.outcome = recoveredEverywhere ? campaign::Outcome::TransientError
-                                             : campaign::Outcome::Failure;
-    } else if (!result.corruptedState.empty()) {
-        result.outcome = campaign::Outcome::Latent;
-    } else {
-        result.outcome = campaign::Outcome::Silent;
-    }
-
+    campaign::RunResult result = campaign::classifyObservation(
+        run, *req.golden, *req.goldenState, req.tolerance, fault);
     result.diagnostics.digitalWaves = sim.waveCount(lane);
     result.diagnostics.analogSteps = req.goldenAnalogSteps;
     result.diagnostics.batchLane = lane;

@@ -3,12 +3,13 @@
 //
 // runBatchedCampaign() takes the slice of a campaign's fault list that still
 // needs simulating, packs eligible faults into 64-lane word-simulation groups
-// (lane 0 golden, lanes 1..63 one fault each) and classifies every lane by
-// its divergence against the golden reference — producing RunResults that are
-// byte-identical to what the event-driven kernel would have produced for the
-// same faults. Ineligible faults (and whole designs the word compiler cannot
-// lift) are simply absent from the output map; the campaign runner simulates
-// those through the ordinary contained path.
+// (lane 0 golden, lanes 1..63 one fault each) and classifies every lane with
+// the campaign's verdict rule, campaign::classifyObservation() — the function
+// the event-driven kernel classifies through — so its RunResults are
+// byte-identical to what that kernel would have produced for the same faults.
+// Ineligible faults (and whole designs the word compiler cannot lift) are
+// simply absent from the output map; the campaign runner simulates those
+// through the ordinary contained path.
 //
 // Lane assignment is deliberately resume-invariant: a fault's lane depends
 // only on its position among the batch-eligible candidates of the fault list,
@@ -27,10 +28,14 @@
 
 namespace gfi::batch {
 
-/// What the campaign runner hands the batch backend.
+/// What the campaign runner hands the batch backend. golden, goldenState and
+/// tolerance are the verdict rule's reference (classifyObservation); the
+/// golden traces and state, with goldenWaves, also feed the lane-0
+/// cross-check.
 struct BatchRequest {
     const fault::TestbenchFactory* factory = nullptr; ///< fresh testbench per group
     const fault::Testbench* golden = nullptr;         ///< finished golden run
+    /// The golden run's end-of-run value of each observed state hook.
     const std::map<std::string, std::uint64_t>* goldenState = nullptr;
     std::uint64_t goldenWaves = 0;       ///< golden run's delta-cycle count
     std::uint64_t goldenAnalogSteps = 0; ///< golden run's analog step attempts

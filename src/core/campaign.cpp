@@ -33,16 +33,9 @@ constexpr const char* kGoldenCheckpoints = "golden";
 /// provenance in diagnostics.collapsedFrom.
 RunResult expandCollapsed(const RunResult& rep, const fault::FaultSpec& member)
 {
-    RunResult r;
+    RunResult r = rep;
     r.fault = member;
-    r.outcome = rep.outcome;
-    r.firstOutputError = rep.firstOutputError;
-    r.lastOutputErrorEnd = rep.lastOutputErrorEnd;
-    r.totalOutputErrorTime = rep.totalOutputErrorTime;
-    r.maxAnalogDeviation = rep.maxAnalogDeviation;
-    r.analogTimeOutsideTol = rep.analogTimeOutsideTol;
-    r.erredSignals = rep.erredSignals;
-    r.corruptedState = rep.corruptedState;
+    r.diagnostics = RunDiagnostics{};
     r.diagnostics.error = rep.diagnostics.error;
     r.diagnostics.collapsedFrom = fault::describe(rep.fault);
     return r;
@@ -385,22 +378,39 @@ lint::Report CampaignRunner::preflightReport(const std::vector<fault::FaultSpec>
 
 RunResult CampaignRunner::classify(fault::Testbench& tb, const fault::FaultSpec& fault) const
 {
+    Observation run;
+    run.duration = tb.duration();
+    for (const std::string& name : golden_->observedDigital()) {
+        run.digital.push_back(&tb.recorder().digitalTrace(name));
+    }
+    for (const std::string& name : golden_->observedAnalog()) {
+        run.analog.push_back(&tb.recorder().analogTrace(name));
+    }
+    for (const std::string& name : golden_->observedState()) {
+        run.state.push_back(tb.sim().digital().instrumentation().hook(name).get());
+    }
+    return classifyObservation(run, *golden_, goldenState_, options_.tolerance, fault);
+}
+
+RunResult classifyObservation(const Observation& run, const fault::Testbench& golden,
+                              const std::map<std::string, std::uint64_t>& goldenState,
+                              const Tolerance& tolerance, const fault::FaultSpec& fault)
+{
     RunResult result;
     result.fault = fault;
 
-    const SimTime tEnd = tb.duration();
+    const SimTime tEnd = run.duration;
     bool anyOutputError = false;
     bool recoveredEverywhere = true;
 
     // Digital outputs: exact comparison.
-    for (const std::string& name : tb.observedDigital()) {
-        const auto diff =
-            trace::compareDigital(golden_->recorder().digitalTrace(name),
-                                  tb.recorder().digitalTrace(name), tEnd,
-                                  options_.tolerance.digitalJitter);
+    const std::vector<std::string>& digital = golden.observedDigital();
+    for (std::size_t k = 0; k < digital.size(); ++k) {
+        const auto diff = trace::compareDigital(golden.recorder().digitalTrace(digital[k]),
+                                                *run.digital[k], tEnd, tolerance.digitalJitter);
         if (!diff.identical()) {
             anyOutputError = true;
-            result.erredSignals.push_back(name);
+            result.erredSignals.push_back(digital[k]);
             if (result.firstOutputError < 0 || diff.firstMismatch < result.firstOutputError) {
                 result.firstOutputError = diff.firstMismatch;
             }
@@ -413,15 +423,15 @@ RunResult CampaignRunner::classify(fault::Testbench& tb, const fault::FaultSpec&
     }
 
     // Analog outputs: tolerance-based comparison.
-    for (const std::string& name : tb.observedAnalog()) {
-        const auto diff =
-            trace::compareAnalog(golden_->recorder().analogTrace(name),
-                                 tb.recorder().analogTrace(name), options_.tolerance.analogAbs,
-                                 options_.tolerance.analogRel);
+    const std::vector<std::string>& analog = golden.observedAnalog();
+    for (std::size_t k = 0; k < analog.size(); ++k) {
+        const auto diff = trace::compareAnalog(golden.recorder().analogTrace(analog[k]),
+                                               *run.analog[k], tolerance.analogAbs,
+                                               tolerance.analogRel);
         result.maxAnalogDeviation = std::max(result.maxAnalogDeviation, diff.maxDeviation);
         if (!diff.withinTolerance()) {
             anyOutputError = true;
-            result.erredSignals.push_back(name);
+            result.erredSignals.push_back(analog[k]);
             result.analogTimeOutsideTol += diff.timeOutsideTol;
             recoveredEverywhere = recoveredEverywhere && diff.withinTolAtEnd;
             const SimTime first = fromSeconds(diff.firstExceed);
@@ -432,11 +442,11 @@ RunResult CampaignRunner::classify(fault::Testbench& tb, const fault::FaultSpec&
     }
 
     // Final-state comparison (latent faults).
-    for (const std::string& name : tb.observedState()) {
-        const std::uint64_t now = tb.sim().digital().instrumentation().hook(name).get();
-        const auto it = goldenState_.find(name);
-        if (it != goldenState_.end() && it->second != now) {
-            result.corruptedState.push_back(name);
+    const std::vector<std::string>& state = golden.observedState();
+    for (std::size_t k = 0; k < state.size(); ++k) {
+        const auto it = goldenState.find(state[k]);
+        if (it != goldenState.end() && it->second != run.state[k]) {
+            result.corruptedState.push_back(state[k]);
         }
     }
 

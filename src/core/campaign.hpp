@@ -136,6 +136,32 @@ struct RunResult {
     RunDiagnostics diagnostics;
 };
 
+/// One finished run as the verdict rule reads it. The lists are parallel to
+/// the golden testbench's observedDigital(), observedAnalog() and
+/// observedState(): the run's trace of each observed signal and node, and
+/// the final value of each observed state hook.
+struct Observation {
+    SimTime duration = 0; ///< end of the observation window
+    std::vector<const trace::DigitalTrace*> digital;
+    std::vector<const trace::AnalogTrace*> analog;
+    std::vector<std::uint64_t> state;
+};
+
+/// The verdict rule, the paper's "results analysis -> classification" step,
+/// shared by the event kernel (CampaignRunner::classify) and the batch
+/// backend's lanes. Each observed signal is compared with the golden run's
+/// by compareDigital under the jitter window, each node by compareAnalog
+/// under the abs/rel tolerance, and each state hook with its value in
+/// @p goldenState (the golden run's end-of-run values by hook name). An
+/// output error still present at the end is a Failure, one that recovered a
+/// TransientError; clean outputs with corrupted state are Latent, and
+/// everything else is Silent.
+[[nodiscard]] RunResult classifyObservation(const Observation& run,
+                                            const fault::Testbench& golden,
+                                            const std::map<std::string, std::uint64_t>& goldenState,
+                                            const Tolerance& tolerance,
+                                            const fault::FaultSpec& fault);
+
 /// Retry policy for abnormal runs (transient solver failures mostly).
 struct RetryPolicy {
     int maxAttempts = 1;        ///< total attempts per fault (1 = no retry)
@@ -410,8 +436,11 @@ public:
         progressCadence_ = cadenceSeconds;
     }
 
-    /// Re-classifies a finished faulty testbench against the golden traces
-    /// (used by tolerance-sweep ablations without re-simulating).
+    /// Re-classifies a finished faulty testbench (built by this runner's
+    /// factory) against the golden run: reads the testbench's traces and
+    /// state hooks into an Observation and applies classifyObservation()
+    /// with this runner's tolerance. Used by the event kernel and by
+    /// tolerance-sweep ablations without re-simulating. Requires runGolden().
     [[nodiscard]] RunResult classify(fault::Testbench& tb, const fault::FaultSpec& fault) const;
 
 private:

@@ -1,11 +1,10 @@
 #include "core/report.hpp"
 
+#include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
-#include <cstdio>
-#include <stdexcept>
 
 namespace gfi::campaign {
 
@@ -125,13 +124,7 @@ std::string reportToJson(const CampaignReport& report)
 
 void writeReportJson(const CampaignReport& report, const std::string& path)
 {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        throw std::runtime_error("writeReportJson: cannot open " + path);
-    }
-    const std::string json = reportToJson(report);
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    util::writeFileOrThrow(path, reportToJson(report), "writeReportJson");
 }
 
 } // namespace gfi::campaign

@@ -1,9 +1,9 @@
 #include "obs/flight_recorder.hpp"
 
+#include "util/file.hpp"
 #include "util/units.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 
@@ -170,23 +170,6 @@ std::string FlightRecorder::chromeTraceJson() const
     return out;
 }
 
-namespace {
-
-void writeFileOrThrow(const std::string& path, const std::string& body)
-{
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        throw std::runtime_error("FlightRecorder: cannot open " + path);
-    }
-    const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    std::fclose(f);
-    if (!ok) {
-        throw std::runtime_error("FlightRecorder: write failed on " + path);
-    }
-}
-
-} // namespace
-
 void FlightRecorder::writeArtifacts(const std::string& stem) const
 {
     const std::filesystem::path parent = std::filesystem::path(stem).parent_path();
@@ -198,8 +181,8 @@ void FlightRecorder::writeArtifacts(const std::string& stem) const
                                      ": " + ec.message());
         }
     }
-    writeFileOrThrow(stem + ".jsonl", jsonl());
-    writeFileOrThrow(stem + ".trace.json", chromeTraceJson());
+    util::writeFileOrThrow(stem + ".jsonl", jsonl(), "FlightRecorder");
+    util::writeFileOrThrow(stem + ".trace.json", chromeTraceJson(), "FlightRecorder");
 }
 
 } // namespace gfi::obs

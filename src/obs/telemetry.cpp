@@ -1,8 +1,8 @@
 #include "obs/telemetry.hpp"
 
-#include <cstdio>
+#include "util/file.hpp"
+
 #include <cstdlib>
-#include <stdexcept>
 
 namespace gfi::obs {
 
@@ -27,19 +27,6 @@ std::unique_ptr<Telemetry> Telemetry::fromEnv()
 
 namespace {
 
-void writeWhole(const std::string& path, const std::string& body, const char* what)
-{
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        throw std::runtime_error(std::string(what) + ": cannot open " + path);
-    }
-    const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    std::fclose(f);
-    if (!ok) {
-        throw std::runtime_error(std::string(what) + ": write failed on " + path);
-    }
-}
-
 bool endsWith(const std::string& s, const std::string& suffix)
 {
     return s.size() >= suffix.size() &&
@@ -54,10 +41,10 @@ void Telemetry::flush() const
         trace_->writeFile(tracePath_);
     }
     if (!metricsPath_.empty()) {
-        writeWhole(metricsPath_,
-                   endsWith(metricsPath_, ".json") ? metrics_.json()
-                                                   : metrics_.prometheusText(),
-                   "Telemetry");
+        util::writeFileOrThrow(metricsPath_,
+                               endsWith(metricsPath_, ".json") ? metrics_.json()
+                                                               : metrics_.prometheusText(),
+                               "Telemetry");
     }
 }
 

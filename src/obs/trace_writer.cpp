@@ -1,11 +1,10 @@
 #include "obs/trace_writer.hpp"
 
+#include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/units.hpp"
 
 #include <atomic>
-#include <cstdio>
-#include <stdexcept>
 
 namespace gfi::obs {
 
@@ -96,16 +95,7 @@ std::string TraceWriter::json() const
 
 void TraceWriter::writeFile(const std::string& path) const
 {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        throw std::runtime_error("TraceWriter: cannot open " + path);
-    }
-    const std::string body = json();
-    const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    std::fclose(f);
-    if (!ok) {
-        throw std::runtime_error("TraceWriter: write failed on " + path);
-    }
+    util::writeFileOrThrow(path, json(), "TraceWriter");
 }
 
 } // namespace gfi::obs

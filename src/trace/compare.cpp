@@ -72,71 +72,59 @@ DigitalDiff compareDigital(const DigitalTrace& golden, const DigitalTrace& test,
     return diff;
 }
 
+namespace {
+
+/// AnalogTrace::valueAt(t) for a sample list whose first sample at or after
+/// @p t is s[i] (the merge cursor's position), without the binary search.
+double valueAtCursor(const std::vector<std::pair<double, double>>& s, std::size_t i, double t)
+{
+    if (s.empty()) {
+        return 0.0;
+    }
+    if (t <= s.front().first) {
+        return s.front().second;
+    }
+    if (t >= s.back().first) {
+        return s.back().second;
+    }
+    const auto& [t1, v1] = s[i];
+    const auto& [t0, v0] = s[i - 1];
+    if (t1 <= t0) {
+        return v1;
+    }
+    return v0 + (v1 - v0) * (t - t0) / (t1 - t0);
+}
+
+} // namespace
+
 AnalogDiff compareAnalog(const AnalogTrace& golden, const AnalogTrace& test, double absTol,
                          double relTol)
 {
-    // Sample lists are recorded in ascending time order, so the merged
-    // timeline comes from a linear merge; a full sort over millions of
-    // analog samples would dominate the whole classification.
-    std::vector<double> ga;
-    std::vector<double> ta;
-    ga.reserve(golden.samples.size());
-    ta.reserve(test.samples.size());
-    for (const auto& [t, v] : golden.samples) {
-        ga.push_back(t);
-    }
-    for (const auto& [t, v] : test.samples) {
-        ta.push_back(t);
-    }
-    std::vector<double> times(ga.size() + ta.size());
-    if (std::is_sorted(ga.begin(), ga.end()) && std::is_sorted(ta.begin(), ta.end())) {
-        std::merge(ga.begin(), ga.end(), ta.begin(), ta.end(), times.begin());
-    } else {
-        times.clear();
-        times.insert(times.end(), ga.begin(), ga.end());
-        times.insert(times.end(), ta.begin(), ta.end());
-        std::sort(times.begin(), times.end());
-    }
-    times.erase(std::unique(times.begin(), times.end()), times.end());
-
-    // Monotone interpolation cursor per trace (ascending queries walk each
-    // sample list once; identical to AnalogTrace::valueAt's interpolation).
-    struct Cursor {
-        const std::vector<std::pair<double, double>>& s;
-        std::size_t i = 1; ///< candidate upper interval bound
-
-        double at(double t)
-        {
-            if (s.empty()) {
-                return 0.0;
-            }
-            if (t <= s.front().first) {
-                return s.front().second;
-            }
-            if (t >= s.back().first) {
-                return s.back().second;
-            }
-            while (i < s.size() && s[i].first < t) {
-                ++i;
-            }
-            const auto& [t1, v1] = s[i];
-            const auto& [t0, v0] = s[i - 1];
-            if (t1 <= t0) {
-                return v1;
-            }
-            return v0 + (v1 - v0) * (t - t0) / (t1 - t0);
-        }
-    };
-    Cursor goldenCur{golden.samples};
-    Cursor testCur{test.samples};
+    // Walk the union of both sample timelines, each point once, in
+    // ascending order. Both lists are recorded in time order, so this is a
+    // linear two-cursor merge: at each point the cursors sit on the first
+    // sample at or after it, then skip every sample at it.
+    const auto& gs = golden.samples;
+    const auto& ts = test.samples;
+    std::size_t gi = 0;
+    std::size_t ti = 0;
 
     AnalogDiff diff;
     bool outside = false;
     double outsideStart = 0.0;
-    for (double t : times) {
-        const double g = goldenCur.at(t);
-        const double v = testCur.at(t);
-        const double dev = std::fabs(v - g);
+    double t = 0.0;
+    while (gi < gs.size() || ti < ts.size()) {
+        t = ti == ts.size() || (gi < gs.size() && gs[gi].first <= ts[ti].first)
+                ? gs[gi].first
+                : ts[ti].first;
+        const double g = valueAtCursor(gs, gi, t);
+        const double dev = std::fabs(valueAtCursor(ts, ti, t) - g);
+        while (gi < gs.size() && gs[gi].first == t) {
+            ++gi;
+        }
+        while (ti < ts.size() && ts[ti].first == t) {
+            ++ti;
+        }
         if (dev > diff.maxDeviation) {
             diff.maxDeviation = dev;
             diff.tMaxDeviation = t;
@@ -156,8 +144,8 @@ AnalogDiff compareAnalog(const AnalogTrace& golden, const AnalogTrace& test, dou
             diff.timeOutsideTol += t - outsideStart;
         }
     }
-    if (outside && !times.empty()) {
-        diff.timeOutsideTol += times.back() - outsideStart;
+    if (outside) {
+        diff.timeOutsideTol += t - outsideStart;
         diff.withinTolAtEnd = false;
     }
     return diff;

@@ -47,8 +47,11 @@ struct AnalogDiff {
     [[nodiscard]] bool withinTolerance() const noexcept { return firstExceed < 0.0; }
 };
 
-/// Compares two analog traces on the union of their sample points.
-/// A point deviates when |test - golden| > absTol + relTol * |golden|.
+/// Compares two analog traces on the union of their sample points, each
+/// trace interpolated as AnalogTrace::valueAt does. Sample times must be
+/// non-decreasing, as recorded: the Recorder appends at accepted solver steps
+/// and preloadPrefix copies a golden prefix. A point deviates when
+/// |test - golden| > absTol + relTol * |golden|.
 [[nodiscard]] AnalogDiff compareAnalog(const AnalogTrace& golden, const AnalogTrace& test,
                                        double absTol, double relTol = 0.0);
 

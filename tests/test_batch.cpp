@@ -159,12 +159,18 @@ TEST(BatchFuzz, RandomNetlistsMatchEventDriven)
                 randomTime()});
         }
         ASSERT_GE(faults.size(), 4u) << "seed " << seed;
+        // Both kernels filter mismatch windows through the same jitter rule.
+        static constexpr SimTime kJitters[] = {0, 2 * kNanosecond, 20 * kNanosecond};
+        const SimTime jitter = kJitters[rng.below(3)];
 
-        const auto backend = [](bool batch) {
-            return [batch](CampaignRunner& r) {
+        const auto backend = [jitter](bool batch) {
+            return [batch, jitter](CampaignRunner& r) {
                 r.setWorkers(1);
                 r.setBatchBackend(batch);
                 r.setFaultCollapsing(false);
+                Tolerance tolerance = r.tolerance();
+                tolerance.digitalJitter = jitter;
+                r.setTolerance(tolerance);
             };
         };
         const std::string tag = "batch_fuzz" + std::to_string(seed);

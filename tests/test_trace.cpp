@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 namespace gfi::trace {
@@ -240,6 +241,118 @@ TEST(CompareAnalogTest, RelativeTolerance)
     f.samples = {{0.0, 10.5}, {1.0, 10.5}};
     EXPECT_TRUE(compareAnalog(g, f, 0.0, 0.10).withinTolerance());  // 5 % < 10 %
     EXPECT_FALSE(compareAnalog(g, f, 0.0, 0.01).withinTolerance()); // 5 % > 1 %
+}
+
+/// Sort-based reference for compareAnalog: the union of both sample
+/// timelines, sorted and deduplicated, each point evaluated with valueAt.
+/// Deviation, exceed and outside-tolerance bookkeeping follow the documented
+/// contract.
+AnalogDiff referenceCompareAnalog(const AnalogTrace& golden, const AnalogTrace& test,
+                                  double absTol, double relTol)
+{
+    std::vector<double> times;
+    for (const auto& [t, v] : golden.samples) {
+        times.push_back(t);
+    }
+    for (const auto& [t, v] : test.samples) {
+        times.push_back(t);
+    }
+    std::sort(times.begin(), times.end());
+    times.erase(std::unique(times.begin(), times.end()), times.end());
+    AnalogDiff diff;
+    bool outside = false;
+    double outsideStart = 0.0;
+    for (const double t : times) {
+        const double g = golden.valueAt(t);
+        const double dev = std::fabs(test.valueAt(t) - g);
+        if (dev > diff.maxDeviation) {
+            diff.maxDeviation = dev;
+            diff.tMaxDeviation = t;
+        }
+        if (dev > absTol + relTol * std::fabs(g)) {
+            if (diff.firstExceed < 0.0) {
+                diff.firstExceed = t;
+            }
+            diff.lastExceed = t;
+            if (!outside) {
+                outside = true;
+                outsideStart = t;
+            }
+        } else if (outside) {
+            outside = false;
+            diff.timeOutsideTol += t - outsideStart;
+        }
+    }
+    if (outside) {
+        diff.timeOutsideTol += times.back() - outsideStart;
+        diff.withinTolAtEnd = false;
+    }
+    return diff;
+}
+
+/// A time-ordered random analog trace on a coarse grid (so timestamps
+/// collide within and across traces). Values sit on a few levels around 1 V,
+/// some of them anywhere in [-2, 2) V, so deviations land on both sides of
+/// the tolerances drawn below.
+AnalogTrace randomAnalogTrace(Rng& rng)
+{
+    AnalogTrace t;
+    t.name = "a";
+    const std::uint64_t count = rng.below(4) == 0 ? 0 : rng.below(40);
+    double now = static_cast<double>(rng.below(3)) * 1e-9;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        now += static_cast<double>(rng.below(3)) * 1e-9; // 0 = same timestamp
+        const double v = rng.below(4) == 0 ? rng.uniform(-2.0, 2.0)
+                                           : 1.0 + 1e-3 * static_cast<double>(rng.below(5));
+        t.samples.emplace_back(now, v);
+    }
+    return t;
+}
+
+TEST(CompareAnalogTest, CursorMergeMatchesSortReference)
+{
+    Rng rng(20261018);
+    for (int round = 0; round < 4000; ++round) {
+        AnalogTrace golden = randomAnalogTrace(rng);
+        AnalogTrace test;
+        switch (rng.below(4)) {
+        case 0: // identical
+            test = golden;
+            break;
+        case 1: // same timeline, some values moved
+            test = golden;
+            for (auto& [t, v] : test.samples) {
+                if (rng.below(3) == 0) {
+                    v += 1e-3 * static_cast<double>(rng.below(5)) - 2e-3;
+                }
+            }
+            break;
+        case 2: // a strict prefix of golden, in either role
+            test = golden;
+            test.samples.resize(rng.below(test.samples.size() + 1));
+            if (rng.below(2) == 0) {
+                std::swap(golden, test);
+            }
+            break;
+        default: // independent
+            test = randomAnalogTrace(rng);
+            break;
+        }
+        // Abs-only, rel-only, or both.
+        static constexpr double kTols[] = {0.0, 1e-3, 2.5e-3};
+        const std::uint64_t mode = rng.below(3);
+        const double absTol = mode == 1 ? 0.0 : kTols[rng.below(3)];
+        const double relTol = mode == 0 ? 0.0 : kTols[rng.below(3)];
+        const AnalogDiff got = compareAnalog(golden, test, absTol, relTol);
+        const AnalogDiff want = referenceCompareAnalog(golden, test, absTol, relTol);
+        SCOPED_TRACE("round " + std::to_string(round));
+        EXPECT_EQ(got.maxDeviation, want.maxDeviation);
+        EXPECT_EQ(got.tMaxDeviation, want.tMaxDeviation);
+        EXPECT_EQ(got.firstExceed, want.firstExceed);
+        EXPECT_EQ(got.lastExceed, want.lastExceed);
+        EXPECT_EQ(got.timeOutsideTol, want.timeOutsideTol);
+        EXPECT_EQ(got.withinTolAtEnd, want.withinTolAtEnd);
+    }
 }
 
 TEST(MetricsTest, ExtractPeriods)

@@ -1,11 +1,17 @@
-// Unit tests for utilities: deterministic RNG, SI formatting, tables, time.
+// Unit tests for utilities: deterministic RNG, SI formatting, tables, time,
+// checked whole-file writes.
 
+#include "core/report.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/time.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <stdexcept>
 
 namespace gfi {
 namespace {
@@ -150,6 +156,41 @@ TEST(Csv, QuotesSpecialCharacters)
     ASSERT_NE(std::fgets(buf, sizeof buf, f), nullptr);
     std::fclose(f);
     EXPECT_STREQ(buf, "plain,\"with,comma\",\"with\"\"quote\"\n");
+}
+
+// /dev/full accepts fopen and a small buffered fwrite; the failure shows when
+// fclose flushes. Every whole-file writer must report it instead of leaving
+// a truncated file behind a zero exit status.
+constexpr const char* kFullDisk = "/dev/full";
+
+TEST(CheckedWrite, ReportJsonThrowsOnFullDisk)
+{
+    if (!std::filesystem::exists(kFullDisk)) {
+        GTEST_SKIP() << kFullDisk << " is absent";
+    }
+    EXPECT_THROW(campaign::writeReportJson(campaign::CampaignReport{}, kFullDisk),
+                 std::runtime_error);
+}
+
+TEST(CheckedWrite, TraceWriterThrowsOnFullDisk)
+{
+    if (!std::filesystem::exists(kFullDisk)) {
+        GTEST_SKIP() << kFullDisk << " is absent";
+    }
+    obs::TraceWriter trace;
+    trace.instantEvent("mark", "test", "{}");
+    EXPECT_THROW(trace.writeFile(kFullDisk), std::runtime_error);
+}
+
+TEST(CheckedWrite, TelemetryMetricsThrowOnFullDisk)
+{
+    if (!std::filesystem::exists(kFullDisk)) {
+        GTEST_SKIP() << kFullDisk << " is absent";
+    }
+    obs::Telemetry telemetry;
+    telemetry.metrics().counter("gfi_test_total", "A counter to dump").inc();
+    telemetry.setMetricsPath(kFullDisk);
+    EXPECT_THROW(telemetry.flush(), std::runtime_error);
 }
 
 } // namespace
