@@ -33,7 +33,8 @@ std::string kernelWorkFields(const std::string& prefix, double wallSeconds,
            "_accepted_steps_per_us\": " + perUs(st.acceptedSteps) + ", \"" + prefix +
            "_rejected_steps_per_us\": " + perUs(st.rejectedSteps) + ", \"" + prefix +
            "_linear_solves_per_us\": " + perUs(st.linearSolves) + ", \"" + prefix +
-           "_crossings_per_us\": " + perUs(st.crossingsLocated);
+           "_crossings_per_us\": " + perUs(st.crossingsLocated) + ", \"" + prefix +
+           "_crossing_fallbacks\": " + std::to_string(st.crossingFallbacks);
 }
 
 } // namespace

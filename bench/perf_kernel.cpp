@@ -97,7 +97,7 @@ BENCHMARK(BM_AnalogRcLadder)->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMillise
 
 void BM_CrossingDetection(benchmark::State& state)
 {
-    // Cost of locating sine-threshold crossings by bisection.
+    // Cost of locating sine-threshold crossings (the 1 fs bisection bracket).
     for (auto _ : state) {
         state.PauseTiming();
         analog::AnalogSystem sys;

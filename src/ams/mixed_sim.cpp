@@ -224,6 +224,7 @@ obs::ProbeSnapshot MixedSimulator::sampleProbes() const
         p.analogRejectedSteps = s.rejectedSteps;
         p.newtonIterations = s.newtonIterations;
         p.companionRebuilds = s.companionRebuilds;
+        p.crossingFallbacks = s.crossingFallbacks;
         p.minAcceptedDt = s.minAcceptedDt;
         p.lastAcceptedDt = s.lastAcceptedDt;
     }

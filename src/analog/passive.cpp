@@ -46,6 +46,15 @@ void Capacitor::stamp(Stamper& s, const Solution& x, double, double dt, bool dcM
         v0_ = x.voltage(a_) - x.voltage(b_); // cold start without a DC pass
         primed_ = true;
     }
+    companion(dt);
+    s.conductance(a_, b_, geq_);
+    // The constant part irhs_ is a current leaving node a.
+    s.currentInto(a_, -irhs_);
+    s.currentInto(b_, irhs_);
+}
+
+void Capacitor::companion(double dt)
+{
     if (hasHistory_) {
         // Trapezoidal companion: i1 = (2C/dt)(v1 - v0) - i0.
         geq_ = 2.0 * farads_ / dt;
@@ -55,14 +64,13 @@ void Capacitor::stamp(Stamper& s, const Solution& x, double, double dt, bool dcM
         geq_ = farads_ / dt;
         irhs_ = -geq_ * v0_;
     }
-    s.conductance(a_, b_, geq_);
-    // The constant part irhs_ is a current leaving node a.
-    s.currentInto(a_, -irhs_);
-    s.currentInto(b_, irhs_);
 }
 
-void Capacitor::acceptStep(const Solution& x, double, double)
+void Capacitor::acceptStep(const Solution& x, double, double dt)
 {
+    // The last stamp may belong to a trial step (a crossing search stamps
+    // shorter steps than the one it accepts): rebuild the accepted one's.
+    companion(dt);
     const double v1 = x.voltage(a_) - x.voltage(b_);
     i0_ = geq_ * v1 + irhs_;
     v0_ = v1;
@@ -88,6 +96,15 @@ void Inductor::stamp(Stamper& s, const Solution&, double, double dt, bool dcMode
         s.conductance(a_, b_, 1e9);
         return;
     }
+    companion(dt);
+    s.conductance(a_, b_, geq_);
+    // irhs_ is a constant current flowing a -> b.
+    s.currentInto(a_, -irhs_);
+    s.currentInto(b_, irhs_);
+}
+
+void Inductor::companion(double dt)
+{
     if (hasHistory_) {
         // Trapezoidal companion: i1 = i0 + dt/(2L) * (v0 + v1).
         geq_ = dt / (2.0 * henries_);
@@ -97,14 +114,11 @@ void Inductor::stamp(Stamper& s, const Solution&, double, double dt, bool dcMode
         geq_ = dt / henries_;
         irhs_ = i0_;
     }
-    s.conductance(a_, b_, geq_);
-    // irhs_ is a constant current flowing a -> b.
-    s.currentInto(a_, -irhs_);
-    s.currentInto(b_, irhs_);
 }
 
-void Inductor::acceptStep(const Solution& x, double, double)
+void Inductor::acceptStep(const Solution& x, double, double dt)
 {
+    companion(dt); // the accepted step's companion, as for Capacitor
     const double v1 = x.voltage(a_) - x.voltage(b_);
     i0_ = geq_ * v1 + irhs_;
     v0_ = v1;

@@ -71,13 +71,16 @@ public:
     }
 
 private:
+    /// Sets geq_ and irhs_ for a step of @p dt from the step-start history.
+    void companion(double dt);
+
     NodeId a_;
     NodeId b_;
     double farads_;
     double v0_ = 0.0;   // voltage across at start of step
     double i0_ = 0.0;   // current through at start of step
-    double geq_ = 0.0;  // companion conductance used in the last stamp
-    double irhs_ = 0.0; // companion source used in the last stamp
+    double geq_ = 0.0;  // companion conductance of the last stamped or accepted step
+    double irhs_ = 0.0; // companion source of the last stamped or accepted step
     bool hasHistory_ = false;
     bool primed_ = false; // v0_ initialized from the DC solution
 };
@@ -123,6 +126,9 @@ public:
     }
 
 private:
+    /// Sets geq_ and irhs_ for a step of @p dt from the step-start history.
+    void companion(double dt);
+
     NodeId a_;
     NodeId b_;
     double henries_;

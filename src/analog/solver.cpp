@@ -1,5 +1,6 @@
 #include "analog/solver.hpp"
 
+#include "analog/crossing.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/errors.hpp"
 
@@ -356,38 +357,62 @@ double TransientSolver::advanceTo(double tStop)
         {
             const Solution before(sys_->state(), sys_->nodeCount());
             Solution after(xCand, sys_->nodeCount());
-            bool anyCrossed = false;
+            // Of the monitors that crossed, track the one whose chord puts
+            // its crossing earliest; g is its distance past the threshold,
+            // oriented to cross from below.
+            const CrossingMonitor* track = nullptr;
+            double sign = 1.0;
+            double g0 = 0.0;
+            double g1 = 0.0;
+            double firstRoot = 0.0; // as a fraction of dt
             for (const auto& mon : monitors_) {
-                anyCrossed = anyCrossed ||
-                             mon->crossed(before.voltage(mon->node()), after.voltage(mon->node()));
-            }
-            if (anyCrossed && dt > options_.crossingTol) {
-                // Bisect on "earliest crossing inside [0, mid]" by re-solving
-                // the step from the committed state with shrinking dt.
-                double lo = 0.0;
-                double hi = dt;
-                xHi_ = xCand;
-                const Solution solMid(xMid_, sys_->nodeCount());
-                while (hi - lo > options_.crossingTol) {
-                    const double mid = 0.5 * (lo + hi);
-                    if (!trySolveStep(mid, xMid_, false)) {
-                        break; // give up refining; use hi
-                    }
-                    bool crossedByMid = false;
-                    for (const auto& mon : monitors_) {
-                        crossedByMid =
-                            crossedByMid || mon->crossed(before.voltage(mon->node()),
-                                                         solMid.voltage(mon->node()));
-                    }
-                    if (crossedByMid) {
-                        hi = mid;
-                        xHi_.swap(xMid_);
-                    } else {
-                        lo = mid;
-                    }
+                const double v0 = before.voltage(mon->node());
+                const double v1 = after.voltage(mon->node());
+                if (!mon->crossed(v0, v1)) {
+                    continue;
                 }
-                dt = hi;
-                xCand.swap(xHi_);
+                const double s = v0 < mon->threshold() ? 1.0 : -1.0;
+                const double d0 = s * (v0 - mon->threshold());
+                const double d1 = s * (v1 - mon->threshold());
+                const double root = d0 / (d0 - d1);
+                if (track == nullptr || root < firstRoot) {
+                    track = mon.get();
+                    sign = s;
+                    g0 = d0;
+                    g1 = d1;
+                    firstRoot = root;
+                }
+            }
+            if (track != nullptr && dt > options_.crossingTol) {
+                // Each probe re-solves the step from the committed state;
+                // a crossed probe's state moves to xHi_, so xHi_ always holds
+                // the most recent crossed probe (locateCrossing's cut state).
+                const Solution solMid(xMid_, sys_->nodeCount());
+                auto probe = [&](double t) {
+                    CrossingProbe p;
+                    p.ok = trySolveStep(t, xMid_, false);
+                    if (!p.ok) {
+                        return p;
+                    }
+                    for (const auto& mon : monitors_) {
+                        p.crossed = p.crossed || mon->crossed(before.voltage(mon->node()),
+                                                              solMid.voltage(mon->node()));
+                    }
+                    p.g = sign * (solMid.voltage(track->node()) - track->threshold());
+                    if (p.crossed) {
+                        xHi_.swap(xMid_);
+                    }
+                    return p;
+                };
+                const CrossingBracket bracket =
+                    locateCrossing(dt, g0, g1, options_.crossingTol, probe);
+                if (bracket.fellBack) {
+                    ++stats_.crossingFallbacks;
+                }
+                if (bracket.hi < dt) {
+                    xCand.swap(xHi_);
+                }
+                dt = bracket.hi;
                 ++stats_.crossingsLocated;
 
                 // Determine which monitors fire at this cut.

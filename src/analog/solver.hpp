@@ -14,12 +14,15 @@
 // bounds and dtMax. The integrated set is structural: built per solver from
 // its own system at construction, never snapshotted.
 // Monitors: after each candidate step, node voltages are checked against
-// registered thresholds; on a crossing the step is bisected (by re-solving
-// from the step start with shrinking dt, which is exact, not interpolated)
-// until the crossing time is located within options.crossingTol, then the
-// step is cut there and the monitor callback fires. This gives the digitizer
-// edge times femtosecond-level accuracy, which bounds the accuracy of every
-// clock-period measurement in the PLL experiments.
+// registered thresholds; on a crossing the step is cut at the end of the
+// bracket that bisecting it to options.crossingTol reaches (every trial
+// re-solves from the step start with a shorter dt, which is exact, not
+// interpolated), then the monitor callback fires. locateCrossing
+// (analog/crossing.hpp) predicts that bracket from an Illinois estimate and
+// solves only its ends, falling back to the bisection when the prediction
+// does not verify. This gives the digitizer edge times femtosecond-level
+// accuracy, which bounds the accuracy of every clock-period measurement in
+// the PLL experiments.
 
 #include "analog/linear.hpp"
 #include "analog/system.hpp"
@@ -107,6 +110,7 @@ struct SolverStats {
 
     // Kernel probes.
     std::uint64_t companionRebuilds = 0; ///< discontinuity restarts
+    std::uint64_t crossingFallbacks = 0; ///< crossings located by the bisection fallback
     double minAcceptedDt = 0.0;          ///< smallest accepted step (s); 0 = none yet
     double lastAcceptedDt = 0.0;         ///< most recent accepted step (s)
 };

@@ -671,6 +671,9 @@ void CampaignRunner::recordRunMetrics(const RunResult& r)
     m.counter("gfi_analog_companion_rebuilds_total",
               "Companion-model restarts after discontinuities")
         .inc(p.companionRebuilds);
+    m.counter("gfi_analog_crossing_fallbacks_total",
+              "Threshold crossings located by the bisection fallback")
+        .inc(p.crossingFallbacks);
     m.gauge("gfi_analog_min_step_seconds", "Smallest accepted analog step of any run")
         .foldMinNonzero(p.minAcceptedDt);
     m.counter("gfi_bridge_atod_crossings_total", "Analog->digital threshold crossings")

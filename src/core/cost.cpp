@@ -151,6 +151,7 @@ void CostReport::writeCsv(const std::string& path) const
     for (const auto& [key, bucket] : byOutcome) {
         writeRow("outcome", key, bucket);
     }
+    csv.close();
 }
 
 } // namespace gfi::campaign

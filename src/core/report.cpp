@@ -54,6 +54,7 @@ void writeReportCsv(const CampaignReport& report, const std::string& path,
         }
         csv.writeRow(row);
     }
+    csv.close();
 }
 
 std::string reportToJson(const CampaignReport& report)

@@ -67,6 +67,7 @@ OutcomeRates outcomeRates(const CampaignReport& report, double z)
     int latent = 0;
     int transient = 0;
     int failure = 0;
+    int abnormal = 0;
     for (const RunResult& r : report.runs) {
         switch (r.outcome) {
         case Outcome::Silent:
@@ -81,6 +82,11 @@ OutcomeRates outcomeRates(const CampaignReport& report, double z)
         case Outcome::Failure:
             ++failure;
             break;
+        case Outcome::SimError:
+        case Outcome::Timeout:
+        case Outcome::Diverged:
+            ++abnormal;
+            break;
         }
     }
     OutcomeRates rates;
@@ -88,6 +94,7 @@ OutcomeRates outcomeRates(const CampaignReport& report, double z)
     rates.latent = wilsonInterval(latent, n, z);
     rates.transient = wilsonInterval(transient, n, z);
     rates.failure = wilsonInterval(failure, n, z);
+    rates.abnormal = wilsonInterval(abnormal, n, z);
     rates.effective = wilsonInterval(n - silent, n, z);
     return rates;
 }
@@ -106,6 +113,7 @@ std::string ratesTable(const OutcomeRates& rates)
     row("latent", rates.latent);
     row("transient", rates.transient);
     row("failure", rates.failure);
+    row("abnormal", rates.abnormal);
     t.addSeparator();
     row("any effect", rates.effective);
     return t.str();

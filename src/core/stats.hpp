@@ -60,8 +60,9 @@ struct OutcomeRates {
     Proportion latent;
     Proportion transient;
     Proportion failure;
+    Proportion abnormal; ///< SimError, Timeout and Diverged runs
 
-    /// Any-observable-effect rate (non-silent).
+    /// Any-observable-effect rate (non-silent, abnormal runs included).
     Proportion effective;
 };
 

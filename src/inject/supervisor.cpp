@@ -342,7 +342,7 @@ InjectionSupervisor::exhaustiveFaults(TargetClass cls,
 
 SupervisorReport InjectionSupervisor::run(const std::vector<fault::FaultSpec>& faults)
 {
-    goldenHaltTime(); // validates the golden program before any injection
+    (void)goldenHaltTime(); // validates the golden program before any injection
     obs::Telemetry* const tel = runner_.telemetry();
     SupervisorReport report;
     report.campaign =

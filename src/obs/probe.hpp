@@ -34,6 +34,7 @@ struct ProbeSnapshot {
     std::uint64_t analogRejectedSteps = 0;
     std::uint64_t newtonIterations = 0;
     std::uint64_t companionRebuilds = 0; ///< discontinuity restarts
+    std::uint64_t crossingFallbacks = 0; ///< crossings the locator bisected (not journaled)
     double minAcceptedDt = 0.0;          ///< smallest accepted step (s); 0 = none
     double lastAcceptedDt = 0.0;         ///< most recent accepted step (s)
 
@@ -53,6 +54,7 @@ struct ProbeSnapshot {
         d.analogRejectedSteps = sub(analogRejectedSteps, baseline.analogRejectedSteps);
         d.newtonIterations = sub(newtonIterations, baseline.newtonIterations);
         d.companionRebuilds = sub(companionRebuilds, baseline.companionRebuilds);
+        d.crossingFallbacks = sub(crossingFallbacks, baseline.crossingFallbacks);
         d.atodCrossings = sub(atodCrossings, baseline.atodCrossings);
         d.dtoaEvents = sub(dtoaEvents, baseline.dtoaEvents);
         return d;

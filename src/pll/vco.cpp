@@ -47,7 +47,7 @@ void BehavioralVco::acceptStep(const analog::Solution& x, double, double dt)
 double BehavioralVco::maxStep(double) const
 {
     // Resolve each output cycle with >= 24 points (edge timing itself comes
-    // from exact bisection, not from the step size).
+    // from the crossing locator, not from the step size).
     return 1.0 / (frequency(vctrl0_) * 24.0);
 }
 

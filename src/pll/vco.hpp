@@ -7,7 +7,7 @@
 // is sampled at the start of each solver step (explicit coupling), which is
 // exact to first order because the loop-filter dynamics are orders of
 // magnitude slower than the solver step; it also makes the in-step output a
-// pure sinusoid of time, so crossing bisection converges to the exact edge.
+// pure sinusoid of time, so the crossing locator converges to the exact edge.
 
 #include "analog/system.hpp"
 

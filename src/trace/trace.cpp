@@ -1,5 +1,7 @@
 #include "trace/trace.hpp"
 
+#include "util/file.hpp"
+
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
@@ -183,15 +185,12 @@ const AnalogTrace& Recorder::analogTrace(const std::string& name) const
 
 void writeAnalogCsv(const std::string& path, const std::vector<const AnalogTrace*>& traces)
 {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        throw std::runtime_error("writeAnalogCsv: cannot open " + path);
-    }
-    std::fputs("time_s", f);
+    std::string out = "time_s";
     for (const AnalogTrace* tr : traces) {
-        std::fprintf(f, ",%s", tr->name.c_str());
+        out += ',';
+        out += tr->name;
     }
-    std::fputc('\n', f);
+    out += '\n';
 
     // Union of all sample times.
     std::vector<double> times;
@@ -203,36 +202,35 @@ void writeAnalogCsv(const std::string& path, const std::vector<const AnalogTrace
     std::sort(times.begin(), times.end());
     times.erase(std::unique(times.begin(), times.end()), times.end());
 
+    char buf[64];
     for (double t : times) {
-        std::fprintf(f, "%.12g", t);
+        std::snprintf(buf, sizeof buf, "%.12g", t);
+        out += buf;
         for (const AnalogTrace* tr : traces) {
-            std::fprintf(f, ",%.9g", tr->valueAt(t));
+            std::snprintf(buf, sizeof buf, ",%.9g", tr->valueAt(t));
+            out += buf;
         }
-        std::fputc('\n', f);
+        out += '\n';
     }
-    std::fclose(f);
+    util::writeFileOrThrow(path, out, "writeAnalogCsv");
 }
 
 void writeVcd(const std::string& path, const std::vector<const DigitalTrace*>& digitalTraces,
               const std::vector<const AnalogTrace*>& analogTraces)
 {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        throw std::runtime_error("writeVcd: cannot open " + path);
-    }
-    std::fputs("$timescale 1fs $end\n$scope module gfi $end\n", f);
+    std::string out = "$timescale 1fs $end\n$scope module gfi $end\n";
     char id = '!';
     std::vector<char> digIds;
     for (const DigitalTrace* tr : digitalTraces) {
-        std::fprintf(f, "$var wire 1 %c %s $end\n", id, tr->name.c_str());
+        out += std::string("$var wire 1 ") + id + ' ' + tr->name + " $end\n";
         digIds.push_back(id++);
     }
     std::vector<char> anaIds;
     for (const AnalogTrace* tr : analogTraces) {
-        std::fprintf(f, "$var real 64 %c %s $end\n", id, tr->name.c_str());
+        out += std::string("$var real 64 ") + id + ' ' + tr->name + " $end\n";
         anaIds.push_back(id++);
     }
-    std::fputs("$upscope $end\n$enddefinitions $end\n", f);
+    out += "$upscope $end\n$enddefinitions $end\n";
 
     // Merge all change times.
     struct Change {
@@ -278,12 +276,13 @@ void writeVcd(const std::string& path, const std::vector<const DigitalTrace*>& d
     SimTime last = -1;
     for (const Change& ch : changes) {
         if (ch.t != last) {
-            std::fprintf(f, "#%lld\n", static_cast<long long>(ch.t));
+            out += '#' + std::to_string(static_cast<long long>(ch.t)) + '\n';
             last = ch.t;
         }
-        std::fprintf(f, "%s\n", ch.text.c_str());
+        out += ch.text;
+        out += '\n';
     }
-    std::fclose(f);
+    util::writeFileOrThrow(path, out, "writeVcd");
 }
 
 } // namespace gfi::trace

@@ -74,7 +74,7 @@ void TextTable::print() const
 }
 
 CsvWriter::CsvWriter(const std::string& path)
-    : file_(std::fopen(path.c_str(), "w"))
+    : file_(std::fopen(path.c_str(), "w")), path_(path)
 {
     if (file_ == nullptr) {
         throw std::runtime_error("CsvWriter: cannot open " + path);
@@ -105,12 +105,24 @@ void CsvWriter::writeRow(const std::vector<std::string>& cells)
             quoted += '"';
             cell = std::move(quoted);
         }
-        std::fputs(cell.c_str(), f);
+        failed_ = failed_ || std::fputs(cell.c_str(), f) == EOF;
         if (i + 1 < cells.size()) {
-            std::fputc(',', f);
+            failed_ = failed_ || std::fputc(',', f) == EOF;
         }
     }
-    std::fputc('\n', f);
+    failed_ = failed_ || std::fputc('\n', f) == EOF;
+}
+
+void CsvWriter::close()
+{
+    auto* f = static_cast<std::FILE*>(file_);
+    if (f == nullptr) {
+        return; // already closed
+    }
+    file_ = nullptr;
+    if (std::fclose(f) != 0 || failed_) {
+        throw std::runtime_error("CsvWriter: write failed on " + path_);
+    }
 }
 
 } // namespace gfi

@@ -40,16 +40,25 @@ class CsvWriter {
 public:
     /// Opens @p path for writing; throws std::runtime_error on failure.
     explicit CsvWriter(const std::string& path);
+
+    /// Closes the file if close() did not, without reporting errors.
     ~CsvWriter();
 
     CsvWriter(const CsvWriter&) = delete;
     CsvWriter& operator=(const CsvWriter&) = delete;
 
-    /// Writes one CSV row.
+    /// Writes one CSV row (not after close()).
     void writeRow(const std::vector<std::string>& cells);
+
+    /// Closes the file; throws std::runtime_error "CsvWriter: write failed
+    /// on <path>" if any write or the closing flush failed (a full disk
+    /// often shows only at the flush).
+    void close();
 
 private:
     void* file_;
+    std::string path_;
+    bool failed_ = false;
 };
 
 } // namespace gfi

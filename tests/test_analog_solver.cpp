@@ -4,6 +4,7 @@
 // only (SolverLte.*).
 
 #include "analog/controlled.hpp"
+#include "analog/linear.hpp"
 #include "analog/passive.hpp"
 #include "analog/solver.hpp"
 #include "analog/sources.hpp"
@@ -501,6 +502,56 @@ TEST(SolverLte, SnapshotRoundTripBitIdentical)
     EXPECT_EQ(b.stats().rejectedSteps, a.stats().rejectedSteps);
     EXPECT_EQ(b.stats().linearSolves, a.stats().linearSolves);
     EXPECT_EQ(captureAll(b, twin.sys), captureAll(a, donor.sys));
+}
+
+TEST(Companion, AcceptUsesAcceptedDt)
+{
+    // A crossing search stamps trial steps around the one it accepts. The
+    // accepted history must not depend on which stamp came last: stamping
+    // dt2 then a trial dt1 (the search's order) or dt1 then dt2, then
+    // accepting dt2, captures the same bytes as stamping dt2 alone.
+    constexpr double kDt1 = 0.3e-9;
+    constexpr double kDt2 = 1.1e-9;
+    auto run = [](bool inductor, bool withHistory, const std::vector<double>& stamps) {
+        AnalogSystem sys;
+        const NodeId a = sys.node("a");
+        AnalogComponent& comp =
+            inductor ? static_cast<AnalogComponent&>(
+                           sys.add<Inductor>(sys, "L", a, kGround, 2e-6))
+                     : static_cast<AnalogComponent&>(
+                           sys.add<Capacitor>(sys, "C", a, kGround, 3e-12));
+        DenseMatrix A;
+        A.resize(sys.unknownCount());
+        std::vector<double> rhs(static_cast<std::size_t>(sys.unknownCount()), 0.0);
+        std::vector<double> x(rhs.size(), 0.25);
+        const Solution sol(x, sys.nodeCount());
+        Stamper s(A, rhs, sys.nodeCount());
+        comp.stamp(s, sol, 0.0, 0.0, /*dcMode=*/true);
+        double t = 0.0;
+        if (withHistory) {
+            comp.stamp(s, sol, t + kDt2, kDt2, false);
+            x[0] = 0.5;
+            t += kDt2;
+            comp.acceptStep(sol, t, kDt2);
+        }
+        for (const double dt : stamps) {
+            comp.stamp(s, sol, t + dt, dt, false);
+        }
+        x[0] = 0.75;
+        comp.acceptStep(sol, t + kDt2, kDt2);
+        snapshot::Writer w;
+        comp.captureState(w);
+        return w.take();
+    };
+    for (const bool inductor : {false, true}) {
+        for (const bool withHistory : {false, true}) {
+            SCOPED_TRACE(std::string(inductor ? "L" : "C") +
+                         (withHistory ? ", with history" : ", first step"));
+            const auto alone = run(inductor, withHistory, {kDt2});
+            EXPECT_EQ(run(inductor, withHistory, {kDt2, kDt1}), alone);
+            EXPECT_EQ(run(inductor, withHistory, {kDt1, kDt2}), alone);
+        }
+    }
 }
 
 } // namespace

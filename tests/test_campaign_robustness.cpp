@@ -265,10 +265,13 @@ TEST(CampaignRobustness, JournalResumeSkipsCompletedFaults)
         return std::make_unique<duts::DigitalDutTestbench>();
     });
     first.setJournalPath(path);
+    first.setWorkers(1); // pooled testbenches: builds count workers, not faults
     const CampaignReport partial =
         first.run({faults.begin(), faults.begin() + 2});
     ASSERT_EQ(partial.runs.size(), 2u);
-    EXPECT_EQ(builds1->load(), 3); // golden + 2 faults
+    EXPECT_EQ(builds1->load(), 2); // golden + the one worker's testbench
+    EXPECT_FALSE(partial.runs[0].diagnostics.fromJournal);
+    EXPECT_FALSE(partial.runs[1].diagnostics.fromJournal);
 
     // Phase 2: fresh runner, same journal, full fault list: only the third
     // fault may simulate (plus the golden reference).

@@ -197,5 +197,23 @@ TEST(Stats, OutcomeRatesOverReport)
     EXPECT_NE(table.find("95 % interval"), std::string::npos);
 }
 
+TEST(Stats, OutcomeRatesCountAbnormalRuns)
+{
+    // Aborted, timed-out and diverged runs get their own row, so the outcome
+    // rows sum to the run count.
+    CampaignReport report;
+    for (const Outcome o : kAllOutcomes) {
+        RunResult r;
+        r.outcome = o;
+        report.runs.push_back(r);
+    }
+    const auto rates = outcomeRates(report);
+    EXPECT_EQ(rates.abnormal.successes, 3);
+    EXPECT_EQ(rates.silent.successes + rates.latent.successes + rates.transient.successes +
+                  rates.failure.successes + rates.abnormal.successes,
+              static_cast<int>(report.runs.size()));
+    EXPECT_NE(ratesTable(rates).find("| abnormal"), std::string::npos);
+}
+
 } // namespace
 } // namespace gfi::campaign

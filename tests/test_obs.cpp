@@ -582,6 +582,7 @@ TEST(ObsJournal, ProbesRoundTrip)
     r.diagnostics.probes.analogRejectedSteps = 11;
     r.diagnostics.probes.newtonIterations = 2345;
     r.diagnostics.probes.companionRebuilds = 3;
+    r.diagnostics.probes.crossingFallbacks = 4; // telemetry only: not journaled
     r.diagnostics.probes.minAcceptedDt = 1.25e-12;
     r.diagnostics.probes.lastAcceptedDt = 5e-10;
     r.diagnostics.probes.atodCrossings = 17;
@@ -610,6 +611,8 @@ TEST(ObsJournal, ProbesRoundTrip)
     EXPECT_EQ(p.analogRejectedSteps, 11u);
     EXPECT_EQ(p.newtonIterations, 2345u);
     EXPECT_EQ(p.companionRebuilds, 3u);
+    EXPECT_EQ(p.crossingFallbacks, 0u);
+    EXPECT_EQ(line.find("fallback"), std::string::npos);
     EXPECT_NEAR(p.minAcceptedDt, 1.25e-12, 1e-18);
     EXPECT_NEAR(p.lastAcceptedDt, 5e-10, 1e-16);
     EXPECT_EQ(p.atodCrossings, 17u);

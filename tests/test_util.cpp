@@ -4,6 +4,7 @@
 #include "core/report.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/time.hpp"
+#include "trace/trace.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -191,6 +192,38 @@ TEST(CheckedWrite, TelemetryMetricsThrowOnFullDisk)
     telemetry.metrics().counter("gfi_test_total", "A counter to dump").inc();
     telemetry.setMetricsPath(kFullDisk);
     EXPECT_THROW(telemetry.flush(), std::runtime_error);
+}
+
+TEST(CheckedWrite, CsvWriterThrowsOnFullDisk)
+{
+    if (!std::filesystem::exists(kFullDisk)) {
+        GTEST_SKIP() << kFullDisk << " is absent";
+    }
+    CsvWriter csv(kFullDisk);
+    csv.writeRow({"a", "b"});
+    EXPECT_THROW(csv.close(), std::runtime_error);
+}
+
+TEST(CheckedWrite, AnalogCsvThrowsOnFullDisk)
+{
+    if (!std::filesystem::exists(kFullDisk)) {
+        GTEST_SKIP() << kFullDisk << " is absent";
+    }
+    trace::AnalogTrace a;
+    a.name = "v";
+    a.samples = {{0.0, 1.0}, {1e-6, 2.0}};
+    EXPECT_THROW(trace::writeAnalogCsv(kFullDisk, {&a}), std::runtime_error);
+}
+
+TEST(CheckedWrite, VcdThrowsOnFullDisk)
+{
+    if (!std::filesystem::exists(kFullDisk)) {
+        GTEST_SKIP() << kFullDisk << " is absent";
+    }
+    trace::DigitalTrace d;
+    d.name = "sig";
+    d.events = {{10, digital::Logic::One}};
+    EXPECT_THROW(trace::writeVcd(kFullDisk, {&d}, {}), std::runtime_error);
 }
 
 } // namespace
