@@ -81,23 +81,19 @@ void WordSim::scheduleInertial(int sigIdx, std::uint64_t value, std::uint64_t la
     const std::uint64_t id = nextTxnId_++;
     s.pending.push_back(Txn{id, value, lanes});
     Entry e;
-    e.time = now_ + delay;
-    e.seq = seq_++;
     e.signal = sigIdx;
     e.txnId = id;
     e.occ = lanes;
-    queue_.push(std::move(e));
+    queue_.push(now_ + delay, std::move(e));
 }
 
 void WordSim::scheduleAction(SimTime t, std::uint64_t occ,
                              std::function<void(std::uint64_t)> fn)
 {
     Entry e;
-    e.time = std::max(t, now_);
-    e.seq = seq_++;
     e.fn = std::move(fn);
     e.occ = occ;
-    queue_.push(std::move(e));
+    queue_.push(std::max(t, now_), std::move(e));
 }
 
 void WordSim::applyTxn(int sigIdx, std::uint64_t id)
@@ -163,33 +159,26 @@ void WordSim::runWave()
     }
     changedSignals_.clear();
 
-    // Dispatch: pop everything due now, in (time, seq) order.
-    static thread_local std::vector<std::pair<int, std::uint64_t>> txns;
-    static thread_local std::vector<std::pair<std::function<void(std::uint64_t)>,
-                                              std::uint64_t>> actions;
-    txns.clear();
-    actions.clear();
+    // Dispatch: take everything due now, in (time, seq) order.
+    queue_.popDue(now_, due_);
     std::uint64_t occupied = 0;
-    while (!queue_.empty() && queue_.top().time <= now_) {
-        Entry e = queue_.top();
-        queue_.pop();
+    for (const Entry& e : due_) {
         occupied |= e.occ;
-        if (e.signal >= 0) {
-            txns.emplace_back(e.signal, e.txnId);
-        } else {
-            actions.emplace_back(std::move(e.fn), e.occ);
-        }
     }
     for (std::uint64_t w = occupied; w != 0; w &= w - 1) {
         ++waveCount_[static_cast<std::size_t>(__builtin_ctzll(w))];
     }
 
     // Phase 1: transactions. Phase 2: actions. Phase 3: woken processes.
-    for (const auto& [sigIdx, id] : txns) {
-        applyTxn(sigIdx, id);
+    for (const Entry& e : due_) {
+        if (e.signal >= 0) {
+            applyTxn(e.signal, e.txnId);
+        }
     }
-    for (auto& [fn, occ] : actions) {
-        fn(occ);
+    for (Entry& e : due_) {
+        if (e.signal < 0) {
+            e.fn(e.occ);
+        }
     }
     static thread_local std::vector<int> toRun;
     toRun.clear();
@@ -837,7 +826,7 @@ bool WordSim::run()
 
     // Counted waves at time zero (the scalar kernel's runDeltasNow()).
     std::uint64_t wavesHere = 0;
-    while (!runnable_.empty() || (!queue_.empty() && queue_.top().time <= now_)) {
+    while (!runnable_.empty() || (!queue_.empty() && queue_.nextTime() <= now_)) {
         if (++wavesHere > kWaveLimit) {
             failed_ = true;
             return false;
@@ -846,10 +835,10 @@ bool WordSim::run()
     }
     flushTimePoint(now_);
 
-    while (!queue_.empty() && queue_.top().time <= model_.duration) {
-        now_ = queue_.top().time;
+    while (!queue_.empty() && queue_.nextTime() <= model_.duration) {
+        now_ = queue_.nextTime();
         wavesHere = 0;
-        while (!runnable_.empty() || (!queue_.empty() && queue_.top().time <= now_)) {
+        while (!runnable_.empty() || (!queue_.empty() && queue_.nextTime() <= now_)) {
             if (++wavesHere > kWaveLimit) {
                 failed_ = true;
                 return false;

@@ -19,11 +19,11 @@
 // per-lane wave counters equal to the scalar kernel's deltaCycles().
 
 #include "batch/word_model.hpp"
+#include "digital/time_buckets.hpp"
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <queue>
 
 namespace gfi::batch {
 
@@ -93,19 +93,13 @@ private:
         int obs = -1; ///< observed slot, -1 when unobserved
     };
 
+    /// One queued entry, filed in the bucket of its due time; buckets keep
+    /// push order, which is the scalar kernel's (time, seq) order.
     struct Entry {
-        SimTime time;
-        std::uint64_t seq;
         int signal = -1;                       ///< >= 0: transaction entry
         std::uint64_t txnId = 0;
         std::function<void(std::uint64_t)> fn; ///< action entry when signal < 0
         std::uint64_t occ = 0;                 ///< lanes this entry exists in
-    };
-    struct EntryLater {
-        bool operator()(const Entry& a, const Entry& b) const
-        {
-            return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-        }
     };
 
     // --- scheduling primitives (scalar-kernel replicas) ---------------------
@@ -157,13 +151,13 @@ private:
 
     const WordModel& model_;
     std::vector<SigState> sig_;
-    std::priority_queue<Entry, std::vector<Entry>, EntryLater> queue_;
+    digital::TimeBuckets<Entry> queue_;
+    std::vector<Entry> due_; ///< the entries of the wave being dispatched
     std::vector<int> runnable_;       ///< processes woken this wave, wake order
     std::vector<char> queued_;        ///< per process: already in runnable_
     std::vector<int> changedSignals_; ///< signals with waveChange != 0
     std::vector<int> tpSignals_;      ///< observed signals with tpChange != 0
     SimTime now_ = 0;
-    std::uint64_t seq_ = 0;
     std::uint64_t nextTxnId_ = 1;
     std::array<std::uint64_t, 64> waveCount_{};
     std::vector<std::vector<TracePoint>> trace_;

@@ -6,9 +6,9 @@
 
 namespace gfi::digital {
 
-void Scheduler::push(const Entry& e)
+void Scheduler::push(SimTime t, const Entry& e)
 {
-    queue_.push(e);
+    queue_.push(t, e);
     if (queue_.size() > queueHighWater_) {
         queueHighWater_ = queue_.size();
     }
@@ -19,7 +19,7 @@ void Scheduler::scheduleTransaction(SimTime t, SignalBase& sig, std::uint64_t tx
     if (t < now_) {
         t = now_; // defensive: never schedule in the past
     }
-    push(Entry{t, seq_++, &sig, txnId});
+    push(t, Entry{seq_++, &sig, txnId});
 }
 
 void Scheduler::scheduleAction(SimTime t, std::function<void()> action)
@@ -36,7 +36,7 @@ void Scheduler::scheduleAction(SimTime t, std::function<void()> action)
         freeActionSlots_.pop_back();
         actions_[slot] = std::move(action);
     }
-    push(Entry{t, seq_++, nullptr, slot});
+    push(t, Entry{seq_++, nullptr, slot});
 }
 
 void Scheduler::registerProcess(Process* p)
@@ -56,7 +56,7 @@ void Scheduler::wake(Process* p)
 
 SimTime Scheduler::nextEventTime() const noexcept
 {
-    return queue_.empty() ? kTimeMax : queue_.top().time;
+    return queue_.nextTime();
 }
 
 void Scheduler::start()
@@ -94,22 +94,20 @@ void Scheduler::runWave()
     // woken processes. The wave id advances only after the processes ran, so
     // events stamped in phases 1-2 are visible to them. An action's closure
     // leaves its slot before any action runs, so actions may schedule more.
-    dueTransactions_.clear();
     dueActions_.clear();
     toRun_.clear();
-    while (!queue_.empty() && queue_.top().time <= now_) {
-        const Entry e = queue_.top();
-        queue_.pop();
-        if (e.signal != nullptr) {
-            dueTransactions_.push_back(e);
-        } else {
+    queue_.popDue(now_, due_);
+    for (const Entry& e : due_) {
+        if (e.signal == nullptr) {
             dueActions_.push_back(std::move(actions_[e.payload]));
             freeActionSlots_.push_back(e.payload);
         }
     }
-    dispatched_ += dueTransactions_.size() + dueActions_.size();
-    for (const Entry& e : dueTransactions_) {
-        e.signal->applyTxn(e.payload);
+    dispatched_ += due_.size();
+    for (const Entry& e : due_) {
+        if (e.signal != nullptr) {
+            e.signal->applyTxn(e.payload);
+        }
     }
     for (auto& fn : dueActions_) {
         fn();
@@ -137,8 +135,8 @@ void Scheduler::runUntil(SimTime tEnd)
     // Values forced from outside the kernel (testbenches, bridges) may have
     // woken processes without queuing any entry; drain them before advancing.
     runDeltasNow();
-    while (!queue_.empty() && queue_.top().time <= tEnd) {
-        const SimTime t = queue_.top().time;
+    while (!queue_.empty() && queue_.nextTime() <= tEnd) {
+        const SimTime t = queue_.nextTime();
         now_ = t < now_ ? now_ : t;
         std::uint64_t deltasHere = 0;
         while (workPendingNow()) {
@@ -176,23 +174,19 @@ void Scheduler::captureState(snapshot::Writer& w) const
     for (const Process* p : runnable_) {
         w.u64(p->index_);
     }
-    // Drain a copy of the queue so pending transactions serialize in exact
-    // (time, seq) pop order — the order they would apply in.
-    auto copy = queue_;
-    std::vector<Entry> pending;
-    while (!copy.empty()) {
-        if (copy.top().signal != nullptr) {
-            pending.push_back(copy.top());
+    // The buckets walk in (time, seq) order, so pending transactions
+    // serialize in the order they would apply in.
+    std::uint64_t pending = 0;
+    queue_.forEach([&](SimTime, const Entry& e) { pending += e.signal != nullptr ? 1 : 0; });
+    w.u64(pending);
+    queue_.forEach([&](SimTime t, const Entry& e) {
+        if (e.signal != nullptr) {
+            w.i64(t);
+            w.u64(e.seq);
+            w.str(e.signal->name());
+            w.u64(e.payload);
         }
-        copy.pop();
-    }
-    w.u64(pending.size());
-    for (const Entry& e : pending) {
-        w.i64(e.time);
-        w.u64(e.seq);
-        w.str(e.signal->name());
-        w.u64(e.payload);
-    }
+    });
 }
 
 void Scheduler::restoreState(snapshot::Reader& r,
@@ -217,21 +211,32 @@ void Scheduler::restoreState(snapshot::Reader& r,
         }
         wake(processes_[index]);
     }
-    queue_ = {};
+    queue_.clear();
     actions_.clear();
     freeActionSlots_.clear();
     lastEventSignal_ = nullptr;
     lastProcessRun_ = nullptr;
     const std::uint64_t n = r.u64();
+    SimTime lastTime = now_;
+    std::uint64_t lastSeq = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
         const SimTime t = r.i64();
         const std::uint64_t seq = r.u64();
         SignalBase& sig = resolve(r.str());
         const std::uint64_t txnId = r.u64();
-        // Original sequence numbers are kept so same-wave transactions apply
-        // in the captured order; fresh entries (re-armed actions, new faults)
-        // draw from the restored seq_ counter and sort after these.
-        queue_.push(Entry{t, seq, &sig, txnId});
+        // Pushing the list in turn refills every bucket in seq order only if
+        // it is in (time, seq) order, not before now and below the restored
+        // seq_ counter, from which fresh entries (re-armed actions, new
+        // faults) draw so they queue after these.
+        if (t < lastTime || (t == lastTime && i > 0 && seq <= lastSeq) || seq >= seq_) {
+            throw snapshot::SnapshotFormatError(
+                "snapshot: pending transaction #" + std::to_string(i) + " (t=" +
+                formatTime(t) + ", seq " + std::to_string(seq) +
+                ") out of (time, seq) order");
+        }
+        lastTime = t;
+        lastSeq = seq;
+        queue_.push(t, Entry{seq, &sig, txnId});
     }
     // The dispatch counter is not part of the snapshot format: the campaign
     // layer samples a post-restore baseline and bills runs by delta, so it

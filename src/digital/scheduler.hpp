@@ -17,13 +17,12 @@
 
 #include "sim/time.hpp"
 #include "sim/watchdog.hpp"
+#include "digital/time_buckets.hpp"
 #include "snapshot/serialize.hpp"
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 namespace gfi::obs {
@@ -168,34 +167,25 @@ public:
                       const std::function<SignalBase&(const std::string&)>& resolve);
 
 private:
-    /// One queued entry, trivially copyable so heap sifts move 32 bytes.
+    /// One queued entry, filed in the TimeBuckets bucket of its due time.
     /// A transaction targets @c signal with txn id @c payload; an action
     /// (@c signal == nullptr) runs the closure in slot @c payload of
-    /// actions_. Canceled inertial transactions stay queued: popping one
+    /// actions_. @c seq is the entry's place in (time, seq) dispatch order;
+    /// buckets keep push order, which is seq order, so it is stored only for
+    /// snapshots. Canceled inertial transactions stay queued: dispatching one
     /// still costs its wave, which the word kernel replicates exactly.
     struct Entry {
-        SimTime time;
         std::uint64_t seq;
         SignalBase* signal;
         std::uint64_t payload;
     };
-    static_assert(std::is_trivially_copyable_v<Entry>);
-    struct Later {
-        bool operator()(const Entry& a, const Entry& b) const noexcept
-        {
-            if (a.time != b.time) {
-                return a.time > b.time;
-            }
-            return a.seq > b.seq;
-        }
-    };
 
-    void push(const Entry& e); // queues @p e, tracking the high-water mark
+    void push(SimTime t, const Entry& e); // queues @p e, tracking the high-water mark
 
     /// True while zero-delay work remains at the current time.
     [[nodiscard]] bool workPendingNow() const noexcept
     {
-        return !runnable_.empty() || (!queue_.empty() && queue_.top().time <= now_);
+        return !runnable_.empty() || (!queue_.empty() && queue_.nextTime() <= now_);
     }
 
     void runWave(); // one wave at the current time
@@ -206,13 +196,13 @@ private:
 
     static constexpr std::uint64_t kDefaultDeltaLimit = 1'000'000;
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+    TimeBuckets<Entry> queue_;
     std::vector<std::function<void()>> actions_; // closures of queued actions
     std::vector<std::uint64_t> freeActionSlots_;  // actions_ slots free for reuse
     std::vector<Process*> processes_;
     std::vector<Process*> runnable_;
     // Per-wave scratch, reused so a wave allocates nothing in steady state.
-    std::vector<Entry> dueTransactions_;
+    std::vector<Entry> due_;
     std::vector<std::function<void()>> dueActions_;
     std::vector<Process*> toRun_;
     SimTime now_ = 0;

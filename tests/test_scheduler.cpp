@@ -3,11 +3,15 @@
 
 #include "digital/circuit.hpp"
 #include "digital/gates.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -310,6 +314,209 @@ TEST(Scheduler, QueueDrainsAfterLongClockedRun)
     EXPECT_EQ(n2Events, static_cast<std::uint64_t>(kEdges) + 1); // U -> 1 at start
     EXPECT_EQ(sched.pendingEvents(), 0u);
     EXPECT_LE(sched.queueHighWater(), 4u);
+}
+
+// --- dispatch order against a (time, seq)-sorted reference -----------------
+
+/// One step of a random program: an inertial or transport write to signal
+/// @c sig, or a follow-up action @c delay from now.
+struct Op {
+    enum Kind { Inertial, Transport, Action } kind;
+    int sig;
+    int value;
+    SimTime delay;
+};
+
+constexpr int kSignals = 4;
+constexpr std::uint64_t kMaxActions = 400;
+
+/// The ops action @p id performs when it runs: a pure function of the seed
+/// and the id, so the kernel and the reference replay the same program.
+/// Delays come from four values (two of them zero for actions) so many
+/// entries share a time and actions re-arm at the current time.
+std::vector<Op> planFor(std::uint64_t seed, std::uint64_t id, int maxOps)
+{
+    static constexpr SimTime kWriteDelays[] = {0, kNanosecond, 2 * kNanosecond,
+                                               5 * kNanosecond};
+    static constexpr SimTime kActionDelays[] = {0, 0, kNanosecond, 3 * kNanosecond};
+    Rng rng(seed * 0x9E3779B97F4A7C15ull + id);
+    std::vector<Op> ops(rng.below(static_cast<std::uint64_t>(maxOps) + 1));
+    for (Op& op : ops) {
+        const std::uint64_t pick = rng.below(4);
+        op.kind = pick < 2 ? Op::Inertial : pick == 2 ? Op::Transport : Op::Action;
+        op.sig = static_cast<int>(rng.below(kSignals));
+        op.value = static_cast<int>(rng.below(3));
+        op.delay = op.kind == Op::Action ? kActionDelays[rng.below(4)]
+                                         : kWriteDelays[rng.below(4)];
+    }
+    return ops;
+}
+
+/// (time, signal or -1 for an action, txn id or action id) of one dispatch.
+using Dispatch = std::tuple<SimTime, int, std::uint64_t>;
+
+/// A signal that logs every transaction the kernel hands it, canceled ones
+/// included (they are dispatched too, and then ignored).
+class LoggedSignal : public Signal<int> {
+public:
+    LoggedSignal(Scheduler& sched, int index, std::vector<Dispatch>& log)
+        : Signal<int>(sched, "s" + std::to_string(index), 0), index_(index), log_(&log)
+    {
+    }
+    void applyTxn(std::uint64_t id) override
+    {
+        log_->emplace_back(scheduler().now(), index_, id);
+        Signal<int>::applyTxn(id);
+    }
+
+private:
+    int index_;
+    std::vector<Dispatch>* log_;
+};
+
+/// The program run on the real kernel.
+struct KernelRun {
+    explicit KernelRun(std::uint64_t s) : seed(s)
+    {
+        for (int i = 0; i < kSignals; ++i) {
+            sigs.push_back(std::make_unique<LoggedSignal>(sched, i, log));
+        }
+    }
+    void perform(const std::vector<Op>& ops)
+    {
+        for (const Op& op : ops) {
+            if (op.kind == Op::Inertial) {
+                sigs[static_cast<std::size_t>(op.sig)]->scheduleInertial(op.value, op.delay);
+            } else if (op.kind == Op::Transport) {
+                sigs[static_cast<std::size_t>(op.sig)]->scheduleTransport(op.value, op.delay);
+            } else {
+                const std::uint64_t id = nextAction++;
+                sched.scheduleAction(sched.now() + op.delay, [this, id] {
+                    log.emplace_back(sched.now(), -1, id);
+                    perform(planFor(seed, id, id < kMaxActions ? 4 : 0));
+                });
+            }
+        }
+    }
+    std::uint64_t seed;
+    Scheduler sched;
+    std::vector<Dispatch> log;
+    std::vector<std::unique_ptr<LoggedSignal>> sigs;
+    std::uint64_t nextAction = 0;
+};
+
+/// The same program on a reference that keeps one flat list and sorts it by
+/// (time, seq) before every wave: transactions apply first, then actions,
+/// each in seq order; a wave's own pushes wait for the next wave.
+struct ReferenceRun {
+    struct Pending {
+        SimTime time;
+        std::uint64_t seq;
+        int sig;
+        std::uint64_t id;
+    };
+    explicit ReferenceRun(std::uint64_t s) : seed(s) {}
+    void push(SimTime t, int sig, std::uint64_t id)
+    {
+        pending.push_back(Pending{t, seq++, sig, id});
+        highWater = std::max<std::uint64_t>(highWater, pending.size());
+    }
+    void perform(const std::vector<Op>& ops)
+    {
+        for (const Op& op : ops) {
+            if (op.kind == Op::Action) {
+                push(now + op.delay, -1, nextAction++);
+            } else {
+                push(now + op.delay, op.sig, nextTxn[static_cast<std::size_t>(op.sig)]++);
+            }
+        }
+    }
+    [[nodiscard]] SimTime nextTime() const
+    {
+        SimTime t = kTimeMax;
+        for (const Pending& p : pending) {
+            t = std::min(t, p.time);
+        }
+        return t;
+    }
+    void runUntil(SimTime tEnd)
+    {
+        while (nextTime() <= tEnd) {
+            now = std::max(now, nextTime());
+            while (nextTime() <= now) {
+                std::sort(pending.begin(), pending.end(), [](const Pending& a, const Pending& b) {
+                    return std::tie(a.time, a.seq) < std::tie(b.time, b.seq);
+                });
+                const auto split = std::partition_point(
+                    pending.begin(), pending.end(),
+                    [this](const Pending& p) { return p.time <= now; });
+                const std::vector<Pending> due(pending.begin(), split);
+                pending.erase(pending.begin(), split);
+                ++waves;
+                for (const Pending& p : due) {
+                    if (p.sig >= 0) {
+                        log.emplace_back(now, p.sig, p.id);
+                    }
+                }
+                for (const Pending& p : due) {
+                    if (p.sig < 0) {
+                        log.emplace_back(now, -1, p.id);
+                        perform(planFor(seed, p.id, p.id < kMaxActions ? 4 : 0));
+                    }
+                }
+            }
+        }
+        now = std::max(now, tEnd);
+    }
+    std::uint64_t seed;
+    std::vector<Pending> pending;
+    std::vector<Dispatch> log;
+    std::vector<std::uint64_t> nextTxn = std::vector<std::uint64_t>(kSignals, 0);
+    SimTime now = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t waves = 0;
+    std::uint64_t highWater = 0;
+    std::uint64_t nextAction = 0;
+};
+
+TEST(Scheduler, DispatchOrderMatchesTimeSeqReference)
+{
+    static constexpr SimTime kSteps[] = {0, kNanosecond, 3 * kNanosecond, 7 * kNanosecond};
+    constexpr std::uint64_t kRootIds = 1ull << 32; // root plans, apart from action ids
+    std::uint64_t sharedTime = 0; // dispatches at the time of the one before
+    std::uint64_t deltaWaves = 0; // waves beyond the first at their time
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        KernelRun kernel(seed);
+        ReferenceRun ref(seed);
+        Rng rng(seed);
+        for (int round = 0; round < 40; ++round) {
+            // Writes and actions pushed from outside the kernel, between runs.
+            const std::vector<Op> root = planFor(seed, kRootIds + static_cast<std::uint64_t>(round), 8);
+            kernel.perform(root);
+            ref.perform(root);
+            const SimTime tEnd = kernel.sched.now() + kSteps[rng.below(4)];
+            kernel.sched.runUntil(tEnd);
+            ref.runUntil(tEnd);
+            ASSERT_EQ(kernel.log, ref.log) << "seed " << seed << " round " << round;
+            ASSERT_EQ(kernel.sched.now(), ref.now);
+            ASSERT_EQ(kernel.sched.pendingEvents(), ref.pending.size());
+            ASSERT_EQ(kernel.sched.queueHighWater(), ref.highWater);
+            ASSERT_EQ(kernel.sched.nextEventTime(), ref.nextTime());
+            ASSERT_EQ(kernel.sched.deltaCycles(), ref.waves);
+            ASSERT_EQ(kernel.sched.eventsDispatched(), ref.log.size());
+        }
+        std::uint64_t times = ref.log.empty() ? 0 : 1;
+        for (std::size_t i = 1; i < ref.log.size(); ++i) {
+            const bool same = std::get<0>(ref.log[i]) == std::get<0>(ref.log[i - 1]);
+            sharedTime += same ? 1 : 0;
+            times += same ? 0 : 1;
+        }
+        deltaWaves += ref.waves - times;
+    }
+    // The programs are not vacuous: many dispatches share a time, and many
+    // times run more than one wave.
+    EXPECT_GT(sharedTime, 5000u);
+    EXPECT_GT(deltaWaves, 500u);
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include "adc/sar.hpp"
 #include "core/campaign.hpp"
 #include "core/journal.hpp"
+#include "digital/gates.hpp"
 #include "digital/sequential.hpp"
 #include "duts/digital_dut.hpp"
 #include "io/ingest.hpp"
@@ -28,6 +29,10 @@
 
 #include <cstdlib>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 namespace gfi {
 namespace {
@@ -351,6 +356,160 @@ TEST(SnapshotRestore, RestoreRejectsStructuralMismatch)
     cfg.duration = 20 * kMicrosecond;
     pll::PllTestbench other(cfg);
     EXPECT_THROW(other.sim().restoreSnapshot(snap), snapshot::SnapshotFormatError);
+}
+
+// ---------------------------------------------------------------------------
+// scheduler capture mid-run: pending-list order, restore into a twin
+
+/// Three inputs into an XOR chain and an inverter; every signal event is
+/// logged as (time, name, value).
+struct XorChain {
+    XorChain()
+        : a(c.logicSignal("a", digital::Logic::Zero)),
+          b(c.logicSignal("b", digital::Logic::Zero)),
+          d(c.logicSignal("d", digital::Logic::Zero)),
+          x(c.logicSignal("x")), y(c.logicSignal("y")), ny(c.logicSignal("ny")),
+          g1(c, "g1", a, b, x), g2(c, "g2", x, d, y), g3(c, "g3", y, ny)
+    {
+        for (digital::SignalBase* s : c.signals()) {
+            auto* logic = static_cast<digital::LogicSignal*>(s);
+            digital::SignalWatch::onEvent(*s, [this, logic] {
+                events.emplace_back(c.scheduler().now(), logic->name(),
+                                    digital::toChar(logic->value()));
+            });
+        }
+    }
+    void capture(snapshot::Writer& w) const
+    {
+        c.scheduler().captureState(w);
+        for (const digital::SignalBase* s : c.signals()) {
+            s->captureState(w);
+        }
+    }
+    void restore(snapshot::Reader& r)
+    {
+        c.scheduler().restoreState(r, [this](const std::string& name) -> digital::SignalBase& {
+            return c.findSignal(name);
+        });
+        for (digital::SignalBase* s : c.signals()) {
+            s->restoreState(r);
+        }
+    }
+
+    digital::Circuit c;
+    digital::LogicSignal& a;
+    digital::LogicSignal& b;
+    digital::LogicSignal& d;
+    digital::LogicSignal& x;
+    digital::LogicSignal& y;
+    digital::LogicSignal& ny;
+    digital::XorGate g1;
+    digital::XorGate g2;
+    digital::NotGate g3;
+    std::vector<std::tuple<SimTime, std::string, char>> events;
+};
+
+TEST(SnapshotScheduler, MidRunCaptureListsPendingInTimeSeqOrderAndResumes)
+{
+    XorChain original;
+    original.c.runUntil(kNanosecond); // startup pass, gates settled
+    // Pending at 2, 5 and 9 ns (relative), pushed in interleaved time order;
+    // the d write at 2 ns cancels (but leaves queued) the d write at 9 ns.
+    const SimTime t0 = original.c.scheduler().now();
+    original.a.scheduleTransport(digital::Logic::One, 5 * kNanosecond);
+    original.b.scheduleTransport(digital::Logic::One, 2 * kNanosecond);
+    original.d.scheduleTransport(digital::Logic::One, 9 * kNanosecond);
+    original.b.scheduleTransport(digital::Logic::Zero, 5 * kNanosecond);
+    original.a.scheduleTransport(digital::Logic::Zero, 9 * kNanosecond);
+    original.d.scheduleTransport(digital::Logic::One, 2 * kNanosecond);
+    original.b.scheduleTransport(digital::Logic::One, 9 * kNanosecond);
+    ASSERT_EQ(original.c.scheduler().pendingEvents(), 7u);
+
+    snapshot::Writer w;
+    original.capture(w);
+
+    // Walk the scheduler's part of the bytes down to its pending list.
+    snapshot::Reader scan(w.bytes());
+    EXPECT_EQ(scan.i64(), t0);  // now
+    (void)scan.u64();           // seq counter
+    (void)scan.u64();           // wave id
+    (void)scan.u64();           // waves run
+    EXPECT_TRUE(scan.boolean()); // started
+    EXPECT_EQ(scan.u64(), 0u);  // no runnable process
+    ASSERT_EQ(scan.u64(), 7u);
+    std::vector<std::pair<SimTime, std::string>> pending;
+    std::pair<SimTime, std::uint64_t> last{-1, 0};
+    for (int i = 0; i < 7; ++i) {
+        const SimTime t = scan.i64();
+        const std::uint64_t seq = scan.u64();
+        pending.emplace_back(t - t0, scan.str());
+        (void)scan.u64(); // txn id
+        EXPECT_LT(last, std::make_pair(t, seq)) << "entry " << i << " out of (time, seq) order";
+        last = {t, seq};
+    }
+    const std::vector<std::pair<SimTime, std::string>> want{
+        {2 * kNanosecond, "b"}, {2 * kNanosecond, "d"}, {5 * kNanosecond, "a"},
+        {5 * kNanosecond, "b"}, {9 * kNanosecond, "d"}, {9 * kNanosecond, "a"},
+        {9 * kNanosecond, "b"}};
+    EXPECT_EQ(pending, want);
+
+    XorChain twin;
+    snapshot::Reader r(w.bytes());
+    twin.restore(r);
+    EXPECT_EQ(twin.c.scheduler().pendingEvents(), 7u);
+    original.events.clear();
+    original.c.runUntil(20 * kNanosecond);
+    twin.c.runUntil(20 * kNanosecond);
+
+    EXPECT_GE(original.events.size(), 8u);
+    EXPECT_EQ(twin.events, original.events);
+    EXPECT_EQ(twin.c.scheduler().deltaCycles(), original.c.scheduler().deltaCycles());
+    EXPECT_EQ(twin.c.scheduler().queueHighWater(), original.c.scheduler().queueHighWater());
+    EXPECT_EQ(twin.c.scheduler().pendingEvents(), 0u);
+    EXPECT_EQ(original.c.scheduler().pendingEvents(), 0u);
+}
+
+// The bucketed queue refills in push order, so a pending list that is not in
+// (time, seq) order, lies before the restored time or reuses a sequence
+// number the restored counter will hand out again is refused, not misread.
+TEST(SnapshotScheduler, RestoreRejectsPendingOutOfTimeSeqOrder)
+{
+    struct Pending {
+        SimTime time;
+        std::uint64_t seq;
+    };
+    const auto bytes = [](std::initializer_list<Pending> list) {
+        snapshot::Writer w;
+        w.i64(kNanosecond); // now
+        w.u64(10);          // seq counter
+        w.u64(0);           // wave id
+        w.u64(0);           // waves run
+        w.boolean(true);    // started
+        w.u64(0);           // no runnable process
+        w.u64(list.size());
+        for (const Pending& p : list) {
+            w.i64(p.time);
+            w.u64(p.seq);
+            w.str("a");
+            w.u64(0);
+        }
+        return w.bytes();
+    };
+    const auto restore = [](const std::vector<std::uint8_t>& b) {
+        XorChain chain;
+        snapshot::Reader r(b);
+        chain.c.scheduler().restoreState(r, [&chain](const std::string& name) -> digital::SignalBase& {
+            return chain.c.findSignal(name);
+        });
+        return chain.c.scheduler().pendingEvents();
+    };
+    EXPECT_EQ(restore(bytes({{kNanosecond, 4}, {kNanosecond, 6}, {3 * kNanosecond, 2}})), 3u);
+    using snapshot::SnapshotFormatError;
+    EXPECT_THROW(restore(bytes({{3 * kNanosecond, 2}, {2 * kNanosecond, 4}})), SnapshotFormatError);
+    EXPECT_THROW(restore(bytes({{2 * kNanosecond, 4}, {2 * kNanosecond, 3}})), SnapshotFormatError);
+    EXPECT_THROW(restore(bytes({{2 * kNanosecond, 4}, {2 * kNanosecond, 4}})), SnapshotFormatError);
+    EXPECT_THROW(restore(bytes({{0, 1}})), SnapshotFormatError);
+    EXPECT_THROW(restore(bytes({{2 * kNanosecond, 10}})), SnapshotFormatError);
 }
 
 // ---------------------------------------------------------------------------
