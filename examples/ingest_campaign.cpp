@@ -17,6 +17,7 @@
 #include "io/sha256.hpp"
 #include "lint/preflight.hpp"
 #include "obs/telemetry.hpp"
+#include "util/file.hpp"
 
 #include <cstdint>
 #include <cstdio>
@@ -228,11 +229,7 @@ int main(int argc, char** argv)
 
         // --- artifacts -------------------------------------------------------
         if (!ansPath.empty()) {
-            std::ofstream out(ansPath, std::ios::binary | std::ios::trunc);
-            if (!(out << ansText)) {
-                std::fprintf(stderr, "%s: cannot write %s\n", argv[0], ansPath.c_str());
-                return 1;
-            }
+            util::writeFileOrThrow(ansPath, ansText, "--ans");
         }
         if (!csvPath.empty()) {
             campaign::CsvOptions csvOptions;
@@ -248,12 +245,7 @@ int main(int argc, char** argv)
                 cost.writeCsv(costCsvPath);
             }
             if (!costJsonPath.empty()) {
-                std::ofstream out(costJsonPath, std::ios::binary | std::ios::trunc);
-                if (!(out << cost.toJson() << "\n")) {
-                    std::fprintf(stderr, "%s: cannot write %s\n", argv[0],
-                                 costJsonPath.c_str());
-                    return 1;
-                }
+                util::writeFileOrThrow(costJsonPath, cost.toJson() + "\n", "--cost-json");
             }
             if (costTable && !quiet) {
                 std::printf("%s\n", cost.table().c_str());
@@ -269,11 +261,7 @@ int main(int argc, char** argv)
             // .ans the digest was taken over.
             const std::string ansName =
                 ansPath.empty() ? workload.netlist->name + ".ans" : baseName(ansPath);
-            std::ofstream out(shaPath, std::ios::binary | std::ios::trunc);
-            if (!(out << ansSha << "  " << ansName << "\n")) {
-                std::fprintf(stderr, "%s: cannot write %s\n", argv[0], shaPath.c_str());
-                return 1;
-            }
+            util::writeFileOrThrow(shaPath, ansSha + "  " + ansName + "\n", "--write-sha");
         }
         if (!verifyPath.empty()) {
             std::ifstream in(verifyPath);

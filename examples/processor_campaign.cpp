@@ -17,10 +17,11 @@
 
 #include "inject/sweep.hpp"
 #include "obs/telemetry.hpp"
+#include "util/file.hpp"
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -82,9 +83,12 @@ int main(int argc, char** argv)
     std::printf("--- ECC+scrub ---\n%s\n",
                 sweep.report(duts::HardeningMode::EccScrub).table().c_str());
 
-    std::ofstream out(jsonPath, std::ios::binary);
-    out << sweep.json() << "\n";
-    out.close();
+    try {
+        util::writeFileOrThrow(jsonPath, sweep.json() + "\n", "sweep json");
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+        return 1;
+    }
     std::printf("sweep written to %s\n", jsonPath.c_str());
     if (options.telemetry != nullptr) {
         telemetry.flush();

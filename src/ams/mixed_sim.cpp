@@ -203,7 +203,8 @@ void MixedSimulator::restoreSnapshot(const snapshot::Snapshot& snap)
         throw snapshot::SnapshotFormatError("snapshot: " + std::to_string(r.remaining()) +
                                             " trailing bytes after restore");
     }
-    if (recorder_ != nullptr) {
+    // A pre-start restore is a rebuild, and a fresh build records nothing.
+    if (recorder_ != nullptr && elaborated()) {
         recorder_->record(obs::FlightRecorder::Kind::Restore, snap.time, snap.analogTime,
                           0, 0, 0.0);
     }

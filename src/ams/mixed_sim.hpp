@@ -137,7 +137,8 @@ public:
 
     /// Attaches a flight recorder to both kernels and the AMS bridges (not
     /// owned; nullptr detaches). Scheduler waves, solver step accepts and
-    /// rejects, bridge crossings and snapshot restores then record into its
+    /// rejects, bridge crossings and restores of elaborated snapshots (not
+    /// pre-start ones, which stand for a fresh build) then record into its
     /// bounded ring — always cheap, so a campaign can keep it armed for
     /// every contained run and dump the window only when a run dies.
     void setFlightRecorder(obs::FlightRecorder* fr);

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string_view>
@@ -24,9 +25,6 @@
 namespace gfi::campaign {
 
 namespace {
-
-/// CheckpointStore key of the (single) golden testbench.
-constexpr const char* kGoldenCheckpoints = "golden";
 
 /// The result of an expanded (not simulated) member of a collapse class:
 /// the representative's classification verbatim, zero resource consumption,
@@ -297,11 +295,6 @@ CampaignRunner::CampaignRunner(fault::TestbenchFactory factory, Tolerance tolera
 
 CampaignRunner::~CampaignRunner() = default;
 
-std::size_t CampaignRunner::checkpointCount() const
-{
-    return checkpoints_.count(kGoldenCheckpoints);
-}
-
 void CampaignRunner::runGolden()
 {
     if (goldenRan_) {
@@ -340,8 +333,8 @@ void CampaignRunner::runGolden()
             }
             sim.run(ev);
             if (ev >= nextMark) {
-                checkpoints_.put(kGoldenCheckpoints, std::make_shared<const snapshot::Snapshot>(
-                                                         sim.captureSnapshot()));
+                checkpoints_.push_back(
+                    std::make_shared<const snapshot::Snapshot>(sim.captureSnapshot()));
                 nextMark = ev + options_.checkpointCadence;
                 if (obs::Telemetry* tel = activeTelemetry();
                     tel != nullptr && tel->trace() != nullptr) {
@@ -460,23 +453,34 @@ RunResult classifyObservation(const Observation& run, const fault::Testbench& go
     return result;
 }
 
+std::shared_ptr<const snapshot::Snapshot> CampaignRunner::forkPoint(const fault::FaultSpec& fault,
+                                                                     int attempt)
+{
+    // Retries always re-simulate from scratch: a tightened solver step
+    // invalidates the captured integrator history.
+    if (attempt != 1 || checkpoints_.empty() || fault::isGolden(fault)) {
+        return nullptr;
+    }
+    const SimTime tInj = fault::injectionTime(fault);
+    if (tInj <= 0) {
+        return nullptr;
+    }
+    const auto next = std::lower_bound(checkpoints_.begin(), checkpoints_.end(), tInj,
+                                       [](const auto& cp, SimTime t) { return cp->time < t; });
+    if (next == checkpoints_.begin()) {
+        forkMisses_.fetch_add(1, std::memory_order_relaxed); // all at or after tInj
+        return nullptr;
+    }
+    forkHits_.fetch_add(1, std::memory_order_relaxed);
+    return *std::prev(next);
+}
+
 RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
 {
     RunResult result;
     result.fault = fault;
 
-    // Fork-from-golden: a first attempt at a real fault may resume from the
-    // nearest golden checkpoint strictly before the injection instant (the
-    // store is empty unless runGolden() captured in fork mode). Retries
-    // always re-simulate from scratch — a tightened solver step invalidates
-    // the captured integrator history.
-    std::shared_ptr<const snapshot::Snapshot> cp;
-    if (attempt == 1 && !fault::isGolden(fault)) {
-        const SimTime tInj = fault::injectionTime(fault);
-        if (tInj > 0) {
-            cp = checkpoints_.nearestBefore(kGoldenCheckpoints, tInj);
-        }
-    }
+    const std::shared_ptr<const snapshot::Snapshot> cp = forkPoint(fault, attempt);
     // Pooled testbenches: a first attempt re-runs a worker's used testbench,
     // restored from cp or else from the pre-start checkpoint. Retries and
     // parametric faults take the fresh path and discard their testbench.
@@ -502,17 +506,14 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
             pool_.pop_back();
         }
     }
+    // The state this attempt starts from: the golden checkpoint, else the
+    // as-built state for a reused testbench, else a fresh build.
+    const snapshot::Snapshot* const from = cp ? cp.get() : tb ? preStart_.get() : nullptr;
     obs::ProbeSnapshot baseline;
     try {
         if (!tb) {
             obs::Span span(tel, "build", "run");
             tb = factory_();
-        } else if (!cp) {
-            // Back to the as-built state, before the flight recorder is
-            // attached: a fresh build records no restore either.
-            obs::Span span(tel, "restore", "run");
-            tb->sim().restoreSnapshot(*preStart_);
-            tb->recorder().reset();
         }
         if (recorder) {
             tb->sim().setFlightRecorder(recorder.get());
@@ -521,15 +522,17 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
         if (attempt > 1 && tighten > 0.0 && tighten < 1.0) {
             tb->sim().setSolverStepScale(std::pow(tighten, attempt - 1));
         }
-        if (cp) {
+        if (from != nullptr) {
             obs::Span span(tel, "restore", "run");
-            tb->sim().restoreSnapshot(*cp);
+            tb->sim().restoreSnapshot(*from);
             tb->recorder().reset();
-            tb->recorder().preloadPrefix(golden_->recorder(), cp->time, cp->analogTime);
-            // Re-arm so the wave/step/wall budgets meter only the post-restore
-            // suffix, not the restore work — a forked run must never trip a
-            // budget its from-scratch twin would survive.
-            watchdog.arm();
+            if (cp) {
+                tb->recorder().preloadPrefix(golden_->recorder(), cp->time, cp->analogTime);
+                // Re-arm so the wave/step/wall budgets meter only the
+                // post-restore suffix, not the restore work — a forked run
+                // must never trip a budget its from-scratch twin would survive.
+                watchdog.arm();
+            }
         }
         tb->sim().setWatchdog(&watchdog);
         // Probe baseline AFTER a possible restore: restored kernels carry the
@@ -801,16 +804,12 @@ CampaignReport CampaignRunner::run(
         }
     }
 
-    // Journal restore, then collapse expansion, in one pass decided up front
-    // (serially — preflightFault is cheap registry lookups), so the worker
-    // phase only ever simulates.
+    // Journal restore, then collapse expansion, in one pass decided up front,
+    // so the worker phase only ever simulates. A fault that fails preflight
+    // never gets here: the preflight phase above has already thrown.
     std::size_t restored = 0;
     for (std::size_t i = 0; i < faults.size(); ++i) {
-        // A checkpoint for a fault that no longer passes preflight (e.g. a
-        // stale sim-error row) must not be resurrected.
-        if (latest[i] != nullptr && latest[i]->faultDescription == fault::describe(faults[i]) &&
-            !(options_.preflight &&
-              lint::preflightFault(*golden_, faults[i], i).count(lint::Severity::Error) > 0)) {
+        if (latest[i] != nullptr && latest[i]->faultDescription == fault::describe(faults[i])) {
             report.runs[i] = latest[i]->result;
             report.runs[i].fault = faults[i];
             // The provenance rule: a restored verdict keeps the provenance of
@@ -1054,22 +1053,26 @@ CampaignReport CampaignRunner::run(
     activeWorkers_ = 1;
 
     if (tel != nullptr) {
-        // Campaign-level readings. The checkpoint-store counters bill only
-        // this run()'s usage (difference against the last application), so
-        // repeated campaigns on one runner accumulate without double counting.
+        // Campaign-level readings. The checkpoint counters bill only what
+        // is new since the last billing (captures once, lookups since then),
+        // so repeated campaigns on one runner accumulate without double
+        // counting.
         obs::MetricsRegistry& m = tel->metrics();
-        const snapshot::CheckpointStore::Stats st = checkpoints_.stats();
         m.counter("gfi_snapshot_checkpoints_total", "Golden checkpoints captured")
-            .inc(st.puts - statsApplied_.puts);
+            .inc(checkpointsBilled_ ? 0 : checkpoints_.size());
+        checkpointsBilled_ = true;
         m.counter("gfi_snapshot_checkpoint_hits_total",
                   "Fork lookups that found a usable golden checkpoint")
-            .inc(st.hits - statsApplied_.hits);
+            .inc(forkHits_.exchange(0, std::memory_order_relaxed));
         m.counter("gfi_snapshot_checkpoint_misses_total",
                   "Fork lookups with no checkpoint before the injection time")
-            .inc(st.misses - statsApplied_.misses);
+            .inc(forkMisses_.exchange(0, std::memory_order_relaxed));
+        std::uint64_t bytes = 0;
+        for (const auto& cp : checkpoints_) {
+            bytes += cp->bytes.size();
+        }
         m.gauge("gfi_snapshot_bytes", "Serialized bytes held by the checkpoint store")
-            .set(static_cast<double>(st.bytes));
-        statsApplied_ = st;
+            .set(static_cast<double>(bytes));
         m.gauge("gfi_campaign_workers", "Resolved worker-thread count of the last campaign")
             .set(static_cast<double>(usedWorkers));
         m.gauge("gfi_campaign_wall_seconds", "Wall-clock time of the last campaign")

@@ -312,7 +312,7 @@ public:
     [[nodiscard]] SimTime checkpointCadence() const noexcept { return options_.checkpointCadence; }
 
     /// Golden checkpoints captured so far (0 until runGolden() in fork mode).
-    [[nodiscard]] std::size_t checkpointCount() const;
+    [[nodiscard]] std::size_t checkpointCount() const noexcept { return checkpoints_.size(); }
 
     /// Static fault collapsing: when enabled, run() partitions the fault
     /// list into provably-equivalent classes (analyze::collapseFaults) and
@@ -463,6 +463,14 @@ private:
     /// True when golden checkpoints are captured and first attempts fork.
     [[nodiscard]] bool forking() const noexcept { return options_.checkpointCadence > 0; }
 
+    /// The golden checkpoint a first attempt at @p fault forks from: the
+    /// latest one strictly before the injection instant (restoring one taken
+    /// at that instant would re-run the injection wave), or null. Counts a
+    /// hit or a miss whenever checkpoints exist; golden runs, retries and
+    /// faults at t <= 0 never look.
+    [[nodiscard]] std::shared_ptr<const snapshot::Snapshot>
+    forkPoint(const fault::FaultSpec& fault, int attempt);
+
     /// One contained attempt: build (or take a pooled testbench and restore
     /// it), arm, run under the watchdog, classify.
     RunResult attemptOne(const fault::FaultSpec& fault, int attempt);
@@ -490,7 +498,13 @@ private:
     bool goldenRan_ = false;
     std::unique_ptr<fault::Testbench> golden_;
     std::map<std::string, std::uint64_t> goldenState_;
-    snapshot::CheckpointStore checkpoints_; ///< golden snapshots, fork mode only
+    /// Golden checkpoints in time order, fork mode only. runGolden() fills
+    /// it before any worker starts and nothing writes it afterwards, so
+    /// worker lookups take no lock.
+    std::vector<std::shared_ptr<const snapshot::Snapshot>> checkpoints_;
+    bool checkpointsBilled_ = false;             ///< captures already in telemetry
+    std::atomic<std::uint64_t> forkHits_{0};     ///< unbilled lookups that found one
+    std::atomic<std::uint64_t> forkMisses_{0};   ///< unbilled lookups that found none
     /// The golden testbench as built, before elaboration; null when the
     /// design cannot re-run pooled testbenches (analog unknowns, PRE006).
     std::shared_ptr<const snapshot::Snapshot> preStart_;
@@ -499,7 +513,6 @@ private:
     std::vector<std::unique_ptr<fault::Testbench>> pool_; ///< idle testbenches
     obs::Telemetry* telemetry_ = nullptr;   ///< attached sink (not owned)
     std::unique_ptr<obs::Telemetry> envTelemetry_; ///< GFI_TRACE/GFI_METRICS sink
-    snapshot::CheckpointStore::Stats statsApplied_; ///< store stats already billed
     std::function<void(const std::string&)> progressSink_; ///< NDJSON consumer
     double progressCadence_ = 1.0;    ///< min seconds between heartbeats
 };

@@ -7,6 +7,7 @@
 #include "util/units.hpp"
 
 #include <set>
+#include <vector>
 
 namespace gfi::lint {
 
@@ -163,11 +164,16 @@ Report preflightCampaign(const Testbench& tb, const std::vector<FaultSpec>& faul
 {
     Report report;
     std::set<std::string> seen;
+    // The faults PRE007 and PRE008 score: non-golden and statically valid —
+    // a typo'd target is a PRE001, not an unobservable fault.
+    std::vector<bool> scored(faults.size(), false);
     for (std::size_t i = 0; i < faults.size(); ++i) {
-        report.merge(preflightFault(tb, faults[i], i));
+        const Report own = preflightFault(tb, faults[i], i);
+        report.merge(own);
         if (fault::isGolden(faults[i])) {
             continue;
         }
+        scored[i] = own.count(Severity::Error) == 0;
         const std::string desc = fault::describe(faults[i]);
         if (!seen.insert(desc).second) {
             report.add("PRE005", Severity::Warning, desc,
@@ -177,15 +183,10 @@ Report preflightCampaign(const Testbench& tb, const std::vector<FaultSpec>& faul
     }
     // PRE007: faults with no structural path to anything the classifier
     // observes. The graph is built once for the whole list (it depends only
-    // on the netlist), and only statically-valid faults are scored — a
-    // typo'd target is a PRE001, not an unobservable fault.
+    // on the netlist).
     const analyze::SignalGraph graph(tb);
     for (std::size_t i = 0; i < faults.size(); ++i) {
-        if (fault::isGolden(faults[i]) ||
-            preflightFault(tb, faults[i], i).count(Severity::Error) != 0) {
-            continue;
-        }
-        if (!graph.faultObservable(faults[i])) {
+        if (scored[i] && !graph.faultObservable(faults[i])) {
             report.add("PRE007", Severity::Warning, fault::describe(faults[i]),
                        "fault target has no structural path to any observed "
                        "output, watched signal or compared state",
@@ -202,8 +203,7 @@ Report preflightCampaign(const Testbench& tb, const std::vector<FaultSpec>& faul
         bool anyEligible = false;
         std::vector<std::pair<std::size_t, std::string>> ineligible;
         for (std::size_t i = 0; i < faults.size(); ++i) {
-            if (fault::isGolden(faults[i]) ||
-                preflightFault(tb, faults[i], i).count(Severity::Error) != 0) {
+            if (!scored[i]) {
                 continue;
             }
             const batch::FaultEligibility e =

@@ -37,58 +37,4 @@ void SnapshotRegistry::restore(Reader& r) const
     }
 }
 
-void CheckpointStore::put(const std::string& testbenchId, std::shared_ptr<const Snapshot> snap)
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const SimTime t = snap->time;
-    auto& slot = store_[testbenchId][t];
-    if (slot) {
-        stats_.bytes -= slot->bytes.size(); // replacing an existing checkpoint
-    }
-    ++stats_.puts;
-    stats_.bytes += snap->bytes.size();
-    slot = std::move(snap);
-}
-
-std::shared_ptr<const Snapshot> CheckpointStore::nearestBefore(const std::string& testbenchId,
-                                                               SimTime t) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto byTb = store_.find(testbenchId);
-    if (byTb == store_.end() || byTb->second.empty()) {
-        // Untracked: a campaign without checkpoints (fork mode off) probes the
-        // empty store once per run, and counting those as misses would bury
-        // the fork-mode signal in noise.
-        return nullptr;
-    }
-    auto it = byTb->second.lower_bound(t); // first entry >= t
-    if (it == byTb->second.begin()) {
-        ++stats_.misses;
-        return nullptr; // every checkpoint is at or after t
-    }
-    --it;
-    ++stats_.hits;
-    return it->second;
-}
-
-std::size_t CheckpointStore::count(const std::string& testbenchId) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto byTb = store_.find(testbenchId);
-    return byTb == store_.end() ? 0 : byTb->second.size();
-}
-
-CheckpointStore::Stats CheckpointStore::stats() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
-}
-
-void CheckpointStore::clear()
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    store_.clear();
-    stats_ = Stats{};
-}
-
 } // namespace gfi::snapshot

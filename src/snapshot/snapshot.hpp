@@ -1,7 +1,7 @@
 #pragma once
 // Snapshot subsystem: versioned, deterministic capture/restore of full
-// mixed-signal simulator state, plus the in-memory checkpoint cache behind
-// the campaign engine's fork-from-golden mode.
+// mixed-signal simulator state, behind the campaign engine's fork-from-golden
+// mode and its pooled testbenches.
 //
 // Capture walks the simulator in a fixed structural order (scheduler, then
 // signals in creation order, then components in registration order, then
@@ -15,9 +15,6 @@
 #include "sim/time.hpp"
 #include "snapshot/serialize.hpp"
 
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,39 +56,6 @@ public:
 
 private:
     std::vector<std::pair<std::string, Snapshottable*>> entries_;
-};
-
-/// In-memory checkpoint cache keyed by (testbench id, sim time). put() runs
-/// during the (serial) golden phase; lookups run concurrently from campaign
-/// workers, so entries are immutable shared_ptrs behind a mutex.
-class CheckpointStore {
-public:
-    /// Usage counters (telemetry probes), maintained under the store mutex.
-    struct Stats {
-        std::uint64_t puts = 0;       ///< checkpoints stored
-        std::uint64_t bytes = 0;      ///< serialized bytes currently held
-        std::uint64_t hits = 0;       ///< nearestBefore() lookups that found one
-        std::uint64_t misses = 0;     ///< lookups against a populated store that
-                                      ///< found none before the requested time
-                                      ///< (empty-store probes are not tracked)
-    };
-
-    void put(const std::string& testbenchId, std::shared_ptr<const Snapshot> snap);
-
-    /// Latest checkpoint strictly before @p t, or nullptr. Strict: restoring
-    /// a checkpoint taken exactly at the injection time would re-run the
-    /// injection wave and break byte-identity with a from-scratch run.
-    [[nodiscard]] std::shared_ptr<const Snapshot> nearestBefore(const std::string& testbenchId,
-                                                                SimTime t) const;
-
-    [[nodiscard]] std::size_t count(const std::string& testbenchId) const;
-    [[nodiscard]] Stats stats() const;
-    void clear();
-
-private:
-    mutable std::mutex mutex_;
-    std::map<std::string, std::map<SimTime, std::shared_ptr<const Snapshot>>> store_;
-    mutable Stats stats_;
 };
 
 } // namespace gfi::snapshot

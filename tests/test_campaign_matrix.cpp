@@ -291,7 +291,7 @@ Design netlistDesign()
 {
     const io::IngestWorkload wl =
         io::makeWorkload(io::parseNetlistFile(GFI_TESTCASES_DIR "/c17.bench"),
-                         io::IngestConfig{.patternCount = 16},
+                         io::IngestConfig{.prefix = {}, .patternCount = 16},
                          io::FaultListOptions{.setPulses = true});
     Design d;
     setFactories<io::IngestTestbench>(d, wl.netlist, wl.patterns, wl.config);

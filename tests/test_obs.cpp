@@ -16,7 +16,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
-#include "snapshot/snapshot.hpp"
 #include "util/json.hpp"
 #include "util/units.hpp"
 
@@ -625,49 +624,6 @@ TEST(ObsJournal, ProbesRoundTrip)
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint-store usage counters
-
-TEST(ObsStore, CheckpointStoreStats)
-{
-    snapshot::CheckpointStore store;
-    const auto zero = store.stats();
-    EXPECT_EQ(zero.puts, 0u);
-    EXPECT_EQ(zero.bytes, 0u);
-
-    // Probing an empty store (fork mode off) is untracked by design.
-    EXPECT_EQ(store.nearestBefore("tb", 100), nullptr);
-    EXPECT_EQ(store.stats().misses, 0u);
-
-    auto snap = [](SimTime t, std::size_t bytes) {
-        auto s = std::make_shared<snapshot::Snapshot>();
-        s->time = t;
-        s->bytes.resize(bytes);
-        return s;
-    };
-    store.put("tb", snap(10, 100));
-    store.put("tb", snap(20, 50));
-    EXPECT_EQ(store.stats().puts, 2u);
-    EXPECT_EQ(store.stats().bytes, 150u);
-
-    EXPECT_EQ(store.nearestBefore("tb", 10), nullptr) << "strictly-before lookup";
-    EXPECT_EQ(store.stats().misses, 1u);
-    ASSERT_NE(store.nearestBefore("tb", 25), nullptr);
-    EXPECT_EQ(store.stats().hits, 1u);
-
-    // Replacing a checkpoint at the same instant swaps its byte accounting.
-    store.put("tb", snap(20, 80));
-    EXPECT_EQ(store.stats().puts, 3u);
-    EXPECT_EQ(store.stats().bytes, 180u);
-
-    store.clear();
-    const auto cleared = store.stats();
-    EXPECT_EQ(cleared.puts, 0u);
-    EXPECT_EQ(cleared.hits, 0u);
-    EXPECT_EQ(cleared.misses, 0u);
-    EXPECT_EQ(cleared.bytes, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Trace writer hardening
 
 TEST(ObsTrace, EscapesControlCharacters)
@@ -1122,7 +1078,7 @@ TEST(ObsJson, ParsesValuesStringsAndStructure)
 
     // Surrogate pair -> 4-byte UTF-8.
     EXPECT_EQ(util::parseJson("\"\\ud83d\\ude00\"").asString(), "\xf0\x9f\x98\x80");
-    EXPECT_THROW(util::parseJson(R"("\ud83d")").asString(), std::runtime_error)
+    EXPECT_THROW((void)util::parseJson(R"("\ud83d")").asString(), std::runtime_error)
         << "lone surrogate";
 }
 

@@ -2,7 +2,8 @@
 //
 // The contract under test, layer by layer:
 //   * serialize: byte-stable primitives, header versioning, truncation safety;
-//   * CheckpointStore: nearest checkpoint *strictly before* a time;
+//   * the runner forks from the latest golden checkpoint *strictly before*
+//     the injection time and bills its lookups once per campaign;
 //   * capture -> restore -> run is bit-identical to an uninterrupted run for
 //     the digital DUT, the PLL and the SAR ADC (traces, wave counts, solver
 //     stats) — the determinism contract of DESIGN.md §9;
@@ -20,6 +21,8 @@
 #include "duts/digital_dut.hpp"
 #include "io/ingest.hpp"
 #include "lint/lint.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/telemetry.hpp"
 #include "pll/pll.hpp"
 #include "snapshot/serialize.hpp"
 #include "snapshot/snapshot.hpp"
@@ -127,29 +130,6 @@ TEST(SnapshotSerialize, RngResumesExactSequence)
     for (int i = 0; i < 32; ++i) {
         EXPECT_EQ(b.next(), expected[static_cast<std::size_t>(i)]) << "draw " << i;
     }
-}
-
-// ---------------------------------------------------------------------------
-// CheckpointStore
-
-TEST(SnapshotStore, NearestBeforeIsStrictlyBefore)
-{
-    snapshot::CheckpointStore store;
-    for (SimTime t : {10, 20, 30}) {
-        auto snap = std::make_shared<snapshot::Snapshot>();
-        snap->time = t;
-        store.put("tb", std::move(snap));
-    }
-    EXPECT_EQ(store.count("tb"), 3u);
-    EXPECT_EQ(store.nearestBefore("tb", 5), nullptr);
-    EXPECT_EQ(store.nearestBefore("tb", 10), nullptr); // strictly before
-    ASSERT_NE(store.nearestBefore("tb", 11), nullptr);
-    EXPECT_EQ(store.nearestBefore("tb", 11)->time, 10);
-    EXPECT_EQ(store.nearestBefore("tb", 30)->time, 20);
-    EXPECT_EQ(store.nearestBefore("tb", 1000)->time, 30);
-    EXPECT_EQ(store.nearestBefore("other", 1000), nullptr);
-    store.clear();
-    EXPECT_EQ(store.count("tb"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -333,6 +313,29 @@ TEST(SnapshotRestore, PreStartSnapshotTurnsAUsedSimulatorBackIntoAFreshOne)
         fault::StuckAtFault{io::netSaboteurName("N10"), digital::Logic::One, 0, 0}, "c17");
     expectPreStartRestoreMatchesFresh(c17, fault::FaultSpec{}, fault::FaultSpec{},
                                       "c17 golden");
+}
+
+// A pre-start restore stands for a fresh build, so an attached flight
+// recorder logs nothing (a pooled testbench dumps what a fresh one would);
+// restoring a golden checkpoint logs its restore.
+TEST(SnapshotRestore, FlightRecorderLogsCheckpointRestoresOnly)
+{
+    duts::DigitalDutTestbench donor;
+    const snapshot::Snapshot preStart = donor.sim().capturePreStartSnapshot();
+    const snapshot::Snapshot checkpoint = captureAtOrAfter(donor, kMicrosecond);
+
+    duts::DigitalDutTestbench tb;
+    obs::FlightRecorder fr;
+    tb.sim().setFlightRecorder(&fr);
+    tb.run();
+    const std::uint64_t recorded = fr.totalRecorded();
+    tb.sim().restoreSnapshot(preStart);
+    EXPECT_EQ(fr.totalRecorded(), recorded);
+    tb.sim().restoreSnapshot(checkpoint);
+    const obs::FlightRecorder::Event* restore = fr.lastOfKind(obs::FlightRecorder::Kind::Restore);
+    ASSERT_NE(restore, nullptr);
+    EXPECT_EQ(restore->timeFs, checkpoint.time);
+    tb.sim().setFlightRecorder(nullptr);
 }
 
 TEST(SnapshotRestore, PreStartCaptureNeedsANeverRunDigitalSimulator)
@@ -557,6 +560,87 @@ TEST(ForkFromGolden, RecordsCheckpointDiagnostics)
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->result.diagnostics.checkpointTime, forked.checkpointTime);
     EXPECT_EQ(parsed->result.diagnostics.resimulatedTime, forked.resimulatedTime);
+}
+
+// The runner's checkpoint lookup: a first attempt forks from the latest
+// checkpoint strictly before its injection instant (one taken at that instant
+// would re-run the injection wave); golden runs and retries never look; the
+// capture count is billed once per runner, hits and misses once per run().
+TEST(RunnerCheckpoints, ForksStrictlyBeforeInjectionAndBillsEachRun)
+{
+    const auto factory = [] { return std::make_unique<duts::DigitalDutTestbench>(); };
+    campaign::CampaignRunner runner(factory);
+    runner.setCheckpointCadence(kMicrosecond);
+    // An unknown target passes to the kernel with preflight off and fails to
+    // arm (SimError), so its retry is observable.
+    runner.setPreflight(false);
+    campaign::RetryPolicy retry;
+    retry.maxAttempts = 2;
+    retry.retrySimError = true;
+    runner.setRetryPolicy(retry);
+    obs::Telemetry telemetry;
+    runner.setTelemetry(telemetry);
+    const auto counter = [&telemetry](const char* name) {
+        return telemetry.metrics().counterValue(name);
+    };
+
+    const duts::DigitalDutTestbench probe;
+    const std::string target = probe.sim().digital().instrumentation().names().front();
+    const SimTime late = 3 * kMicrosecond + 500 * kNanosecond;
+    const fault::FaultSpec early = fault::BitFlipFault{target, 0, 10 * kNanosecond};
+
+    // Lookups: the late fault and the retried fault's first attempt hit, the
+    // early fault misses, the golden run and the retry do not look.
+    const campaign::CampaignReport first = runner.run({
+        fault::FaultSpec{},
+        fault::BitFlipFault{target, 0, late},
+        early,
+        fault::BitFlipFault{"no_such_target", 0, late},
+    });
+    ASSERT_EQ(first.runs.size(), 4u);
+    const SimTime cp = first.runs[1].diagnostics.checkpointTime;
+    ASSERT_GT(cp, 0);
+    ASSERT_LT(cp, late);
+    EXPECT_EQ(first.runs[2].diagnostics.checkpointTime, 0);
+    EXPECT_EQ(first.runs[3].outcome, campaign::Outcome::SimError);
+    EXPECT_EQ(first.runs[3].diagnostics.attempts, 2);
+    const std::uint64_t captured = runner.checkpointCount();
+    EXPECT_GE(captured, 3u);
+    EXPECT_EQ(counter("gfi_snapshot_checkpoints_total"), captured);
+    EXPECT_EQ(counter("gfi_snapshot_checkpoint_hits_total"), 2u);
+    EXPECT_EQ(counter("gfi_snapshot_checkpoint_misses_total"), 1u);
+
+    // A second campaign on the same runner: injected exactly at checkpoint
+    // cp it forks from the one before; 1 fs later it forks from cp itself.
+    const fault::FaultSpec atCheckpoint = fault::BitFlipFault{target, 0, cp};
+    const campaign::CampaignReport second = runner.run({
+        fault::FaultSpec{},
+        atCheckpoint,
+        fault::BitFlipFault{target, 0, cp + 1},
+        early,
+    });
+    ASSERT_EQ(second.runs.size(), 4u);
+    EXPECT_GT(second.runs[1].diagnostics.checkpointTime, 0);
+    EXPECT_LT(second.runs[1].diagnostics.checkpointTime, cp);
+    EXPECT_EQ(second.runs[2].diagnostics.checkpointTime, cp);
+    EXPECT_EQ(second.runs[3].diagnostics.checkpointTime, 0);
+    EXPECT_EQ(counter("gfi_snapshot_checkpoints_total"), captured) << "billed once";
+    EXPECT_EQ(counter("gfi_snapshot_checkpoint_hits_total"), 4u);
+    EXPECT_EQ(counter("gfi_snapshot_checkpoint_misses_total"), 2u);
+
+    // The at-checkpoint fork classifies as a from-scratch run does; a runner
+    // without checkpoints counts no lookups.
+    campaign::CampaignRunner scratch(factory);
+    scratch.setCheckpointCadence(0);
+    obs::Telemetry scratchTelemetry;
+    scratch.setTelemetry(scratchTelemetry);
+    const campaign::CampaignReport fromScratch = scratch.run({atCheckpoint});
+    EXPECT_EQ(fromScratch.runs[0].outcome, second.runs[1].outcome);
+    EXPECT_EQ(fromScratch.runs[0].firstOutputError, second.runs[1].firstOutputError);
+    EXPECT_EQ(fromScratch.runs[0].corruptedState, second.runs[1].corruptedState);
+    EXPECT_EQ(scratchTelemetry.metrics().counterValue("gfi_snapshot_checkpoint_hits_total"), 0u);
+    EXPECT_EQ(scratchTelemetry.metrics().counterValue("gfi_snapshot_checkpoint_misses_total"),
+              0u);
 }
 
 TEST(ForkFromGolden, EnvVarEnablesAndExplicitOptOutWins)
