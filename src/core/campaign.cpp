@@ -371,8 +371,17 @@ lint::Report CampaignRunner::preflightReport(const std::vector<fault::FaultSpec>
 
 RunResult CampaignRunner::classify(fault::Testbench& tb, const fault::FaultSpec& fault) const
 {
+    return classify(tb, fault, nullptr);
+}
+
+RunResult CampaignRunner::classify(fault::Testbench& tb, const fault::FaultSpec& fault,
+                                   const snapshot::Snapshot* fork) const
+{
     Observation run;
     run.duration = tb.duration();
+    if (fork != nullptr) {
+        run.fork = Observation::Fork{fork->time, fork->analogTime};
+    }
     for (const std::string& name : golden_->observedDigital()) {
         run.digital.push_back(&tb.recorder().digitalTrace(name));
     }
@@ -396,11 +405,21 @@ RunResult classifyObservation(const Observation& run, const fault::Testbench& go
     bool anyOutputError = false;
     bool recoveredEverywhere = true;
 
-    // Digital outputs: exact comparison.
+    // Digital outputs: exact comparison. A forked run's traces continue
+    // golden's, so each comparison starts after golden's events (below: its
+    // samples) at or before the checkpoint.
     const std::vector<std::string>& digital = golden.observedDigital();
     for (std::size_t k = 0; k < digital.size(); ++k) {
-        const auto diff = trace::compareDigital(golden.recorder().digitalTrace(digital[k]),
-                                                *run.digital[k], tEnd, tolerance.digitalJitter);
+        const trace::DigitalTrace& g = golden.recorder().digitalTrace(digital[k]);
+        std::optional<std::size_t> shared;
+        if (run.fork) {
+            shared = static_cast<std::size_t>(
+                std::upper_bound(g.events.begin(), g.events.end(), run.fork->time,
+                                 [](SimTime t, const auto& ev) { return t < ev.first; }) -
+                g.events.begin());
+        }
+        const auto diff = trace::compareDigital(g, *run.digital[k], tEnd,
+                                                tolerance.digitalJitter, shared);
         if (!diff.identical()) {
             anyOutputError = true;
             result.erredSignals.push_back(digital[k]);
@@ -418,9 +437,16 @@ RunResult classifyObservation(const Observation& run, const fault::Testbench& go
     // Analog outputs: tolerance-based comparison.
     const std::vector<std::string>& analog = golden.observedAnalog();
     for (std::size_t k = 0; k < analog.size(); ++k) {
-        const auto diff = trace::compareAnalog(golden.recorder().analogTrace(analog[k]),
-                                               *run.analog[k], tolerance.analogAbs,
-                                               tolerance.analogRel);
+        const trace::AnalogTrace& g = golden.recorder().analogTrace(analog[k]);
+        std::size_t shared = 0;
+        if (run.fork) {
+            shared = static_cast<std::size_t>(
+                std::upper_bound(g.samples.begin(), g.samples.end(), run.fork->analogTime,
+                                 [](double t, const auto& s) { return t < s.first; }) -
+                g.samples.begin());
+        }
+        const auto diff = trace::compareAnalog(g, *run.analog[k], tolerance.analogAbs,
+                                               tolerance.analogRel, shared);
         result.maxAnalogDeviation = std::max(result.maxAnalogDeviation, diff.maxDeviation);
         if (!diff.withinTolerance()) {
             anyOutputError = true;
@@ -527,7 +553,6 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
             tb->sim().restoreSnapshot(*from);
             tb->recorder().reset();
             if (cp) {
-                tb->recorder().preloadPrefix(golden_->recorder(), cp->time, cp->analogTime);
                 // Re-arm so the wave/step/wall budgets meter only the
                 // post-restore suffix, not the restore work — a forked run
                 // must never trip a budget its from-scratch twin would survive.
@@ -547,7 +572,7 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
         }
         {
             obs::Span span(tel, "classify", "run");
-            result = classify(*tb, fault);
+            result = classify(*tb, fault, cp.get());
         }
     } catch (const WatchdogTimeout& e) {
         result.outcome = Outcome::Timeout;

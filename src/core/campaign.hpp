@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 namespace gfi::obs {
 class Telemetry;
@@ -141,7 +142,19 @@ struct RunResult {
 /// observedState(): the run's trace of each observed signal and node, and
 /// the final value of each observed state hook.
 struct Observation {
+    /// The golden checkpoint a forked run resumed from.
+    struct Fork {
+        SimTime time = 0;        ///< digital time of the checkpoint (fs)
+        double analogTime = 0.0; ///< analog solver time of the checkpoint (s)
+    };
+
     SimTime duration = 0; ///< end of the observation window
+    /// Set for a run forked from a golden checkpoint: its traces hold only
+    /// what it recorded after the checkpoint and continue golden's, which
+    /// supplies the events at or before `time`, the samples at or before
+    /// `analogTime` and each signal's initial value. Unset for runs
+    /// simulated from t = 0 (scratch runs, batch lanes).
+    std::optional<Fork> fork;
     std::vector<const trace::DigitalTrace*> digital;
     std::vector<const trace::AnalogTrace*> analog;
     std::vector<std::uint64_t> state;
@@ -437,10 +450,11 @@ public:
     }
 
     /// Re-classifies a finished faulty testbench (built by this runner's
-    /// factory) against the golden run: reads the testbench's traces and
-    /// state hooks into an Observation and applies classifyObservation()
-    /// with this runner's tolerance. Used by the event kernel and by
-    /// tolerance-sweep ablations without re-simulating. Requires runGolden().
+    /// factory and simulated from t = 0, so it holds whole traces) against
+    /// the golden run: reads the testbench's traces and state hooks into an
+    /// Observation and applies classifyObservation() with this runner's
+    /// tolerance. Used by tolerance-sweep ablations and figure benches
+    /// without re-simulating. Requires runGolden().
     [[nodiscard]] RunResult classify(fault::Testbench& tb, const fault::FaultSpec& fault) const;
 
 private:
@@ -474,6 +488,11 @@ private:
     /// One contained attempt: build (or take a pooled testbench and restore
     /// it), arm, run under the watchdog, classify.
     RunResult attemptOne(const fault::FaultSpec& fault, int attempt);
+
+    /// classify() for a testbench resumed from golden checkpoint @p fork
+    /// (null: simulated from t = 0), whose traces hold only the suffix.
+    [[nodiscard]] RunResult classify(fault::Testbench& tb, const fault::FaultSpec& fault,
+                                     const snapshot::Snapshot* fork) const;
 
     /// runOne() minus the golden-run bootstrap — the worker entry point:
     /// requires runGolden() to have completed, touches only run-local state

@@ -3,6 +3,7 @@
 #include "core/report.hpp"
 #include "io/sha256.hpp"
 #include "lint/preflight.hpp"
+#include "util/file.hpp"
 #include "util/json.hpp"
 
 #include <filesystem>
@@ -29,14 +30,6 @@ std::string readFileOrThrow(const fs::path& path)
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
-}
-
-void writeFileOrThrow(const fs::path& path, const std::string& content)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out || !(out << content) || !out.flush()) {
-        throw GoldenStoreError("golden store: cannot write " + path.string());
-    }
 }
 
 /// File-system-safe rendering of a circuit name (names/<circuit>.json).
@@ -192,18 +185,34 @@ void GoldenStore::put(const CacheKey& key, const std::string& circuitName,
     meta += "  \"report_sha256\": " + quoted(sha256Hex(reportJson)) + "\n";
     meta += "}\n";
 
-    // Stage the whole entry in tmp/, then swap it in with a rename — a killed
-    // process never leaves a half-written entry addressable.
+    // The circuit's name pointer to the new entry.
+    std::string pointer = "{\n";
+    pointer += "  \"circuit\": " + quoted(circuitName) + ",\n";
+    pointer += "  \"netlist\": " + quoted(key.netlistDigest) + ",\n";
+    pointer += "  \"key\": " + quoted(combined) + "\n";
+    pointer += "}\n";
+
+    // Stage the whole entry and the pointer in tmp/, then swap each in with
+    // a rename — a killed process never leaves a half-written entry or
+    // pointer addressable, and a failed write commits nothing.
     const fs::path staged = fs::path(root_) / "tmp" / combined;
+    const fs::path pointerStaged = fs::path(root_) / "tmp" / (sanitizeName(circuitName) +
+                                                              ".name.json");
     std::error_code ec;
     fs::remove_all(staged, ec);
     fs::create_directories(staged, ec);
     if (ec) {
         throw GoldenStoreError("golden store: cannot stage entry " + combined);
     }
-    writeFileOrThrow(staged / "meta.json", meta);
-    writeFileOrThrow(staged / "verdicts.jsonl", verdictsText);
-    writeFileOrThrow(staged / "report.json", reportJson);
+    try {
+        util::writeFileOrThrow((staged / "meta.json").string(), meta, "golden store");
+        util::writeFileOrThrow((staged / "verdicts.jsonl").string(), verdictsText,
+                               "golden store");
+        util::writeFileOrThrow((staged / "report.json").string(), reportJson, "golden store");
+        util::writeFileOrThrow(pointerStaged.string(), pointer, "golden store");
+    } catch (const std::runtime_error& e) {
+        throw GoldenStoreError(e.what());
+    }
 
     const fs::path dir = entryDir(combined);
     fs::create_directories(dir.parent_path(), ec);
@@ -213,18 +222,7 @@ void GoldenStore::put(const CacheKey& key, const std::string& circuitName,
         throw GoldenStoreError("golden store: cannot commit entry " + combined + ": " +
                                ec.message());
     }
-
-    // Repoint the circuit's name at the new entry (atomic file swap).
-    std::string pointer = "{\n";
-    pointer += "  \"circuit\": " + quoted(circuitName) + ",\n";
-    pointer += "  \"netlist\": " + quoted(key.netlistDigest) + ",\n";
-    pointer += "  \"key\": " + quoted(combined) + "\n";
-    pointer += "}\n";
-    const fs::path pointerPath = namePath(circuitName);
-    const fs::path pointerStaged = fs::path(root_) / "tmp" / (sanitizeName(circuitName) +
-                                                              ".name.json");
-    writeFileOrThrow(pointerStaged, pointer);
-    fs::rename(pointerStaged, pointerPath, ec);
+    fs::rename(pointerStaged, namePath(circuitName), ec);
     if (ec) {
         throw GoldenStoreError("golden store: cannot update name pointer for '" +
                                circuitName + "': " + ec.message());

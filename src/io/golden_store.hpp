@@ -88,6 +88,8 @@ public:
 
     /// Records @p report under @p key (idempotent; an existing entry is
     /// replaced atomically) and repoints names/<circuitName>.json at it.
+    /// Every file is staged under tmp/ and checked through its close; a
+    /// failed write throws GoldenStoreError and commits nothing.
     void put(const CacheKey& key, const std::string& circuitName,
              const campaign::CampaignReport& report);
 

@@ -35,7 +35,8 @@ public:
 };
 
 /// One captured simulator state: the byte stream plus the capture times
-/// needed to pick a checkpoint and preload trace prefixes without parsing.
+/// needed to pick a checkpoint and to find where a resumed run's traces
+/// leave golden's, without parsing.
 struct Snapshot {
     SimTime time = 0;       ///< digital kernel time at capture (fs)
     double analogTime = 0;  ///< analog solver time at capture (s); 0 if no analog

@@ -5,6 +5,9 @@
 
 #include "trace/trace.hpp"
 
+#include <cstddef>
+#include <optional>
+
 namespace gfi::trace {
 
 /// Result of comparing two digital traces.
@@ -32,8 +35,16 @@ struct DigitalDiff {
 /// shorter than @p minWindow are discarded: this is the digital counterpart
 /// of the analog tolerance — edge jitter below the threshold (e.g. sub-ps
 /// clock wobble while a PLL relocks) is not a functional error.
+///
+/// @p shared describes a test trace forked from golden: the test run's trace
+/// is golden's initial value and first *shared events, followed by
+/// test.events (whose times must not precede the last shared event's), and
+/// only that suffix is stored; test.initial is not read. Both cursors start
+/// past the shared events: the traces agree over them, so no mismatch window
+/// opens there. Unset (the default), @p test holds its whole trace.
 [[nodiscard]] DigitalDiff compareDigital(const DigitalTrace& golden, const DigitalTrace& test,
-                                         SimTime tEnd, SimTime minWindow = 0);
+                                         SimTime tEnd, SimTime minWindow = 0,
+                                         std::optional<std::size_t> shared = std::nullopt);
 
 /// Result of comparing two analog traces.
 struct AnalogDiff {
@@ -49,10 +60,18 @@ struct AnalogDiff {
 
 /// Compares two analog traces on the union of their sample points, each
 /// trace interpolated as AnalogTrace::valueAt does. Sample times must be
-/// non-decreasing, as recorded: the Recorder appends at accepted solver steps
-/// and preloadPrefix copies a golden prefix. A point deviates when
-/// |test - golden| > absTol + relTol * |golden|.
+/// non-decreasing, as recorded: the Recorder appends at accepted solver
+/// steps. A point deviates when |test - golden| > absTol + relTol * |golden|
+/// (absTol, relTol >= 0).
+///
+/// The test run's trace is golden's first @p shared samples followed by
+/// test.samples, whose times must not precede the last shared sample's; a
+/// run forked from a golden checkpoint stores only that suffix. Every point
+/// before the last shared sample deviates by 0, so the merge starts there;
+/// the suffix's first sample interpolates from golden[shared - 1]. With
+/// @p shared = 0, @p test holds its whole trace.
 [[nodiscard]] AnalogDiff compareAnalog(const AnalogTrace& golden, const AnalogTrace& test,
-                                       double absTol, double relTol = 0.0);
+                                       double absTol, double relTol = 0.0,
+                                       std::size_t shared = 0);
 
 } // namespace gfi::trace

@@ -83,41 +83,6 @@ std::pair<double, double> AnalogTrace::minmax(double t0, double t1) const
 // ---------------------------------------------------------------------------
 // Recorder
 
-void Recorder::preloadPrefix(const Recorder& golden, SimTime tDigital, double tAnalog)
-{
-    for (auto& [name, tr] : digital_) {
-        const auto it = golden.digital_.find(name);
-        if (it == golden.digital_.end()) {
-            throw std::logic_error("Recorder::preloadPrefix: golden run did not record '" +
-                                   name + "'");
-        }
-        const DigitalTrace& g = it->second;
-        tr.initial = g.initial;
-        tr.events.clear();
-        for (const auto& ev : g.events) {
-            if (ev.first > tDigital) {
-                break;
-            }
-            tr.events.push_back(ev);
-        }
-    }
-    for (auto& [name, tr] : analog_) {
-        const auto it = golden.analog_.find(name);
-        if (it == golden.analog_.end()) {
-            throw std::logic_error("Recorder::preloadPrefix: golden run did not record '" +
-                                   name + "'");
-        }
-        const AnalogTrace& g = it->second;
-        tr.samples.clear();
-        for (const auto& sample : g.samples) {
-            if (sample.first > tAnalog) {
-                break;
-            }
-            tr.samples.push_back(sample);
-        }
-    }
-}
-
 void Recorder::reset()
 {
     for (auto& [tr, initial] : constructionInitial_) {
@@ -215,20 +180,41 @@ void writeAnalogCsv(const std::string& path, const std::vector<const AnalogTrace
     util::writeFileOrThrow(path, out, "writeAnalogCsv");
 }
 
+namespace {
+
+/// The VCD identifier code of the @p index-th variable.
+std::string vcdIdentifier(std::size_t index)
+{
+    // Bijective base 94 over the printable codes '!'..'~', least significant
+    // character first: 0..93 get one character, the next 94^2 two, and so on.
+    constexpr std::size_t kBase = '~' - '!' + 1;
+    std::string id;
+    for (;;) {
+        id += static_cast<char>('!' + index % kBase);
+        index /= kBase;
+        if (index == 0) {
+            return id;
+        }
+        --index;
+    }
+}
+
+} // namespace
+
 void writeVcd(const std::string& path, const std::vector<const DigitalTrace*>& digitalTraces,
               const std::vector<const AnalogTrace*>& analogTraces)
 {
     std::string out = "$timescale 1fs $end\n$scope module gfi $end\n";
-    char id = '!';
-    std::vector<char> digIds;
+    std::size_t next = 0;
+    std::vector<std::string> digIds;
     for (const DigitalTrace* tr : digitalTraces) {
-        out += std::string("$var wire 1 ") + id + ' ' + tr->name + " $end\n";
-        digIds.push_back(id++);
+        digIds.push_back(vcdIdentifier(next++));
+        out += "$var wire 1 " + digIds.back() + ' ' + tr->name + " $end\n";
     }
-    std::vector<char> anaIds;
+    std::vector<std::string> anaIds;
     for (const AnalogTrace* tr : analogTraces) {
-        out += std::string("$var real 64 ") + id + ' ' + tr->name + " $end\n";
-        anaIds.push_back(id++);
+        anaIds.push_back(vcdIdentifier(next++));
+        out += "$var real 64 " + anaIds.back() + ' ' + tr->name + " $end\n";
     }
     out += "$upscope $end\n$enddefinitions $end\n";
 
@@ -239,9 +225,8 @@ void writeVcd(const std::string& path, const std::vector<const DigitalTrace*>& d
     };
     std::vector<Change> changes;
     for (std::size_t i = 0; i < digitalTraces.size(); ++i) {
-        const char c = digIds[i];
-        changes.push_back({0, std::string(1, digital::toChar(digitalTraces[i]->initial)) +
-                                  std::string(1, c)});
+        const std::string& id = digIds[i];
+        changes.push_back({0, digital::toChar(digitalTraces[i]->initial) + id});
         for (const auto& [t, v] : digitalTraces[i]->events) {
             char ch = digital::toChar(v);
             if (ch == 'U' || ch == 'W' || ch == '-') {
@@ -259,15 +244,15 @@ void writeVcd(const std::string& path, const std::vector<const DigitalTrace*>& d
             if (ch == 'Z') {
                 ch = 'z';
             }
-            changes.push_back({t, std::string(1, ch) + std::string(1, c)});
+            changes.push_back({t, ch + id});
         }
     }
     for (std::size_t i = 0; i < analogTraces.size(); ++i) {
-        const char c = anaIds[i];
+        const std::string& id = anaIds[i];
         for (const auto& [t, v] : analogTraces[i]->samples) {
             char buf[64];
-            std::snprintf(buf, sizeof buf, "r%.9g %c", v, c);
-            changes.push_back({fromSeconds(t), buf});
+            std::snprintf(buf, sizeof buf, "r%.9g ", v);
+            changes.push_back({fromSeconds(t), buf + id});
         }
     }
     std::stable_sort(changes.begin(), changes.end(),

@@ -52,20 +52,14 @@ public:
     /// Records the named analog node at every accepted solver step.
     void recordAnalog(const std::string& nodeName);
 
-    /// Fork-from-golden support: overwrites every recorded trace with the
-    /// golden recorder's history up to the checkpoint — digital events at or
-    /// before @p tDigital (fs), analog samples at or before @p tAnalog (s) —
-    /// discarding anything this recorder captured during elaboration. Call
-    /// right after MixedSimulator::restoreSnapshot(); the resumed run then
-    /// appends only post-checkpoint history, so the combined traces are
-    /// byte-identical to an uninterrupted run's.
-    void preloadPrefix(const Recorder& golden, SimTime tDigital, double tAnalog);
-
     /// Back to the construction state: every digital trace holds only the
     /// initial value its signal had when recording began, every analog trace
     /// is empty. Call right after MixedSimulator::restoreSnapshot() when a
     /// used testbench is re-run (a reset plus a pre-start restore leaves the
-    /// recorder exactly as a freshly built testbench's).
+    /// recorder exactly as a freshly built testbench's). After a restore from
+    /// a golden checkpoint the recorder then holds only the resumed run's
+    /// suffix; compareDigital/compareAnalog read it as continuing golden's
+    /// traces up to the checkpoint.
     void reset();
 
     /// Recorded digital trace (throws std::out_of_range if not recorded).
@@ -98,7 +92,8 @@ private:
 void writeAnalogCsv(const std::string& path, const std::vector<const AnalogTrace*>& traces);
 
 /// Writes a (simple, two-state + X/Z) VCD file from digital traces and analog
-/// traces (emitted as VCD real variables).
+/// traces (emitted as VCD real variables). Variables get identifier codes of
+/// printable characters ('!'..'~'): one character for the first 94, then two.
 void writeVcd(const std::string& path, const std::vector<const DigitalTrace*>& digitalTraces,
               const std::vector<const AnalogTrace*>& analogTraces);
 

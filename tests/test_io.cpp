@@ -519,6 +519,34 @@ TEST(GoldenStoreTest, NamePointerAndStaleCachePre009)
     }
 }
 
+TEST(GoldenStoreTest, FullDiskPointerWriteIsAStoreError)
+{
+    // /dev/full accepts the open and the buffered write; only the close
+    // reports the full disk.
+    if (!std::filesystem::exists("/dev/full")) {
+        GTEST_SKIP() << "/dev/full is absent";
+    }
+    const std::string root = freshDir("store_full_disk");
+    GoldenStore store(root);
+    const IngestWorkload w = miniWorkload();
+    campaign::CampaignRunner runner(w.factory());
+    const CachedCampaign cold = runCampaignCached(runner, w, store);
+    const std::filesystem::path namePath =
+        std::filesystem::path(root) / "names" / "mini.json";
+    const std::string pointer = slurp(namePath);
+
+    // The next put() stages its name pointer onto the full disk: it must
+    // throw, commit no entry and leave the committed pointer as it was.
+    std::filesystem::create_symlink("/dev/full",
+                                    std::filesystem::path(root) / "tmp" / "mini.name.json");
+    const CacheKey other{sha256Hex("another netlist"), sha256Hex("s"), sha256Hex("f")};
+    EXPECT_THROW(store.put(other, "mini", cold.report), GoldenStoreError);
+    EXPECT_FALSE(store.contains(other));
+    EXPECT_EQ(slurp(namePath), pointer);
+    ASSERT_TRUE(store.namePointer("mini").has_value());
+    EXPECT_EQ(store.namePointer("mini")->key, cold.key);
+}
+
 /// Whole-file write helper for tampering with store entries.
 
 void spit(const std::filesystem::path& path, const std::string& text)

@@ -5,7 +5,8 @@
 //   * the runner forks from the latest golden checkpoint *strictly before*
 //     the injection time and bills its lookups once per campaign;
 //   * capture -> restore -> run is bit-identical to an uninterrupted run for
-//     the digital DUT, the PLL and the SAR ADC (traces, wave counts, solver
+//     the digital DUT, the PLL and the SAR ADC (the resumed traces are the
+//     uninterrupted run's tail after the checkpoint; wave counts, solver
 //     stats) — the determinism contract of DESIGN.md §9;
 //   * fork-from-golden campaigns record their checkpoint bookkeeping, and
 //     retries fall back to from-scratch simulation (byte identity with
@@ -26,10 +27,12 @@
 #include "pll/pll.hpp"
 #include "snapshot/serialize.hpp"
 #include "snapshot/snapshot.hpp"
+#include "trace/compare.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -154,6 +157,22 @@ snapshot::Snapshot captureAtOrAfter(fault::Testbench& tb, SimTime t)
     }
 }
 
+/// Wave counts and, for a design with analog unknowns, solver stats.
+void expectIdenticalKernelWork(fault::Testbench& reference, fault::Testbench& resumed,
+                               const char* tag)
+{
+    EXPECT_EQ(resumed.sim().digital().scheduler().deltaCycles(),
+              reference.sim().digital().scheduler().deltaCycles())
+        << tag << ": wave counts differ";
+    if (reference.sim().analog().unknownCount() > 0) {
+        const auto& a = reference.sim().solver().stats();
+        const auto& b = resumed.sim().solver().stats();
+        EXPECT_EQ(b.acceptedSteps, a.acceptedSteps) << tag;
+        EXPECT_EQ(b.rejectedSteps, a.rejectedSteps) << tag;
+        EXPECT_EQ(b.newtonIterations, a.newtonIterations) << tag;
+    }
+}
+
 void expectIdenticalRuns(fault::Testbench& reference, fault::Testbench& resumed,
                          const char* tag)
 {
@@ -166,16 +185,48 @@ void expectIdenticalRuns(fault::Testbench& reference, fault::Testbench& resumed,
         const trace::AnalogTrace& got = resumed.recorder().analogTrace(name);
         EXPECT_EQ(got.samples, ref.samples) << tag << ": analog trace " << name;
     }
-    EXPECT_EQ(resumed.sim().digital().scheduler().deltaCycles(),
-              reference.sim().digital().scheduler().deltaCycles())
-        << tag << ": wave counts differ";
-    if (reference.sim().analog().unknownCount() > 0) {
-        const auto& a = reference.sim().solver().stats();
-        const auto& b = resumed.sim().solver().stats();
-        EXPECT_EQ(b.acceptedSteps, a.acceptedSteps) << tag;
-        EXPECT_EQ(b.rejectedSteps, a.rejectedSteps) << tag;
-        EXPECT_EQ(b.newtonIterations, a.newtonIterations) << tag;
+    expectIdenticalKernelWork(reference, resumed, tag);
+}
+
+/// A run resumed from @p snap records only its suffix: each trace must be
+/// exactly the reference's tail after the checkpoint, starting where the
+/// verdict rule's upper_bound at snap.time / snap.analogTime puts it, so
+/// the reference's prefix plus the suffix is the uninterrupted trace.
+void expectResumedSuffix(fault::Testbench& reference, fault::Testbench& resumed,
+                         const snapshot::Snapshot& snap, const char* tag)
+{
+    for (const auto& [name, ref] : reference.recorder().digitalTraces()) {
+        const trace::DigitalTrace& got = resumed.recorder().digitalTrace(name);
+        EXPECT_EQ(got.initial, ref.initial) << tag << ": " << name;
+        ASSERT_LE(got.events.size(), ref.events.size()) << tag << ": " << name;
+        const std::size_t start = ref.events.size() - got.events.size();
+        const auto split = std::upper_bound(
+            ref.events.begin(), ref.events.end(), snap.time,
+            [](SimTime t, const auto& ev) { return t < ev.first; });
+        EXPECT_EQ(start, static_cast<std::size_t>(split - ref.events.begin()))
+            << tag << ": digital trace " << name;
+        EXPECT_TRUE(std::equal(got.events.begin(), got.events.end(), ref.events.begin() +
+                                   static_cast<std::ptrdiff_t>(start)))
+            << tag << ": digital trace " << name;
+        EXPECT_TRUE(trace::compareDigital(ref, got, reference.duration(), 0, start).identical())
+            << tag << ": digital trace " << name;
     }
+    for (const auto& [name, ref] : reference.recorder().analogTraces()) {
+        const trace::AnalogTrace& got = resumed.recorder().analogTrace(name);
+        ASSERT_LE(got.samples.size(), ref.samples.size()) << tag << ": " << name;
+        const std::size_t start = ref.samples.size() - got.samples.size();
+        const auto split = std::upper_bound(
+            ref.samples.begin(), ref.samples.end(), snap.analogTime,
+            [](double t, const auto& sample) { return t < sample.first; });
+        EXPECT_EQ(start, static_cast<std::size_t>(split - ref.samples.begin()))
+            << tag << ": analog trace " << name;
+        EXPECT_TRUE(std::equal(got.samples.begin(), got.samples.end(), ref.samples.begin() +
+                                   static_cast<std::ptrdiff_t>(start)))
+            << tag << ": analog trace " << name;
+        EXPECT_EQ(trace::compareAnalog(ref, got, 0.0, 0.0, start).maxDeviation, 0.0)
+            << tag << ": analog trace " << name;
+    }
+    expectIdenticalKernelWork(reference, resumed, tag);
 }
 
 void expectCaptureRestoreBitIdentical(const fault::TestbenchFactory& factory,
@@ -195,14 +246,14 @@ void expectCaptureRestoreBitIdentical(const fault::TestbenchFactory& factory,
     donor->sim().run(donor->duration());
     expectIdenticalRuns(*reference, *donor, (std::string(tag) + "/segmented").c_str());
 
-    // Resumed: a fresh structural twin restored from the snapshot, traces
-    // preloaded with the golden prefix, then run only over the suffix.
+    // Resumed: a fresh structural twin restored from the snapshot with its
+    // recorder reset, as the campaign does, then run only over the suffix.
     auto resumed = factory();
     resumed->sim().restoreSnapshot(snap);
-    resumed->recorder().preloadPrefix(reference->recorder(), snap.time, snap.analogTime);
+    resumed->recorder().reset();
     EXPECT_EQ(resumed->sim().now(), snap.time);
     resumed->run();
-    expectIdenticalRuns(*reference, *resumed, (std::string(tag) + "/resumed").c_str());
+    expectResumedSuffix(*reference, *resumed, snap, (std::string(tag) + "/resumed").c_str());
 }
 
 TEST(SnapshotRestore, DigitalDutBitIdentical)
@@ -641,6 +692,49 @@ TEST(RunnerCheckpoints, ForksStrictlyBeforeInjectionAndBillsEachRun)
     EXPECT_EQ(scratchTelemetry.metrics().counterValue("gfi_snapshot_checkpoint_hits_total"), 0u);
     EXPECT_EQ(scratchTelemetry.metrics().counterValue("gfi_snapshot_checkpoint_misses_total"),
               0u);
+}
+
+// A checkpoint taken at the instant an observed output changes holds that
+// change in golden's part of the trace: the forked run records only what
+// follows, and classifies exactly as a from-scratch run does.
+TEST(ForkFromGolden, CheckpointOnAnObservedEventClassifiesAsScratch)
+{
+    const auto factory = [] { return std::make_unique<duts::DigitalDutTestbench>(); };
+    const auto reference = factory();
+    reference->run();
+    const std::string observed = reference->observedDigital().front();
+    const auto& events = reference->recorder().digitalTrace(observed).events;
+    const auto at = std::find_if(events.begin(), events.end(),
+                                 [](const auto& ev) { return ev.first >= kMicrosecond; });
+    ASSERT_NE(at, events.end());
+    const SimTime tEvent = at->first;
+
+    // The cadence puts the first capture on the first scheduled event at or
+    // after tEvent, which is tEvent itself; the next one is a cadence later.
+    campaign::CampaignRunner forked(factory);
+    forked.setCheckpointCadence(tEvent);
+    campaign::CampaignRunner scratch(factory);
+    scratch.setCheckpointCadence(0);
+    const std::vector<std::string> targets =
+        reference->sim().digital().instrumentation().names();
+    std::vector<fault::FaultSpec> faults;
+    for (std::size_t i = 0; i < targets.size(); i += 3) {
+        faults.push_back(fault::BitFlipFault{targets[i], 0, tEvent + 1});
+        faults.push_back(fault::BitFlipFault{targets[i], 1, tEvent + 40 * kNanosecond});
+    }
+    const campaign::CampaignReport got = forked.run(faults);
+    const campaign::CampaignReport want = scratch.run(faults);
+    ASSERT_EQ(got.runs.size(), want.runs.size());
+    for (std::size_t i = 0; i < got.runs.size(); ++i) {
+        SCOPED_TRACE(fault::describe(faults[i]));
+        EXPECT_EQ(got.runs[i].diagnostics.checkpointTime, tEvent);
+        EXPECT_EQ(got.runs[i].outcome, want.runs[i].outcome);
+        EXPECT_EQ(got.runs[i].erredSignals, want.runs[i].erredSignals);
+        EXPECT_EQ(got.runs[i].firstOutputError, want.runs[i].firstOutputError);
+        EXPECT_EQ(got.runs[i].lastOutputErrorEnd, want.runs[i].lastOutputErrorEnd);
+        EXPECT_EQ(got.runs[i].totalOutputErrorTime, want.runs[i].totalOutputErrorTime);
+        EXPECT_EQ(got.runs[i].corruptedState, want.runs[i].corruptedState);
+    }
 }
 
 TEST(ForkFromGolden, EnvVarEnablesAndExplicitOptOutWins)

@@ -189,6 +189,110 @@ TEST(CompareDigitalTest, LinearMergeMatchesSortReference)
     }
 }
 
+/// Golden's first @p shared events followed by @p suffix, from golden's
+/// initial value: the whole trace of a run forked after them.
+DigitalTrace concatenated(const DigitalTrace& golden, std::size_t shared,
+                          const DigitalTrace& suffix)
+{
+    DigitalTrace full = makeTrace(golden.initial, {});
+    full.events.assign(golden.events.begin(),
+                       golden.events.begin() + static_cast<std::ptrdiff_t>(shared));
+    full.events.insert(full.events.end(), suffix.events.begin(), suffix.events.end());
+    return full;
+}
+
+void expectSameDigitalDiff(const DigitalDiff& got, const DigitalDiff& want)
+{
+    ASSERT_EQ(got.mismatchWindows, want.mismatchWindows);
+    EXPECT_EQ(got.firstMismatch, want.firstMismatch);
+    EXPECT_EQ(got.lastMismatchEnd, want.lastMismatchEnd);
+    EXPECT_EQ(got.totalMismatch, want.totalMismatch);
+}
+
+TEST(CompareDigitalTest, SharedPrefixMatchesFullTrace)
+{
+    static constexpr Logic kValues[] = {Logic::Zero, Logic::One, Logic::X, Logic::H, Logic::L};
+    Rng rng(20261019);
+    constexpr SimTime kHorizon = 1600;
+    for (int round = 0; round < 400; ++round) {
+        const DigitalTrace golden = randomTrace(rng, kHorizon);
+        const SimTime tEnd = static_cast<SimTime>(rng.below(2 * kHorizon / 100)) * 100 +
+                             static_cast<SimTime>(rng.below(2)) * 50;
+        const SimTime minWindow = static_cast<SimTime>(rng.below(3)) * 100;
+        for (std::size_t shared = 0; shared <= golden.events.size(); ++shared) {
+            // The forked run's own events: golden's tail, golden's tail with
+            // some values changed, an independent run, or nothing. They start
+            // at the last shared event's time or later, so equal timestamps
+            // meet at the boundary. The stored initial value is arbitrary: a
+            // fork reads golden's.
+            DigitalTrace suffix = makeTrace(kValues[rng.below(5)], {});
+            const std::uint64_t kind = rng.below(4);
+            if (kind <= 1) {
+                suffix.events.assign(golden.events.begin() + static_cast<std::ptrdiff_t>(shared),
+                                     golden.events.end());
+                for (auto& [t, v] : suffix.events) {
+                    if (kind == 1 && rng.below(3) == 0) {
+                        v = kValues[rng.below(5)];
+                    }
+                }
+            } else if (kind == 2) {
+                SimTime now = shared > 0 ? golden.events[shared - 1].first : 0;
+                const std::uint64_t count = rng.below(12);
+                for (std::uint64_t i = 0; i < count; ++i) {
+                    now += static_cast<SimTime>(rng.below(3)) * (kHorizon / 16);
+                    suffix.events.emplace_back(now, kValues[rng.below(5)]);
+                }
+            }
+            const DigitalTrace full = concatenated(golden, shared, suffix);
+            SCOPED_TRACE("round " + std::to_string(round) + " shared " + std::to_string(shared));
+            expectSameDigitalDiff(compareDigital(golden, suffix, tEnd, minWindow, shared),
+                                  referenceCompareDigital(golden, full, tEnd, minWindow));
+        }
+    }
+}
+
+TEST(CompareDigitalTest, SharedPrefixEdgeCases)
+{
+    const auto golden = makeTrace(Logic::Zero, {{100, Logic::One}, {200, Logic::Zero}});
+
+    // A fork with nothing shared still starts from golden's initial value;
+    // the stored one is not read.
+    const auto onlyInitial = makeTrace(Logic::One, {});
+    EXPECT_TRUE(compareDigital(makeTrace(Logic::Zero, {}), onlyInitial, 300, 0, 0).identical());
+    EXPECT_FALSE(compareDigital(makeTrace(Logic::Zero, {}), onlyInitial, 300).identical());
+
+    // Forked after both golden events: a 10 fs glitch opens at the suffix's
+    // first event. The jitter window drops it by its own width and never
+    // reaches back into the shared prefix.
+    const auto glitch = makeTrace(Logic::U, {{250, Logic::One}, {260, Logic::Zero}});
+    const DigitalDiff raw = compareDigital(golden, glitch, 1000, 0, 2);
+    ASSERT_EQ(raw.mismatchWindows.size(), 1u);
+    EXPECT_EQ(raw.mismatchWindows[0], (std::pair<SimTime, SimTime>{250, 260}));
+    EXPECT_TRUE(compareDigital(golden, glitch, 1000, 11, 2).identical());
+    expectSameDigitalDiff(compareDigital(golden, glitch, 1000, 10, 2),
+                          referenceCompareDigital(golden, concatenated(golden, 2, glitch), 1000,
+                                                  10));
+
+    // The same glitch at the boundary instant itself (equal timestamps).
+    const auto atBoundary = makeTrace(Logic::U, {{200, Logic::One}, {205, Logic::Zero}});
+    EXPECT_EQ(compareDigital(golden, atBoundary, 1000, 0, 2).mismatchWindows,
+              (std::vector<std::pair<SimTime, SimTime>>{{200, 205}}));
+    EXPECT_TRUE(compareDigital(golden, atBoundary, 1000, 6, 2).identical());
+
+    // A sub-window mismatch straddling tEnd: cut to [995, 1000), dropped by
+    // a 6 fs window, kept (and not recovered) without one.
+    const auto late = makeTrace(Logic::U, {{995, Logic::One}, {1003, Logic::Zero}});
+    const DigitalDiff cut = compareDigital(golden, late, 1000, 0, 2);
+    EXPECT_EQ(cut.mismatchWindows, (std::vector<std::pair<SimTime, SimTime>>{{995, 1000}}));
+    EXPECT_FALSE(cut.matchesAt(1000));
+    EXPECT_TRUE(compareDigital(golden, late, 1000, 6, 2).identical());
+    for (const SimTime minWindow : {SimTime{0}, SimTime{5}, SimTime{6}}) {
+        expectSameDigitalDiff(compareDigital(golden, late, 1000, minWindow, 2),
+                              referenceCompareDigital(golden, concatenated(golden, 2, late), 1000,
+                                                      minWindow));
+    }
+}
+
 TEST(CompareDigitalTest, EmptyTraces)
 {
     const auto zero = makeTrace(Logic::Zero, {});
@@ -355,6 +459,56 @@ TEST(CompareAnalogTest, CursorMergeMatchesSortReference)
     }
 }
 
+TEST(CompareAnalogTest, SharedPrefixMatchesFullTrace)
+{
+    Rng rng(20261020);
+    for (int round = 0; round < 600; ++round) {
+        const AnalogTrace golden = randomAnalogTrace(rng);
+        static constexpr double kTols[] = {0.0, 1e-3, 2.5e-3};
+        const double absTol = kTols[rng.below(3)];
+        const double relTol = rng.below(2) == 0 ? 0.0 : kTols[rng.below(3)];
+        for (std::size_t shared = 0; shared <= golden.samples.size(); ++shared) {
+            // The forked run's own samples: golden's tail, golden's tail with
+            // some values moved, an independent run, or nothing. They start
+            // at the last shared sample's time or later, so equal timestamps
+            // meet at the boundary.
+            AnalogTrace suffix;
+            const std::uint64_t kind = rng.below(4);
+            if (kind <= 1) {
+                suffix.samples.assign(
+                    golden.samples.begin() + static_cast<std::ptrdiff_t>(shared),
+                    golden.samples.end());
+                for (auto& [t, v] : suffix.samples) {
+                    if (kind == 1 && rng.below(3) == 0) {
+                        v += 1e-3 * static_cast<double>(rng.below(5)) - 2e-3;
+                    }
+                }
+            } else if (kind == 2) {
+                double now = shared > 0 ? golden.samples[shared - 1].first : 0.0;
+                const std::uint64_t count = rng.below(12);
+                for (std::uint64_t i = 0; i < count; ++i) {
+                    now += static_cast<double>(rng.below(3)) * 1e-9;
+                    suffix.samples.emplace_back(now, rng.uniform(-2.0, 2.0));
+                }
+            }
+            AnalogTrace full;
+            full.samples.assign(golden.samples.begin(),
+                                golden.samples.begin() + static_cast<std::ptrdiff_t>(shared));
+            full.samples.insert(full.samples.end(), suffix.samples.begin(),
+                                suffix.samples.end());
+            const AnalogDiff got = compareAnalog(golden, suffix, absTol, relTol, shared);
+            const AnalogDiff want = referenceCompareAnalog(golden, full, absTol, relTol);
+            SCOPED_TRACE("round " + std::to_string(round) + " shared " + std::to_string(shared));
+            EXPECT_EQ(got.maxDeviation, want.maxDeviation);
+            EXPECT_EQ(got.tMaxDeviation, want.tMaxDeviation);
+            EXPECT_EQ(got.firstExceed, want.firstExceed);
+            EXPECT_EQ(got.lastExceed, want.lastExceed);
+            EXPECT_EQ(got.timeOutsideTol, want.timeOutsideTol);
+            EXPECT_EQ(got.withinTolAtEnd, want.withinTolAtEnd);
+        }
+    }
+}
+
 TEST(MetricsTest, ExtractPeriods)
 {
     const auto clk = makeTrace(Logic::Zero, {{0, Logic::One},
@@ -496,6 +650,81 @@ TEST(WritersTest, CsvAndVcdProduceFiles)
     EXPECT_NE(vcd.find("$var wire 1 ! sig $end"), std::string::npos);
     EXPECT_NE(vcd.find("$var real 64"), std::string::npos);
     EXPECT_NE(vcd.find("#10"), std::string::npos);
+}
+
+TEST(WritersTest, VcdIdentifiersStayPrintableAndDistinct)
+{
+    // 200 variables: past the 94 single-character codes.
+    std::vector<DigitalTrace> traces;
+    for (int i = 0; i < 200; ++i) {
+        traces.push_back(makeTrace(Logic::Zero, {{10 * (i + 1), Logic::One}}));
+        traces.back().name = "s" + std::to_string(i);
+    }
+    std::vector<const DigitalTrace*> ptrs;
+    for (const DigitalTrace& t : traces) {
+        ptrs.push_back(&t);
+    }
+    const std::string path = "/tmp/gfi_trace_ids.vcd";
+    writeVcd(path, ptrs, {});
+    std::FILE* f = std::fopen(path.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    std::vector<std::string> ids;
+    char line[256];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+        char id[16];
+        char name[64];
+        if (std::sscanf(line, "$var wire 1 %15s %63s $end", id, name) == 2) {
+            ids.emplace_back(id);
+            EXPECT_EQ(std::string(name), "s" + std::to_string(ids.size() - 1));
+        }
+    }
+    std::fclose(f);
+    ASSERT_EQ(ids.size(), 200u);
+    EXPECT_EQ(ids[0], "!");
+    EXPECT_EQ(ids[93], "~");
+    EXPECT_EQ(ids[94], "!!");
+    EXPECT_EQ(ids[95], "\"!");
+    for (const std::string& id : ids) {
+        EXPECT_TRUE(std::all_of(id.begin(), id.end(), [](char c) { return c >= '!' && c <= '~'; }))
+            << id;
+    }
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+}
+
+TEST(WritersTest, VcdBytesForFewTraces)
+{
+    // Three wires and a real, the layout of the PLL injection example: the
+    // single-character codes and every line are as before multi-character
+    // codes existed.
+    DigitalTrace a = makeTrace(Logic::Zero, {{10, Logic::One}, {20, Logic::H}});
+    a.name = "a";
+    DigitalTrace b = makeTrace(Logic::U, {{10, Logic::Zero}});
+    b.name = "b";
+    DigitalTrace c = makeTrace(Logic::One, {{30, Logic::Z}});
+    c.name = "c";
+    AnalogTrace v;
+    v.name = "v";
+    v.samples = {{0.0, 0.5}, {20e-15, 1.25}};
+    const std::string path = "/tmp/gfi_trace_few.vcd";
+    writeVcd(path, {&a, &b, &c}, {&v});
+    std::FILE* f = std::fopen(path.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    char buf[4096];
+    const std::size_t n = std::fread(buf, 1, sizeof buf, f);
+    std::fclose(f);
+    EXPECT_EQ(std::string(buf, n), "$timescale 1fs $end\n"
+                                   "$scope module gfi $end\n"
+                                   "$var wire 1 ! a $end\n"
+                                   "$var wire 1 \" b $end\n"
+                                   "$var wire 1 # c $end\n"
+                                   "$var real 64 $ v $end\n"
+                                   "$upscope $end\n"
+                                   "$enddefinitions $end\n"
+                                   "#0\n0!\nU\"\n1#\nr0.5 $\n"
+                                   "#10\n1!\n0\"\n"
+                                   "#20\n1!\nr1.25 $\n"
+                                   "#30\nz#\n");
 }
 
 } // namespace
