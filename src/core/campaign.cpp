@@ -814,58 +814,63 @@ CampaignReport CampaignRunner::run(
     std::vector<Source> source(faults.size(), Source::Kernel);
 
     // Journal restore reads the latest line per index of an earlier
-    // (possibly killed) campaign.
+    // (possibly killed) campaign; then collapse expansion. Both are decided
+    // up front in one pass, so the worker phase only ever simulates. A fault
+    // that fails preflight never gets here: the preflight phase above has
+    // already thrown. The span covers the load and the pass, and only
+    // campaigns that have a journal.
     CampaignJournal::LoadResult loaded;
-    if (!options_.journalPath.empty()) {
-        loaded = CampaignJournal::loadWithStats(options_.journalPath);
+    std::set<std::size_t> loadedIndices;
+    std::size_t restored = 0;
+    {
+        obs::Span span(options_.journalPath.empty() ? nullptr : tel, "journal", "campaign");
+        if (!options_.journalPath.empty()) {
+            loaded = CampaignJournal::loadWithStats(options_.journalPath);
+        }
+        std::vector<JournalEntry*> latest(faults.size(), nullptr);
+        for (JournalEntry& e : loaded.entries) {
+            loadedIndices.insert(e.index);
+            if (e.index < faults.size()) {
+                latest[e.index] = &e; // later duplicates win
+            }
+        }
+        for (std::size_t i = 0; i < faults.size(); ++i) {
+            JournalEntry* e = latest[i];
+            if (e != nullptr && e->faultDescription == fault::describe(faults[i])) {
+                report.runs[i] = std::move(e->result); // each entry restores one index
+                report.runs[i].fault = faults[i];
+                // The provenance rule: a restored verdict keeps the provenance
+                // of the modes this campaign runs in and drops the rest.
+                // Summary footers and report keys derive from per-run
+                // provenance, so a journal written in any mode resumes into
+                // the report a fresh campaign in this mode prints (no "forked
+                // runs" footer for a campaign that forked nothing).
+                RunDiagnostics& d = report.runs[i].diagnostics;
+                if (!forking()) {
+                    d.checkpointTime = 0;
+                    d.resimulatedTime = 0;
+                }
+                if (!options_.collapse) {
+                    d.collapsedFrom.clear();
+                }
+                if (!batching) {
+                    d.batchLane = 0;
+                }
+                if (options_.forensicsDir.empty()) {
+                    d.forensic.clear();
+                }
+                source[i] = Source::Journal;
+                ++restored;
+            } else if (plan && !plan->isRepresentative(i)) {
+                // Collapse-class member: its representative (an earlier
+                // index) commits first, so the verdict is expanded inside the
+                // ordered commit, where the representative's slot is
+                // guaranteed populated.
+                source[i] = Source::Expand;
+            }
+        }
     }
     report.journalSkippedLines = loaded.skippedLines;
-    std::set<std::size_t> loadedIndices;
-    std::vector<const JournalEntry*> latest(faults.size(), nullptr);
-    for (const JournalEntry& e : loaded.entries) {
-        loadedIndices.insert(e.index);
-        if (e.index < faults.size()) {
-            latest[e.index] = &e; // later duplicates win
-        }
-    }
-
-    // Journal restore, then collapse expansion, in one pass decided up front,
-    // so the worker phase only ever simulates. A fault that fails preflight
-    // never gets here: the preflight phase above has already thrown.
-    std::size_t restored = 0;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-        if (latest[i] != nullptr && latest[i]->faultDescription == fault::describe(faults[i])) {
-            report.runs[i] = latest[i]->result;
-            report.runs[i].fault = faults[i];
-            // The provenance rule: a restored verdict keeps the provenance of
-            // the modes this campaign runs in and drops the rest. Summary
-            // footers and report keys derive from per-run provenance, so a
-            // journal written in any mode resumes into the report a fresh
-            // campaign in this mode prints (no "forked runs" footer for a
-            // campaign that forked nothing).
-            RunDiagnostics& d = report.runs[i].diagnostics;
-            if (!forking()) {
-                d.checkpointTime = 0;
-                d.resimulatedTime = 0;
-            }
-            if (!options_.collapse) {
-                d.collapsedFrom.clear();
-            }
-            if (!batching) {
-                d.batchLane = 0;
-            }
-            if (options_.forensicsDir.empty()) {
-                d.forensic.clear();
-            }
-            source[i] = Source::Journal;
-            ++restored;
-        } else if (plan && !plan->isRepresentative(i)) {
-            // Collapse-class member: its representative (an earlier index)
-            // commits first, so the verdict is expanded inside the ordered
-            // commit, where the representative's slot is guaranteed populated.
-            source[i] = Source::Expand;
-        }
-    }
     // Resume log line: operators must be able to tell a clean resume from a
     // lossy one (skipped lines mean those runs re-simulate).
     const std::size_t skipped = loaded.skippedLines;

@@ -1,8 +1,11 @@
 #include "core/journal.hpp"
 
+#include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/units.hpp"
 
+#include <algorithm>
+#include <filesystem>
 #include <stdexcept>
 
 namespace gfi::campaign {
@@ -121,111 +124,98 @@ void CampaignJournal::append(std::size_t index, const RunResult& result)
     }
 }
 
-std::optional<JournalEntry> CampaignJournal::parseLine(const std::string& line)
+std::optional<JournalEntry> CampaignJournal::parseLine(std::string_view line)
 {
     // Only one complete JSON object is trusted: a line torn by a killed
     // campaign may still hold index/fault/outcome but miss the metrics, and
     // must be re-simulated rather than restored with defaulted fields.
-    const std::optional<util::JsonValue> doc = util::parseJsonObject(line);
-    if (!doc) {
-        return std::nullopt;
-    }
     JournalEntry e;
     std::string outcomeName;
     RunResult& r = e.result;
     RunDiagnostics& d = r.diagnostics;
-    util::JsonFields f(*doc);
-    f.count("index", e.index, true);
-    f.text("fault", e.faultDescription, true);
-    f.text("outcome", outcomeName, true);
-    f.count("attempts", d.attempts);
-    f.text("error", d.error);
-    f.number("wall_s", d.wallSeconds);
-    f.count("digital_waves", d.digitalWaves);
-    f.count("analog_steps", d.analogSteps);
-    f.integer("checkpoint_fs", d.checkpointTime);
-    f.integer("resim_fs", d.resimulatedTime);
-    f.integer("first_output_error_fs", r.firstOutputError);
-    f.integer("last_output_error_end_fs", r.lastOutputErrorEnd);
-    f.integer("total_output_error_fs", r.totalOutputErrorTime);
-    f.number("max_analog_deviation_v", r.maxAnalogDeviation);
-    f.number("analog_time_outside_tol_s", r.analogTimeOutsideTol);
-    f.texts("erred_signals", r.erredSignals);
-    f.texts("corrupted_state", r.corruptedState);
-    f.text("collapsed_from", d.collapsedFrom);
-    f.count("batch_lane", d.batchLane);
-    f.text("forensic", d.forensic);
-    if (!f.ok() || !outcomeFromString(outcomeName, r.outcome)) {
-        return std::nullopt;
-    }
-
+    obs::ProbeSnapshot& p = d.probes;
+    using F = util::JsonField;
     // Optional probes object (lines written with a telemetry sink attached).
-    if (const util::JsonValue* probes = doc->find("probes")) {
-        if (!probes->isObject()) {
-            return std::nullopt;
-        }
-        obs::ProbeSnapshot& p = d.probes;
-        util::JsonFields pf(*probes);
-        pf.count("digital_events", p.digitalEvents);
-        pf.count("delta_cycles", p.deltaCycles);
-        pf.count("queue_high_water", p.queueHighWater);
-        pf.count("pending_events", p.pendingEvents);
-        pf.count("analog_accepted", p.analogAcceptedSteps);
-        pf.count("analog_rejected", p.analogRejectedSteps);
-        pf.count("newton_iterations", p.newtonIterations);
-        pf.count("companion_rebuilds", p.companionRebuilds);
-        pf.number("min_dt_s", p.minAcceptedDt);
-        pf.number("last_dt_s", p.lastAcceptedDt);
-        pf.count("atod_crossings", p.atodCrossings);
-        pf.count("dtoa_events", p.dtoaEvents);
-        if (!pf.ok()) {
-            return std::nullopt;
-        }
-        p.valid = true;
+    const F probes[] = {
+        F::count("digital_events", p.digitalEvents),
+        F::count("delta_cycles", p.deltaCycles),
+        F::count("queue_high_water", p.queueHighWater),
+        F::count("pending_events", p.pendingEvents),
+        F::count("analog_accepted", p.analogAcceptedSteps),
+        F::count("analog_rejected", p.analogRejectedSteps),
+        F::count("newton_iterations", p.newtonIterations),
+        F::count("companion_rebuilds", p.companionRebuilds),
+        F::number("min_dt_s", p.minAcceptedDt),
+        F::number("last_dt_s", p.lastAcceptedDt),
+        F::count("atod_crossings", p.atodCrossings),
+        F::count("dtoa_events", p.dtoaEvents),
+    };
+    // In entryToJson's order, which is the order the reader tries first.
+    const F fields[] = {
+        F::count("index", e.index, true),
+        F::text("fault", e.faultDescription, true),
+        F::text("outcome", outcomeName, true),
+        F::count("attempts", d.attempts),
+        F::text("error", d.error),
+        F::number("wall_s", d.wallSeconds),
+        F::count("digital_waves", d.digitalWaves),
+        F::count("analog_steps", d.analogSteps),
+        F::integer("checkpoint_fs", d.checkpointTime),
+        F::integer("resim_fs", d.resimulatedTime),
+        F::integer("first_output_error_fs", r.firstOutputError),
+        F::integer("last_output_error_end_fs", r.lastOutputErrorEnd),
+        F::integer("total_output_error_fs", r.totalOutputErrorTime),
+        F::number("max_analog_deviation_v", r.maxAnalogDeviation),
+        F::number("analog_time_outside_tol_s", r.analogTimeOutsideTol),
+        F::texts("erred_signals", r.erredSignals),
+        F::texts("corrupted_state", r.corruptedState),
+        F::text("collapsed_from", d.collapsedFrom),
+        F::count("batch_lane", d.batchLane),
+        F::text("forensic", d.forensic),
+        F::object("probes", probes, p.valid),
+    };
+    if (!util::readJsonObject(line, fields) || !outcomeFromString(outcomeName, r.outcome)) {
+        return std::nullopt;
     }
     d.fromJournal = true;
     return e;
 }
 
-CampaignJournal::LoadResult CampaignJournal::loadWithStats(const std::string& path)
+CampaignJournal::LoadResult CampaignJournal::parseText(std::string_view text)
 {
     LoadResult result;
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) {
-        return result; // no journal yet: fresh campaign
-    }
-    const auto consume = [&result](const std::string& line) {
+    while (!text.empty()) {
+        // The final line may lack its newline: complete if the flush made it
+        // out before the kill, torn otherwise -- parseLine tells them apart.
+        const std::size_t eol = std::min(text.find('\n'), text.size());
+        const std::string_view line = text.substr(0, eol);
+        text.remove_prefix(std::min(eol + 1, text.size()));
         if (line.empty()) {
-            return; // blank lines are separators, not lost data
+            continue; // blank lines are separators, not lost data
         }
         if (auto e = parseLine(line)) {
             result.entries.push_back(std::move(*e));
         } else {
             ++result.skippedLines;
         }
-    };
-    std::string line;
-    int c = 0;
-    while ((c = std::fgetc(f)) != EOF) {
-        if (c == '\n') {
-            consume(line);
-            line.clear();
-        } else {
-            line += static_cast<char>(c);
-        }
     }
-    // Final line without a newline: complete if the flush made it out before
-    // the kill, torn otherwise — parseLine tells them apart.
-    consume(line);
-    std::fclose(f);
     return result;
 }
 
-CampaignReport reportFromEntries(const std::vector<fault::FaultSpec>& faults,
-                                 const std::vector<JournalEntry>& entries)
+CampaignJournal::LoadResult CampaignJournal::loadWithStats(const std::string& path)
 {
-    std::vector<const JournalEntry*> byIndex(faults.size(), nullptr);
-    for (const JournalEntry& e : entries) {
+    std::error_code ec;
+    if (!std::filesystem::exists(path, ec)) {
+        return {}; // no journal yet: fresh campaign
+    }
+    return parseText(util::readFileOrThrow(path, "CampaignJournal"));
+}
+
+CampaignReport reportFromEntries(const std::vector<fault::FaultSpec>& faults,
+                                 std::vector<JournalEntry> entries)
+{
+    std::vector<JournalEntry*> byIndex(faults.size(), nullptr);
+    for (JournalEntry& e : entries) {
         if (e.index < byIndex.size()) {
             byIndex[e.index] = &e; // later duplicates win, like journal resume
         }
@@ -233,7 +223,7 @@ CampaignReport reportFromEntries(const std::vector<fault::FaultSpec>& faults,
     CampaignReport report;
     report.runs.reserve(faults.size());
     for (std::size_t i = 0; i < faults.size(); ++i) {
-        const JournalEntry* e = byIndex[i];
+        JournalEntry* e = byIndex[i];
         if (e == nullptr) {
             throw std::runtime_error("reportFromEntries: no entry for fault " +
                                      std::to_string(i) + " (" + fault::describe(faults[i]) +
@@ -245,7 +235,7 @@ CampaignReport reportFromEntries(const std::vector<fault::FaultSpec>& faults,
                                      " records '" + e->faultDescription +
                                      "' but the fault list has '" + expected + "'");
         }
-        RunResult r = e->result;
+        RunResult r = std::move(e->result);
         r.fault = faults[i];
         r.diagnostics.fromJournal = false;
         report.runs.push_back(std::move(r));

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <mutex>
 #include <optional>
+#include <string_view>
 
 namespace gfi::campaign {
 
@@ -57,14 +58,16 @@ public:
     [[nodiscard]] static std::string entryToJson(std::size_t index, const RunResult& result,
                                                  bool embedProbes = false);
 
-    /// Parses one journal line through util::parseJson; std::nullopt unless
-    /// the line is one complete JSON object whose index, fault and outcome
-    /// are present with the right types and whose every other known member
-    /// is well-typed, with integers integral, within +-2^53 and in range for
-    /// their field (counters non-negative).
-    [[nodiscard]] static std::optional<JournalEntry> parseLine(const std::string& line);
+    /// Decodes one journal line in a single util::JsonReader pass;
+    /// std::nullopt unless the line is one complete JSON object whose index,
+    /// fault and outcome are present with the right types and whose every
+    /// other known member is well-typed, with integers integral, within
+    /// +-2^53 and in range for their field (counters non-negative). The first
+    /// occurrence of a key wins; unknown members are grammar-checked and
+    /// skipped.
+    [[nodiscard]] static std::optional<JournalEntry> parseLine(std::string_view line);
 
-    /// What loadWithStats() found: the well-formed entries plus how many
+    /// What parseText() found: the well-formed entries plus how many
     /// non-empty lines failed to parse (torn by a kill mid-append, or
     /// corrupted on disk) and were skipped.
     struct LoadResult {
@@ -72,10 +75,14 @@ public:
         std::size_t skippedLines = 0;
     };
 
-    /// Loads every well-formed entry of @p path; empty when the file does not
-    /// exist. Later duplicates of an index win (a retried/rewritten run).
-    /// Unparseable lines are skipped but counted, so a resume can tell a
-    /// clean journal from a lossy one.
+    /// Decodes every '\n'-separated line of @p text in place (blank lines
+    /// are separators). Unparseable lines are skipped but counted, so a
+    /// resume can tell a clean journal from a lossy one.
+    [[nodiscard]] static LoadResult parseText(std::string_view text);
+
+    /// parseText() over the file @p path, read in one util::readFileOrThrow
+    /// call (a read error throws); empty when the file does not exist. Later
+    /// duplicates of an index win (a retried/rewritten run).
     [[nodiscard]] static LoadResult loadWithStats(const std::string& path);
 
 private:
@@ -90,9 +97,10 @@ private:
 /// duplicates win) with a description matching the fault at that index, which
 /// is then re-attached. The restored runs are indistinguishable from a live
 /// campaign (fromJournal is cleared), so a report rebuilt from a verified
-/// store entry renders byte-identically to the run that produced it. Throws
-/// std::runtime_error on a missing index or a description mismatch.
+/// store entry renders byte-identically to the run that produced it. The
+/// results are moved out of @p entries (pass an rvalue to avoid a copy).
+/// Throws std::runtime_error on a missing index or a description mismatch.
 [[nodiscard]] CampaignReport reportFromEntries(const std::vector<fault::FaultSpec>& faults,
-                                               const std::vector<JournalEntry>& entries);
+                                               std::vector<JournalEntry> entries);
 
 } // namespace gfi::campaign

@@ -7,8 +7,6 @@
 #include "util/json.hpp"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 namespace gfi::io {
 
@@ -23,13 +21,11 @@ std::string quoted(const std::string& s)
 
 std::string readFileOrThrow(const fs::path& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        throw GoldenStoreError("golden store: cannot read " + path.string());
+    try {
+        return util::readFileOrThrow(path.string(), "golden store");
+    } catch (const std::runtime_error& e) {
+        throw GoldenStoreError(e.what());
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
 }
 
 /// File-system-safe rendering of a circuit name (names/<circuit>.json).
@@ -98,25 +94,21 @@ std::optional<StoreEntry> GoldenStore::lookup(const CacheKey& key) const
     if (!fs::exists(dir / "meta.json")) {
         return std::nullopt;
     }
-    const std::optional<util::JsonValue> meta =
-        util::parseJsonObject(readFileOrThrow(dir / "meta.json"));
-    if (!meta) {
-        throw GoldenStoreError("golden store: malformed meta.json in entry " + combined);
-    }
-
     StoreEntry entry;
     std::string verdictsSha;
     std::string reportSha;
     std::size_t runs = 0;
-    util::JsonFields fields(*meta);
-    fields.text("netlist", entry.key.netlistDigest, true);
-    fields.text("stimulus", entry.key.stimulusDigest, true);
-    fields.text("faults", entry.key.faultDigest, true);
-    fields.text("circuit", entry.circuitName, true);
-    fields.text("verdicts_sha256", verdictsSha, true);
-    fields.text("report_sha256", reportSha, true);
-    fields.count("runs", runs, true);
-    if (!fields.ok()) {
+    using F = util::JsonField;
+    const F meta[] = {
+        F::text("netlist", entry.key.netlistDigest, true),
+        F::text("stimulus", entry.key.stimulusDigest, true),
+        F::text("faults", entry.key.faultDigest, true),
+        F::text("circuit", entry.circuitName, true),
+        F::text("verdicts_sha256", verdictsSha, true),
+        F::text("report_sha256", reportSha, true),
+        F::count("runs", runs, true),
+    };
+    if (!util::readJsonObject(readFileOrThrow(dir / "meta.json"), meta)) {
         throw GoldenStoreError("golden store: malformed meta.json in entry " + combined);
     }
     // The entry must be the one this key addresses — a moved/tampered object
@@ -140,21 +132,14 @@ std::optional<StoreEntry> GoldenStore::lookup(const CacheKey& key) const
                                " fails its recorded SHA-256");
     }
 
-    std::istringstream lines(verdictsText);
-    std::string line;
-    while (std::getline(lines, line)) {
-        if (line.empty()) {
-            continue;
-        }
-        auto parsed = campaign::CampaignJournal::parseLine(line);
-        if (!parsed) {
-            // The digest matched, so this is a writer bug, not bit rot — but
-            // it is still not replayable.
-            throw GoldenStoreError("golden store: unparseable verdict line in entry " +
-                                   combined);
-        }
-        entry.verdicts.push_back(std::move(*parsed));
+    campaign::CampaignJournal::LoadResult verdicts =
+        campaign::CampaignJournal::parseText(verdictsText);
+    if (verdicts.skippedLines > 0) {
+        // The digest matched, so this is a writer bug, not bit rot — but it
+        // is still not replayable.
+        throw GoldenStoreError("golden store: unparseable verdict line in entry " + combined);
     }
+    entry.verdicts = std::move(verdicts.entries);
     if (entry.verdicts.size() != runs) {
         throw GoldenStoreError("golden store: entry " + combined + " records " +
                                std::to_string(runs) + " runs but holds " +
@@ -235,16 +220,15 @@ std::optional<NamePointer> GoldenStore::namePointer(const std::string& circuitNa
     if (!fs::exists(path)) {
         return std::nullopt;
     }
-    const std::optional<util::JsonValue> doc = util::parseJsonObject(readFileOrThrow(path));
     NamePointer p;
-    if (doc) {
-        util::JsonFields fields(*doc);
-        fields.text("circuit", p.circuitName, true);
-        fields.text("netlist", p.netlistDigest, true);
-        fields.text("key", p.key, true);
-        if (fields.ok()) {
-            return p;
-        }
+    using F = util::JsonField;
+    const F fields[] = {
+        F::text("circuit", p.circuitName, true),
+        F::text("netlist", p.netlistDigest, true),
+        F::text("key", p.key, true),
+    };
+    if (util::readJsonObject(readFileOrThrow(path), fields)) {
+        return p;
     }
     throw GoldenStoreError("golden store: malformed name pointer " + path.string());
 }
@@ -269,17 +253,15 @@ std::optional<StoreEntry> GoldenStore::lookupByName(
         throw GoldenStoreError("golden store: name pointer for '" + circuitName +
                                "' references missing entry " + pointer->key);
     }
-    const std::optional<util::JsonValue> meta =
-        util::parseJsonObject(readFileOrThrow(dir / "meta.json"));
     CacheKey key;
-    if (meta) {
-        util::JsonFields fields(*meta);
-        fields.text("netlist", key.netlistDigest, true);
-        fields.text("stimulus", key.stimulusDigest, true);
-        fields.text("faults", key.faultDigest, true);
-        if (fields.ok()) {
-            return lookup(key);
-        }
+    using F = util::JsonField;
+    const F fields[] = {
+        F::text("netlist", key.netlistDigest, true),
+        F::text("stimulus", key.stimulusDigest, true),
+        F::text("faults", key.faultDigest, true),
+    };
+    if (util::readJsonObject(readFileOrThrow(dir / "meta.json"), fields)) {
+        return lookup(key);
     }
     throw GoldenStoreError("golden store: malformed meta.json in entry " + pointer->key);
 }
@@ -296,7 +278,7 @@ CachedCampaign runCampaignCached(
         // without simulating anything. reportFromEntries() cross-checks every
         // fault description, so the replay can never silently drift off the
         // fault list that keyed the entry.
-        out.report = campaign::reportFromEntries(workload.faults, entry->verdicts);
+        out.report = campaign::reportFromEntries(workload.faults, std::move(entry->verdicts));
         out.hit = true;
         return out;
     }

@@ -1,10 +1,10 @@
 #include "io/netlist.hpp"
 
 #include "io/sha256.hpp"
+#include "util/file.hpp"
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -570,12 +570,7 @@ NetlistDesc parseNetlist(const std::string& text, const std::string& sourceName,
 
 NetlistDesc parseNetlistFile(const std::string& path)
 {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
-        throw std::runtime_error("cannot read netlist file '" + path + "'");
-    }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
+    const std::string text = util::readFileOrThrow(path, "netlist file");
 
     // Stem of the path: circuit-name fallback and error-message source.
     std::string stem = path;
@@ -592,7 +587,7 @@ NetlistDesc parseNetlistFile(const std::string& path)
         }
         stem.erase(dot);
     }
-    return parseNetlist(buffer.str(), stem, format);
+    return parseNetlist(text, stem, format);
 }
 
 } // namespace gfi::io

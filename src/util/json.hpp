@@ -1,25 +1,162 @@
 #pragma once
-// The repo's one JSON codec: a minimal value model, a strict
-// recursive-descent parser and the string escaper every writer uses.
+// The repo's one JSON codec: a strict pull reader, a minimal value model
+// built on it, and the string escaper every writer uses.
 //
-// The reader covers all JSON types, the RFC 8259 number grammar, standard
-// escapes including \uXXXX (encoded as UTF-8), a nesting-depth bound and
-// order-preserving objects (so round-tripped key order is inspectable). It
-// throws std::runtime_error with a byte offset on malformed input. Campaign
-// journals, golden-store entries, bench results and traces are all read back
-// through it.
+// JsonReader owns the grammar: all JSON types, the RFC 8259 number grammar,
+// standard escapes including \uXXXX (encoded as UTF-8), no raw control
+// characters in strings and a nesting-depth bound. It throws
+// std::runtime_error "json: <what> at byte N" on malformed input. Callers
+// either pull values one at a time -- fixed-schema objects (journal lines,
+// golden-store entries) decode straight into their structs through
+// readObject() -- or build a DOM with parseJson(), whose objects keep
+// document order (so round-tripped key order is inspectable). Bench results
+// and traces are read back through the DOM.
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace gfi::util {
+
+enum class JsonType { Null, Bool, Number, String, Array, Object };
+
+/// One member of a fixed-schema object, for JsonReader::readObject(). A
+/// member present with the wrong type or out of range, or a required member
+/// that is missing, fails the read; an absent optional member leaves its
+/// destination untouched. Build fields with the factories below; each keeps
+/// a pointer to its destination.
+struct JsonField {
+    enum class Kind : std::uint8_t { Text, Texts, Number, Integer, Object };
+
+    std::string_view key;
+    Kind kind = Kind::Text;
+    bool required = false;
+    void* out = nullptr;                       ///< destination (Object: set on success)
+    long long lo = 0;                          ///< Integer range, inclusive
+    long long hi = 0;
+    void (*store)(void*, long long) = nullptr; ///< Integer: writes the value into *out
+    std::span<const JsonField> members = {};   ///< Object: the nested schema
+
+    static JsonField text(std::string_view key, std::string& out, bool required = false)
+    {
+        return {.key = key, .kind = Kind::Text, .required = required, .out = &out};
+    }
+
+    /// An array of strings; replaces @p out when present.
+    static JsonField texts(std::string_view key, std::vector<std::string>& out)
+    {
+        return {.key = key, .kind = Kind::Texts, .out = &out};
+    }
+
+    static JsonField number(std::string_view key, double& out)
+    {
+        return {.key = key, .kind = Kind::Number, .out = &out};
+    }
+
+    /// An integer that fits @p T: an integral number no larger in magnitude
+    /// than 2^53, so the double it was read into holds it exactly.
+    template <typename T>
+    static JsonField integer(std::string_view key, T& out, bool required = false,
+                             long long lo = std::numeric_limits<long long>::min())
+    {
+        constexpr auto hi = static_cast<long long>(std::min<unsigned long long>(
+            std::numeric_limits<T>::max(), std::numeric_limits<long long>::max()));
+        lo = std::max<long long>(lo, std::numeric_limits<T>::min());
+        return {.key = key,
+                .kind = Kind::Integer,
+                .required = required,
+                .out = &out,
+                .lo = lo,
+                .hi = hi,
+                .store = [](void* dst, long long v) {
+                    *static_cast<T*>(dst) = static_cast<T>(v);
+                }};
+    }
+
+    /// A counter: a non-negative integer that fits @p T.
+    template <typename T>
+    static JsonField count(std::string_view key, T& out, bool required = false)
+    {
+        return integer(key, out, required, 0);
+    }
+
+    /// A nested object read with @p schema; @p present is set once it has
+    /// been read whole.
+    static JsonField object(std::string_view key, std::span<const JsonField> schema,
+                            bool& present)
+    {
+        return {.key = key, .kind = Kind::Object, .out = &present, .members = schema};
+    }
+};
+
+/// Strict pull reader over one JSON document held in @p text, which must
+/// outlive the reader. Every read consumes one value (or one container step)
+/// and throws std::runtime_error on malformed input.
+class JsonReader {
+public:
+    explicit JsonReader(std::string_view text) noexcept : text_(text) {}
+
+    /// The type of the next value, judged by its first byte: anything that
+    /// is not a string, container or literal is read as a number.
+    [[nodiscard]] JsonType peek();
+
+    void readNull();
+    [[nodiscard]] bool readBool();
+    /// Converts the token to exactly the double strtod gives for it.
+    [[nodiscard]] double readNumber();
+    /// Reads a string into @p out, replacing its contents.
+    void readString(std::string& out);
+
+    /// Object iteration: enterObject(), then nextMember() until it returns
+    /// false, reading (or skipping) one value after each true. @p key views
+    /// the decoded key and is valid until the next key is read.
+    void enterObject();
+    [[nodiscard]] bool nextMember(std::string_view& key);
+    /// Array iteration: enterArray(), then nextItem() until it returns false,
+    /// reading one value after each true.
+    void enterArray();
+    [[nodiscard]] bool nextItem();
+
+    /// Requires that only whitespace follows.
+    void finish();
+
+    /// Reads the next value as an object with the fixed @p schema (at most
+    /// 64 fields). The first occurrence of a key wins; later duplicates and
+    /// unknown members are skipped. Returns false, with the value partly
+    /// consumed, when it is not an object or breaks the schema.
+    [[nodiscard]] bool readObject(std::span<const JsonField> schema);
+
+private:
+    /// Consumes the next value, grammar-checked but not decoded.
+    void skip();
+    [[noreturn]] void fail(const std::string& what) const;
+    char cur() const noexcept { return pos_ < text_.size() ? text_[pos_] : '\0'; }
+    void skipWs() noexcept;
+    void beginValue();
+    void expect(char c);
+    void literal(std::string_view word);
+    /// End of the run of string bytes from @p from that need no decoding.
+    std::size_t plainEnd(std::size_t from) const noexcept;
+    /// Reads a string, decoded into @p out unless it is null.
+    void scanString(std::string* out);
+    bool scanNumber();
+    unsigned hex4();
+    bool readField(const JsonField& field);
+
+    std::string_view text_;
+    std::size_t pos_ = 0;
+    int depth_ = 0;      ///< containers open around the read position
+    bool fresh_ = false; ///< the container just entered has had no step yet
+    std::string key_;    ///< decoded key when it holds escapes
+};
 
 class JsonValue;
 
@@ -31,7 +168,7 @@ using JsonArray = std::vector<JsonValue>;
 /// One parsed JSON value.
 class JsonValue {
 public:
-    enum class Type { Null, Bool, Number, String, Array, Object };
+    using Type = JsonType;
 
     JsonValue() = default;
     explicit JsonValue(bool b) : type_(Type::Bool), bool_(b) {}
@@ -97,63 +234,14 @@ private:
 };
 
 /// Parses one JSON document (leading/trailing whitespace allowed, nothing
-/// else after the value). Throws std::runtime_error on malformed input.
-[[nodiscard]] JsonValue parseJson(const std::string& text);
+/// else after the value) through JsonReader. Throws std::runtime_error on
+/// malformed input.
+[[nodiscard]] JsonValue parseJson(std::string_view text);
 
-/// @p text parsed as one complete JSON object; std::nullopt when it is
-/// malformed, truncated or another JSON type.
-[[nodiscard]] std::optional<JsonValue> parseJsonObject(const std::string& text);
-
-/// Typed member reads over one JSON object with a fixed schema (journal
-/// lines, golden-store entries). A member present with the wrong type or out
-/// of range, or a required member that is missing, clears ok(); an absent
-/// optional member leaves its destination untouched.
-class JsonFields {
-public:
-    explicit JsonFields(const JsonValue& obj) : obj_(obj) {}
-
-    [[nodiscard]] bool ok() const noexcept { return ok_; }
-
-    void text(const std::string& key, std::string& out, bool required = false);
-    void texts(const std::string& key, std::vector<std::string>& out);
-    void number(const std::string& key, double& out);
-
-    /// An integer that fits @p T: an integral number no larger in magnitude
-    /// than 2^53, so the double it was read into holds it exactly.
-    template <typename T>
-    void integer(const std::string& key, T& out, bool required = false,
-                 long long lo = std::numeric_limits<long long>::min())
-    {
-        constexpr auto hi = static_cast<long long>(std::min<unsigned long long>(
-            std::numeric_limits<T>::max(), std::numeric_limits<long long>::max()));
-        lo = std::max<long long>(lo, std::numeric_limits<T>::min());
-        if (const auto i = readInteger(key, lo, hi, required)) {
-            out = static_cast<T>(*i);
-        }
-    }
-
-    /// A counter: a non-negative integer that fits @p T.
-    template <typename T>
-    void count(const std::string& key, T& out, bool required = false)
-    {
-        integer(key, out, required, 0);
-    }
-
-private:
-    const JsonValue* member(const std::string& key, bool required);
-    std::optional<long long> readInteger(const std::string& key, long long lo, long long hi,
-                                         bool required);
-
-    /// Records a failed check; returns @p valid.
-    bool check(bool valid)
-    {
-        ok_ = ok_ && valid;
-        return valid;
-    }
-
-    const JsonValue& obj_;
-    bool ok_ = true;
-};
+/// Decodes @p text, one complete JSON object, with the fixed @p schema
+/// (JsonReader::readObject). False when the text is malformed, another JSON
+/// type or breaks the schema; the destinations may then be partly written.
+[[nodiscard]] bool readJsonObject(std::string_view text, std::span<const JsonField> schema);
 
 /// Escapes @p s for a JSON string literal: `"`, `\`, `\n`, `\t`, `\r` as
 /// two-character escapes, every other byte below 0x20 as `\u00xx`, all other

@@ -505,6 +505,84 @@ TEST(ObsCampaign, JournalResumeReproducesCounterTotals)
     std::remove(path.c_str());
 }
 
+// The journal load and the restore pass show up as one "journal" span of a
+// resumed campaign; with telemetry off the span leaves every byte alone.
+TEST(ObsCampaign, ResumeTraceHasOneJournalSpan)
+{
+    clearTelemetryEnv();
+    const auto faults = digitalDutFaults();
+    const std::string dir = ::testing::TempDir();
+    const std::string fullPath = dir + "gfi_obs_journal_full.jsonl";
+    const std::string plainPath = dir + "gfi_obs_journal_plain.jsonl";
+    const std::string tracedPath = dir + "gfi_obs_journal_traced.jsonl";
+    for (const std::string& p : {fullPath, plainPath, tracedPath}) {
+        std::remove(p.c_str());
+    }
+
+    campaign::CampaignRunner first(dutFactory());
+    configureDutRunner(first, 2);
+    first.setJournalPath(fullPath);
+    const campaign::CampaignReport fresh = first.run(faults);
+    const std::string journal = slurp(fullPath);
+
+    // What a killed campaign leaves: the first half of the lines, then half
+    // of the next one.
+    const std::size_t restorable = faults.size() / 2;
+    std::size_t cut = 0;
+    for (std::size_t i = 0; i < restorable; ++i) {
+        cut = journal.find('\n', cut) + 1;
+    }
+    const std::string torn = journal.substr(cut, (journal.find('\n', cut) - cut) / 2);
+    for (const std::string& p : {plainPath, tracedPath}) {
+        std::ofstream(p, std::ios::binary) << journal.substr(0, cut) << torn;
+    }
+
+    // Telemetry off: the resumed campaign completes the journal line for
+    // line, reports the fresh verdicts and prints only the resume line.
+    campaign::CampaignRunner plain(dutFactory());
+    configureDutRunner(plain, 2);
+    plain.setJournalPath(plainPath);
+    ::testing::internal::CaptureStderr();
+    const campaign::CampaignReport resumed = plain.run(faults);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err, "gfi: journal " + plainPath + ": " + std::to_string(restorable) +
+                       " entries loaded, " + std::to_string(restorable) +
+                       " restorable, 1 torn/corrupt line skipped\n");
+    EXPECT_EQ(slurp(plainPath), journal.substr(0, cut) + torn + "\n" + journal.substr(cut));
+    campaign::CampaignReport unflagged = resumed;
+    for (std::size_t i = 0; i < unflagged.runs.size(); ++i) {
+        EXPECT_EQ(unflagged.runs[i].diagnostics.fromJournal, i < restorable) << i;
+        unflagged.runs[i].diagnostics.fromJournal = false;
+    }
+    EXPECT_EQ(campaign::reportToJson(unflagged), campaign::reportToJson(fresh));
+
+    // Traced: exactly one journal span, and the same report.
+    obs::Telemetry telemetry;
+    telemetry.enableTracing();
+    campaign::CampaignRunner traced(dutFactory());
+    configureDutRunner(traced, 2);
+    traced.setJournalPath(tracedPath);
+    traced.setTelemetry(telemetry);
+    ::testing::internal::CaptureStderr();
+    const campaign::CampaignReport tracedReport = traced.run(faults);
+    (void)::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(countOccurrences(telemetry.trace()->json(), "\"name\": \"journal\""), 1u);
+    EXPECT_EQ(campaign::reportToJson(tracedReport), campaign::reportToJson(resumed));
+
+    // A campaign without a journal has no journal span.
+    obs::Telemetry unjournaled;
+    unjournaled.enableTracing();
+    campaign::CampaignRunner bare(dutFactory());
+    configureDutRunner(bare, 2);
+    bare.setTelemetry(unjournaled);
+    (void)bare.run(faults);
+    EXPECT_EQ(countOccurrences(unjournaled.trace()->json(), "\"name\": \"journal\""), 0u);
+
+    for (const std::string& p : {fullPath, plainPath, tracedPath}) {
+        std::remove(p.c_str());
+    }
+}
+
 TEST(ObsCampaign, TimeoutRunCarriesProbeSnapshot)
 {
     clearTelemetryEnv();

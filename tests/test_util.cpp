@@ -1,18 +1,25 @@
 // Unit tests for utilities: deterministic RNG, SI formatting, tables, time,
-// checked whole-file writes.
+// checked whole-file reads and writes.
 
+#include "core/journal.hpp"
 #include "core/report.hpp"
+#include "io/netlist.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/time.hpp"
 #include "trace/trace.hpp"
+#include "util/file.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace gfi {
 namespace {
@@ -224,6 +231,87 @@ TEST(CheckedWrite, VcdThrowsOnFullDisk)
     d.name = "sig";
     d.events = {{10, digital::Logic::One}};
     EXPECT_THROW(trace::writeVcd(kFullDisk, {&d}, {}), std::runtime_error);
+}
+
+// Every whole-file reader goes through util::readFileOrThrow, so a path that
+// cannot be read is an error naming the path, never an empty file.
+
+/// Expects @p read to throw a std::runtime_error whose message names @p path.
+template <typename Read>
+void expectReadErrorNaming(const std::string& path, Read read)
+{
+    try {
+        read();
+        ADD_FAILURE() << "no error reading " << path;
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    }
+}
+
+TEST(CheckedRead, DirectoryIsAReadError)
+{
+    // An ifstream on a directory reads as an empty file: an ingested
+    // "netlist" used to report "declares no primary inputs" instead.
+    const std::string dir = ::testing::TempDir() + "gfi_checked_read.bench";
+    std::filesystem::create_directories(dir);
+    expectReadErrorNaming(dir, [&] { (void)util::readFileOrThrow(dir, "test"); });
+    expectReadErrorNaming(dir, [&] { (void)io::parseNetlistFile(dir); });
+    expectReadErrorNaming(dir, [&] { (void)campaign::CampaignJournal::loadWithStats(dir); });
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CheckedRead, UnreadableFileIsAReadError)
+{
+    // Mode 000 stops every user but root. /proc/self/mem opens for anyone,
+    // but its first page is unmapped, so fread itself fails (EIO).
+    const std::string locked = ::testing::TempDir() + "gfi_checked_read_locked.txt";
+    std::ofstream(locked) << "text";
+    std::filesystem::permissions(locked, std::filesystem::perms::none);
+    std::vector<std::string> unreadable;
+    if (std::FILE* f = std::fopen(locked.c_str(), "rb")) {
+        std::fclose(f);
+    } else {
+        unreadable.push_back(locked);
+    }
+    if (std::filesystem::exists("/proc/self/mem")) {
+        unreadable.emplace_back("/proc/self/mem");
+    }
+    if (unreadable.empty()) {
+        std::filesystem::remove(locked);
+        GTEST_SKIP() << "no unreadable file on this system";
+    }
+    for (const std::string& path : unreadable) {
+        expectReadErrorNaming(path, [&] { (void)util::readFileOrThrow(path, "test"); });
+        expectReadErrorNaming(path, [&] { (void)io::parseNetlistFile(path); });
+        expectReadErrorNaming(path,
+                              [&] { (void)campaign::CampaignJournal::loadWithStats(path); });
+    }
+    std::filesystem::remove(locked);
+}
+
+TEST(CheckedRead, MissingFileIsAReadError)
+{
+    const std::string path = ::testing::TempDir() + "gfi_checked_read_missing.bench";
+    std::filesystem::remove(path);
+    expectReadErrorNaming(path, [&] { (void)util::readFileOrThrow(path, "test"); });
+    expectReadErrorNaming(path, [&] { (void)io::parseNetlistFile(path); });
+    // A missing journal is a fresh campaign, not an error.
+    const campaign::CampaignJournal::LoadResult fresh =
+        campaign::CampaignJournal::loadWithStats(path);
+    EXPECT_TRUE(fresh.entries.empty());
+    EXPECT_EQ(fresh.skippedLines, 0u);
+}
+
+TEST(CheckedRead, ReadsBytesVerbatim)
+{
+    const std::string path = ::testing::TempDir() + "gfi_checked_read_bytes.bin";
+    std::string bytes;
+    for (int i = 0; i < 200000; ++i) {
+        bytes += static_cast<char>(i * 7 % 256); // NULs and '\r' included, > one chunk
+    }
+    std::ofstream(path, std::ios::binary) << bytes;
+    EXPECT_EQ(util::readFileOrThrow(path, "test"), bytes);
+    std::filesystem::remove(path);
 }
 
 } // namespace
