@@ -5,6 +5,7 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 
 namespace gfi::batch {
@@ -48,25 +49,6 @@ CollapsedTrace collapse(const trace::DigitalTrace& t)
     return c;
 }
 
-/// Lane @p lane of the word simulation's observed slot @p obs as a
-/// DigitalTrace the production comparator understands.
-trace::DigitalTrace laneTrace(const WordSim& sim, int obs, int lane,
-                              const std::string& name)
-{
-    trace::DigitalTrace t;
-    t.name = name;
-    t.initial = sim.initialBit(obs) ? digital::Logic::One : digital::Logic::Zero;
-    const std::uint64_t laneBit = 1ull << lane;
-    for (const TracePoint& p : sim.points(obs)) {
-        if ((p.changed & laneBit) != 0) {
-            t.events.emplace_back(p.time, (p.value & laneBit) != 0
-                                              ? digital::Logic::One
-                                              : digital::Logic::Zero);
-        }
-    }
-    return t;
-}
-
 /// True when lane 0 of @p sim replayed the golden run exactly: same settled
 /// trace on every observed signal, same wave count, same end-of-run state in
 /// every observed hook. Any mismatch means the word compilation missed a
@@ -105,35 +87,6 @@ bool goldenCrossCheck(const WordSim& sim, const WordModel& model, const BatchReq
         }
     }
     return true;
-}
-
-/// Classifies one faulty lane with the campaign's verdict rule: the lane's
-/// traces and hook values are its Observation (eligible designs observe no
-/// analog nodes, and the golden cross-check has found every observed hook),
-/// and the resource fields are the word kernel's.
-campaign::RunResult classifyLane(const WordSim& sim, const WordModel& model,
-                                 const BatchRequest& req, int lane,
-                                 const fault::FaultSpec& fault)
-{
-    const std::vector<std::string>& observed = req.golden->observedDigital();
-    std::vector<trace::DigitalTrace> traces;
-    traces.reserve(observed.size());
-    campaign::Observation run;
-    run.duration = model.duration;
-    for (std::size_t k = 0; k < observed.size(); ++k) {
-        run.digital.push_back(
-            &traces.emplace_back(laneTrace(sim, static_cast<int>(k), lane, observed[k])));
-    }
-    for (const std::string& name : req.golden->observedState()) {
-        run.state.push_back(sim.hookValue(model.hooks.at(name), lane));
-    }
-
-    campaign::RunResult result = campaign::classifyObservation(
-        run, *req.golden, *req.goldenState, req.tolerance, fault);
-    result.diagnostics.digitalWaves = sim.waveCount(lane);
-    result.diagnostics.analogSteps = req.goldenAnalogSteps;
-    result.diagnostics.batchLane = lane;
-    return result;
 }
 
 /// One word-simulation group and its per-group outcome.
@@ -190,6 +143,20 @@ GroupOutcome runGroup(const BatchRequest& req, const std::vector<std::size_t>& m
 
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+    // Each lane is classified by the campaign's verdict rule: its word-level
+    // diffs and hook values are its Observation (eligible designs observe no
+    // analog nodes, and the cross-check has found every observed hook), and
+    // the resource fields are the word kernel's.
+    const std::vector<std::string>& observed = req.golden->observedDigital();
+    const std::vector<trace::DigitalDiff> diffs =
+        laneDiffs(sim, observed.size(), members.size(), model.duration,
+                  req.tolerance.digitalJitter);
+    std::vector<const WordHook*> stateHooks;
+    for (const std::string& name : req.golden->observedState()) {
+        stateHooks.push_back(&model.hooks.at(name));
+    }
+    campaign::Observation run;
+    run.duration = model.duration;
     for (std::size_t pos = 0; pos < members.size(); ++pos) {
         const std::size_t idx = members[pos];
         const bool armFailed =
@@ -198,8 +165,20 @@ GroupOutcome runGroup(const BatchRequest& req, const std::vector<std::size_t>& m
         if (armFailed || need[pos] == 0) {
             continue; // restored from a journal: no result wanted
         }
-        campaign::RunResult r =
-            classifyLane(sim, model, req, static_cast<int>(pos) + 1, (*req.faults)[idx]);
+        const int lane = static_cast<int>(pos) + 1;
+        run.digitalDiffs.clear();
+        for (std::size_t k = 0; k < observed.size(); ++k) {
+            run.digitalDiffs.push_back(&diffs[pos * observed.size() + k]);
+        }
+        run.state.clear();
+        for (const WordHook* hook : stateHooks) {
+            run.state.push_back(sim.hookValue(*hook, lane));
+        }
+        campaign::RunResult r = campaign::classifyObservation(
+            run, *req.golden, *req.goldenState, req.tolerance, (*req.faults)[idx]);
+        r.diagnostics.digitalWaves = sim.waveCount(lane);
+        r.diagnostics.analogSteps = req.goldenAnalogSteps;
+        r.diagnostics.batchLane = lane;
         r.diagnostics.wallSeconds = req.recordTiming ? elapsed : 0.0;
         out.results.emplace(idx, std::move(r));
     }
@@ -287,6 +266,58 @@ BatchStats runBatchedCampaign(const BatchRequest& req,
     std::sort(stats.fallbacks.begin(), stats.fallbacks.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     return stats;
+}
+
+trace::DigitalTrace laneTrace(const WordSim& sim, int obs, int lane,
+                              const std::string& name)
+{
+    trace::DigitalTrace t;
+    t.name = name;
+    t.initial = sim.initialBit(obs) ? digital::Logic::One : digital::Logic::Zero;
+    const std::uint64_t laneBit = 1ull << lane;
+    for (const TracePoint& p : sim.points(obs)) {
+        if ((p.changed & laneBit) != 0) {
+            t.events.emplace_back(p.time, (p.value & laneBit) != 0
+                                              ? digital::Logic::One
+                                              : digital::Logic::Zero);
+        }
+    }
+    return t;
+}
+
+std::vector<trace::DigitalDiff> laneDiffs(const WordSim& sim, std::size_t observed,
+                                          std::size_t lanes, SimTime duration,
+                                          SimTime jitter)
+{
+    std::vector<trace::DigitalDiff> diffs(lanes * observed);
+    const std::uint64_t faulty = ((2ull << lanes) - 1) & ~1ull; // lanes 1..lanes
+    std::array<SimTime, 64> opened{};
+    for (std::size_t k = 0; k < observed; ++k) {
+        const auto windows = [&](std::uint64_t lane) -> auto& {
+            return diffs[(lane - 1) * observed + k].mismatchWindows;
+        };
+        std::uint64_t open = 0;
+        for (const TracePoint& p : sim.points(static_cast<int>(k))) {
+            const std::uint64_t golden = (p.value & 1) != 0 ? kAllLanes : 0;
+            const std::uint64_t mismatch = (p.value ^ golden) & faulty;
+            for (std::uint64_t w = mismatch & ~open; w != 0; w &= w - 1) {
+                opened[static_cast<std::size_t>(__builtin_ctzll(w))] = p.time;
+            }
+            for (std::uint64_t w = open & ~mismatch; w != 0; w &= w - 1) {
+                const auto lane = static_cast<std::uint64_t>(__builtin_ctzll(w));
+                windows(lane).emplace_back(opened[lane], p.time);
+            }
+            open = mismatch;
+        }
+        for (std::uint64_t w = open; w != 0; w &= w - 1) {
+            const auto lane = static_cast<std::uint64_t>(__builtin_ctzll(w));
+            windows(lane).emplace_back(opened[lane], duration);
+        }
+    }
+    for (trace::DigitalDiff& d : diffs) {
+        d = trace::summarizeMismatch(std::move(d.mismatchWindows), jitter);
+    }
+    return diffs;
 }
 
 } // namespace gfi::batch

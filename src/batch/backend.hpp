@@ -19,6 +19,7 @@
 
 #include "batch/word_model.hpp"
 #include "core/campaign.hpp"
+#include "trace/compare.hpp"
 
 #include <cstddef>
 #include <map>
@@ -69,6 +70,31 @@ struct BatchStats {
     /// means a design construct escaped the compiler's eligibility net.
     std::size_t crossCheckFailures = 0;
 };
+
+class WordSim;
+
+/// Lane @p lane of @p sim's observed slot @p obs as a DigitalTrace the
+/// production comparator understands: one event per recorded point at which
+/// the lane changed, carrying its settled value. The golden cross-check
+/// compares lane 0's with the golden run's traces.
+[[nodiscard]] trace::DigitalTrace laneTrace(const WordSim& sim, int obs, int lane,
+                                            const std::string& name);
+
+/// Every faulty lane's comparison with golden on each of the first
+/// @p observed observed slots, straight from the value words, for a group
+/// whose faults ride lanes 1..@p lanes. Entry (lane - 1) * observed + k is,
+/// window for window, trace::compareDigital(golden, laneTrace(sim, k, lane),
+/// duration, jitter) — provided lane 0 replays golden, which the backend's
+/// cross-check establishes before it classifies. A lane's bit of
+/// (value ^ broadcast lane 0) is its mismatch with golden from one recorded
+/// point to the next, and every time at which any lane changes is a recorded
+/// point: the window opens at the point its bit sets and closes at the point
+/// it clears, one still open at the end closing at @p duration as the trace
+/// walk's does. The jitter filter and summary are trace::summarizeMismatch.
+[[nodiscard]] std::vector<trace::DigitalDiff> laneDiffs(const WordSim& sim,
+                                                        std::size_t observed,
+                                                        std::size_t lanes, SimTime duration,
+                                                        SimTime jitter);
 
 /// Runs the word-level batches and fills @p out (fault-list index ->
 /// classified result) for every candidate that was word-simulated. Indices

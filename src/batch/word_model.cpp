@@ -435,8 +435,10 @@ FaultEligibility faultEligibility(const WordModel& model, const fault::FaultSpec
         }
         FaultEligibility operator()(const fault::DigitalPulseFault& f) const
         {
-            return {false, "saboteur '" + f.saboteur +
-                               "': SET pulses are timing-dependent"};
+            if (m.sabIndex.count(f.saboteur) == 0) {
+                return {false, "saboteur '" + f.saboteur + "' is not word-compiled"};
+            }
+            return {true, ""};
         }
         FaultEligibility operator()(const fault::StuckAtFault& f) const
         {

@@ -197,7 +197,7 @@ struct WordModel {
     std::vector<WordStimulus> stimuli;
 
     std::map<std::string, WordHook> hooks;  ///< state-element faults by name
-    std::map<std::string, int> sabIndex;    ///< stuck-at faults by saboteur name
+    std::map<std::string, int> sabIndex;    ///< stuck-at and SET faults by saboteur name
     std::map<std::string, int> fsmIndex;    ///< transition faults by FSM name
 
     std::vector<int> observedDigital;       ///< signal index per observed name
@@ -227,8 +227,8 @@ struct FaultEligibility {
 };
 
 /// Decides whether @p fault can ride a 64-lane word simulation of @p model.
-/// Timing-dependent SET pulses, analog faults and faults addressing targets
-/// outside the compiled netlist fall back to the event-driven kernel.
+/// Analog faults, stuck-at-X and faults addressing targets outside the
+/// compiled netlist fall back to the event-driven kernel.
 [[nodiscard]] FaultEligibility faultEligibility(const WordModel& model,
                                                 const fault::FaultSpec& fault);
 

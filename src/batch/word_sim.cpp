@@ -26,7 +26,7 @@ WordSim::WordSim(const WordModel& model) : model_(model)
         sig_[i].val = v;
         sig_[i].prev = v;
     }
-    // Duplicate observations share the first slot's recorded points.
+    // Duplicate observations record into the first slot's points.
     trace_.resize(model.observedDigital.size());
     for (std::size_t k = 0; k < model.observedDigital.size(); ++k) {
         SigState& s = sig_[static_cast<std::size_t>(model.observedDigital[k])];
@@ -348,7 +348,8 @@ void WordSim::driveSaboteur(int idx, std::uint64_t lanes)
     const WordSaboteur& sab = model_.sabs[static_cast<std::size_t>(idx)];
     const SabState& st = sabState_[static_cast<std::size_t>(idx)];
     const std::uint64_t in = sig_[static_cast<std::size_t>(sab.in)].val;
-    const std::uint64_t v = (in & ~st.stuckMask) | (st.stuckVal & st.stuckMask);
+    const std::uint64_t v =
+        ((in ^ st.invertMask) & ~st.stuckMask) | (st.stuckVal & st.stuckMask);
     scheduleInertial(sab.out, v, lanes, sab.delay);
 }
 
@@ -777,7 +778,28 @@ bool WordSim::armFault(int lane, const fault::FaultSpec& fault)
                 });
             return true;
         }
-        bool operator()(const fault::DigitalPulseFault&) const { return false; }
+        bool operator()(const fault::DigitalPulseFault& f) const
+        {
+            // DigitalSaboteur::injectPulse: invert at time, back to
+            // transparent at time + width, each a mode change that re-drives
+            // the output through the saboteur's inertial delay.
+            const auto it = sim.model_.sabIndex.find(f.saboteur);
+            if (it == sim.model_.sabIndex.end()) {
+                return false;
+            }
+            const int idx = it->second;
+            sim.scheduleAction(f.time, laneMask,
+                               [&s = sim, idx, mask = laneMask](std::uint64_t) {
+                                   s.sabState_[static_cast<std::size_t>(idx)].invertMask |= mask;
+                                   s.driveSaboteur(idx, mask);
+                               });
+            sim.scheduleAction(f.time + f.width, laneMask,
+                               [&s = sim, idx, mask = laneMask](std::uint64_t) {
+                                   s.sabState_[static_cast<std::size_t>(idx)].invertMask &= ~mask;
+                                   s.driveSaboteur(idx, mask);
+                               });
+            return true;
+        }
         bool operator()(const fault::StuckAtFault& f) const
         {
             const auto it = sim.model_.sabIndex.find(f.saboteur);

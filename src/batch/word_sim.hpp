@@ -61,10 +61,13 @@ public:
     }
 
     /// Recorded points of observed signal slot @p obs (model.observedDigital
-    /// order).
+    /// order). A signal observed twice has one list, read through both slots.
     [[nodiscard]] const std::vector<TracePoint>& points(int obs) const
     {
-        return trace_[static_cast<std::size_t>(obs)];
+        const int first = sig_[static_cast<std::size_t>(
+                                   model_.observedDigital[static_cast<std::size_t>(obs)])]
+                              .obs;
+        return trace_[static_cast<std::size_t>(first)];
     }
 
     /// Initial bit of observed slot @p obs.
@@ -175,6 +178,7 @@ private:
     };
     std::vector<FsmState> fsmState_;
     struct SabState {
+        std::uint64_t invertMask = 0; ///< lanes inside an SET pulse
         std::uint64_t stuckMask = 0;
         std::uint64_t stuckVal = 0;
     };

@@ -410,16 +410,21 @@ RunResult classifyObservation(const Observation& run, const fault::Testbench& go
     // samples) at or before the checkpoint.
     const std::vector<std::string>& digital = golden.observedDigital();
     for (std::size_t k = 0; k < digital.size(); ++k) {
-        const trace::DigitalTrace& g = golden.recorder().digitalTrace(digital[k]);
-        std::optional<std::size_t> shared;
-        if (run.fork) {
-            shared = static_cast<std::size_t>(
-                std::upper_bound(g.events.begin(), g.events.end(), run.fork->time,
-                                 [](SimTime t, const auto& ev) { return t < ev.first; }) -
-                g.events.begin());
+        trace::DigitalDiff compared;
+        if (run.digitalDiffs.empty()) {
+            const trace::DigitalTrace& g = golden.recorder().digitalTrace(digital[k]);
+            std::optional<std::size_t> shared;
+            if (run.fork) {
+                shared = static_cast<std::size_t>(
+                    std::upper_bound(g.events.begin(), g.events.end(), run.fork->time,
+                                     [](SimTime t, const auto& ev) { return t < ev.first; }) -
+                    g.events.begin());
+            }
+            compared = trace::compareDigital(g, *run.digital[k], tEnd, tolerance.digitalJitter,
+                                             shared);
         }
-        const auto diff = trace::compareDigital(g, *run.digital[k], tEnd,
-                                                tolerance.digitalJitter, shared);
+        const trace::DigitalDiff& diff =
+            run.digitalDiffs.empty() ? compared : *run.digitalDiffs[k];
         if (!diff.identical()) {
             anyOutputError = true;
             result.erredSignals.push_back(digital[k]);

@@ -156,6 +156,11 @@ struct Observation {
     /// simulated from t = 0 (scratch runs, batch lanes).
     std::optional<Fork> fork;
     std::vector<const trace::DigitalTrace*> digital;
+    /// The run's comparison with golden on each observed signal, already
+    /// jitter-filtered, when its producer computed it without traces (batch
+    /// lanes diff words against lane 0). Non-empty, it is read instead of
+    /// comparing `digital` with golden's traces, which may then stay empty.
+    std::vector<const trace::DigitalDiff*> digitalDiffs;
     std::vector<const trace::AnalogTrace*> analog;
     std::vector<std::uint64_t> state;
 };
@@ -163,12 +168,13 @@ struct Observation {
 /// The verdict rule, the paper's "results analysis -> classification" step,
 /// shared by the event kernel (CampaignRunner::classify) and the batch
 /// backend's lanes. Each observed signal is compared with the golden run's
-/// by compareDigital under the jitter window, each node by compareAnalog
-/// under the abs/rel tolerance, and each state hook with its value in
-/// @p goldenState (the golden run's end-of-run values by hook name). An
-/// output error still present at the end is a Failure, one that recovered a
-/// TransientError; clean outputs with corrupted state are Latent, and
-/// everything else is Silent.
+/// by compareDigital under the jitter window (or its diff is read from
+/// run.digitalDiffs), each node by compareAnalog under the abs/rel
+/// tolerance, and each state hook with its value in @p goldenState (the
+/// golden run's end-of-run values by hook name). An output error still
+/// present at the end is a Failure, one that recovered a TransientError;
+/// clean outputs with corrupted state are Latent, and everything else is
+/// Silent.
 [[nodiscard]] RunResult classifyObservation(const Observation& run,
                                             const fault::Testbench& golden,
                                             const std::map<std::string, std::uint64_t>& goldenState,
@@ -345,9 +351,9 @@ public:
     /// digital faults into 64-lane word simulations (lane 0 golden, lanes
     /// 1..63 one fault each — src/batch) and classifies each lane by its
     /// divergence against the golden reference; only faults the word kernel
-    /// cannot replay bit-exactly (timing-dependent SET pulses, analog/AMS
-    /// faults, components outside the word-compiled library) run through the
-    /// event-driven kernel. Classifications, journals and reports are
+    /// cannot replay bit-exactly (stuck-at-X, analog/AMS faults, components
+    /// outside the word-compiled library) run through the event-driven
+    /// kernel. Classifications, journals and reports are
     /// byte-identical to an event-driven campaign at any worker width; the
     /// only journal difference is the "batch_lane" provenance key on
     /// word-simulated lines. Composes with fault collapsing (representatives

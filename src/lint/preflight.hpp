@@ -20,8 +20,8 @@
 //                    watched signal or compared state hook (the static
 //                    fault-space analyzer proves the run classifies Silent).
 //   PRE008 (warning) fault is not batch-eligible on a word-compilable design
-//                    (timing-dependent SET pulse, analog fault, target outside
-//                    the compiled netlist): with the bit-parallel backend on
+//                    (stuck-at-X, analog fault, target outside the
+//                    compiled netlist): with the bit-parallel backend on
 //                    it falls back to the event-driven kernel. Scored only
 //                    when the list also contains batch-eligible faults.
 //   PRE009 (error)   stale golden-store entry: a stored campaign result is

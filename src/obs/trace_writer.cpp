@@ -2,18 +2,30 @@
 
 #include "util/file.hpp"
 #include "util/json.hpp"
-#include "util/units.hpp"
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 
 namespace gfi::obs {
 
 namespace {
 
-std::string renderMicros(double us)
+/// Microseconds on the nanosecond grid: the nearest whole nanosecond.
+long long toNanos(double us)
 {
-    // Trace timestamps want sub-microsecond precision but not 17 digits.
-    return formatDouble(us, 3);
+    return std::llround(us * 1000.0);
+}
+
+/// @p ns as microseconds in fixed point with 3 decimals, exact at any
+/// magnitude: a significant-digit format would print an 11,888 µs span as
+/// 1.19e+04 and let adjacent spans overlap.
+std::string renderMicros(long long ns)
+{
+    const long long mag = ns < 0 ? -ns : ns;
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%s%lld.%03lld", ns < 0 ? "-" : "", mag / 1000, mag % 1000);
+    return buf;
 }
 
 } // namespace
@@ -75,9 +87,12 @@ std::string TraceWriter::json() const
         } else {
             out += "\"ph\": \"" + std::string(1, e.phase) + "\", \"name\": \"" +
                    util::jsonEscape(e.name) + "\", \"cat\": \"" + util::jsonEscape(e.category) +
-                   "\", \"ts\": " + renderMicros(e.tsUs);
+                   "\", \"ts\": " + renderMicros(toNanos(e.tsUs));
             if (e.phase == 'X') {
-                out += ", \"dur\": " + renderMicros(e.durUs);
+                // The end is rounded, not the duration, so a span that ends
+                // before another starts still does once both are rounded.
+                out += ", \"dur\": " +
+                       renderMicros(toNanos(e.tsUs + e.durUs) - toNanos(e.tsUs));
             }
             if (e.phase == 'i') {
                 out += ", \"s\": \"t\"";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace gfi::trace {
 
@@ -25,7 +26,7 @@ DigitalDiff compareDigital(const DigitalTrace& golden, const DigitalTrace& test,
     digital::Logic gv = gi > 0 ? ge[gi - 1].second : golden.initial;
     digital::Logic tv = shared ? gv : test.initial;
 
-    DigitalDiff diff;
+    std::vector<std::pair<SimTime, SimTime>> windows;
     bool inMismatch = false;
     SimTime windowStart = 0;
     SimTime t = 0;
@@ -42,7 +43,7 @@ DigitalDiff compareDigital(const DigitalTrace& golden, const DigitalTrace& test,
             windowStart = t;
         } else if (!differs && inMismatch) {
             inMismatch = false;
-            diff.mismatchWindows.emplace_back(windowStart, t);
+            windows.emplace_back(windowStart, t);
         }
         if (t >= tEnd) {
             break;
@@ -57,8 +58,16 @@ DigitalDiff compareDigital(const DigitalTrace& golden, const DigitalTrace& test,
         t = next;
     }
     if (inMismatch) {
-        diff.mismatchWindows.emplace_back(windowStart, tEnd);
+        windows.emplace_back(windowStart, tEnd);
     }
+    return summarizeMismatch(std::move(windows), minWindow);
+}
+
+DigitalDiff summarizeMismatch(std::vector<std::pair<SimTime, SimTime>> windows,
+                              SimTime minWindow)
+{
+    DigitalDiff diff;
+    diff.mismatchWindows = std::move(windows);
     if (minWindow > 0) {
         // Uniform filter: a window narrower than the jitter tolerance is not
         // a functional error even when it is cut short by the end of the

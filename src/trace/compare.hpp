@@ -30,6 +30,14 @@ struct DigitalDiff {
     }
 };
 
+/// The DigitalDiff of raw mismatch windows @p windows (ascending, as a
+/// timeline walk closes them): windows narrower than @p minWindow are
+/// discarded, then the first/last/total summary is taken over the rest.
+/// compareDigital ends in it, and so does every producer of windows that
+/// bypasses the trace walk (the batch backend's word-level lane diffs).
+[[nodiscard]] DigitalDiff summarizeMismatch(std::vector<std::pair<SimTime, SimTime>> windows,
+                                            SimTime minWindow);
+
 /// Compares two digital traces over [0, tEnd]. Event times must be
 /// non-negative and non-decreasing, as recorded; tEnd >= 0. Mismatch windows
 /// shorter than @p minWindow are discarded: this is the digital counterpart

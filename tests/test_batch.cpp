@@ -12,7 +12,9 @@
 
 #include "campaign_harness.hpp"
 
+#include "batch/backend.hpp"
 #include "batch/word_model.hpp"
+#include "batch/word_sim.hpp"
 #include "core/saboteur.hpp"
 #include "digital/gates.hpp"
 #include "digital/sequential.hpp"
@@ -21,6 +23,7 @@
 #include "duts/digital_dut.hpp"
 #include "util/rng.hpp"
 
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -101,8 +104,11 @@ public:
             if (i % 5 == 2) { // instrument some interconnects with saboteurs
                 auto& sabOut =
                     dig.logicSignal("rn/g" + std::to_string(i) + "_sab", Logic::Zero);
+                // A nonzero delay makes pulses narrower than it cancel
+                // inertially inside the saboteur.
+                const SimTime delay = static_cast<SimTime>(rng.below(4)) * kNanosecond;
                 auto& sab = dig.add<fault::DigitalSaboteur>(
-                    dig, "rn/sab" + std::to_string(i), out, sabOut);
+                    dig, "rn/sab" + std::to_string(i), out, sabOut, delay);
                 addDigitalSaboteur(sab);
                 pool.push_back(&sabOut);
             }
@@ -127,41 +133,83 @@ public:
     }
 };
 
+std::size_t countOccurrences(const std::string& haystack, const std::string& needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = haystack.find(needle); at != std::string::npos;
+         at = haystack.find(needle, at + needle.size())) {
+        ++n;
+    }
+    return n;
+}
+
+/// One fuzz case: a random netlist's fault list and the jitter window its
+/// campaign classifies under.
+struct FuzzCase {
+    std::vector<fault::FaultSpec> faults; ///< golden first, then the faults
+    SimTime jitter = 0;
+};
+
+/// Both kernels filter mismatch windows through the same jitter rule.
+constexpr SimTime kJitters[] = {0, 2 * kNanosecond, 20 * kNanosecond};
+
+/// Seed @p seed's fault list: a stuck-at and two SET pulses on every
+/// saboteur, bit flips on random state hooks. Pulse widths fall below and
+/// above the saboteur delays (0..3 ns), so some pulses cancel inertially,
+/// and some pulses start so late that their release falls past the end.
+FuzzCase fuzzCase(std::uint64_t seed, const RandomNetlistTestbench& probe)
+{
+    Rng rng(0xFA11 + seed);
+    FuzzCase c;
+    c.faults.emplace_back(fault::FaultSpec{});
+    const auto randomTime = [&rng] {
+        return (40 + static_cast<SimTime>(rng.below(520))) * kNanosecond;
+    };
+    for (const std::string& sab : probe.digitalSaboteurNames()) {
+        c.faults.emplace_back(fault::StuckAtFault{
+            sab, rng.chance(0.5) ? Logic::One : Logic::Zero, randomTime(),
+            rng.chance(0.5) ? 0 : static_cast<SimTime>(rng.below(180)) * kNanosecond});
+        for (int p = 0; p < 2; ++p) {
+            const SimTime width =
+                static_cast<SimTime>(1 + rng.below(12)) * kNanosecond / 2; // 0.5..6 ns
+            const SimTime time = rng.chance(0.25)
+                                     ? probe.duration() - static_cast<SimTime>(rng.below(
+                                                              static_cast<std::uint64_t>(width)))
+                                     : randomTime();
+            c.faults.emplace_back(fault::DigitalPulseFault{sab, time, width});
+        }
+    }
+    const auto& hooks = probe.sim().digital().instrumentation().all();
+    std::vector<std::string> hookNames;
+    hookNames.reserve(hooks.size());
+    for (const auto& [name, hook] : hooks) {
+        hookNames.push_back(name);
+    }
+    for (int i = 0; i < 4 && !hookNames.empty(); ++i) {
+        const std::string& target = hookNames[rng.below(hookNames.size())];
+        const int width = probe.sim().digital().instrumentation().hook(target).width;
+        c.faults.emplace_back(fault::BitFlipFault{
+            target, static_cast<int>(rng.below(static_cast<std::uint64_t>(width))),
+            randomTime()});
+    }
+    c.jitter = kJitters[rng.below(3)];
+    return c;
+}
+
 TEST(BatchFuzz, RandomNetlistsMatchEventDriven)
 {
     int lanesSeen = 0;
+    std::set<SimTime> jittersSeen;
     for (std::uint64_t seed = 1; seed <= 100; ++seed) {
         const auto factory = [seed] {
             return std::make_unique<RandomNetlistTestbench>(seed);
         };
-        Rng rng(0xFA11 + seed);
         const RandomNetlistTestbench probe(seed);
-        std::vector<fault::FaultSpec> faults{fault::FaultSpec{}};
-        const auto randomTime = [&rng] {
-            return (40 + static_cast<SimTime>(rng.below(520))) * kNanosecond;
-        };
-        for (const std::string& sab : probe.digitalSaboteurNames()) {
-            faults.emplace_back(fault::StuckAtFault{
-                sab, rng.chance(0.5) ? Logic::One : Logic::Zero, randomTime(),
-                rng.chance(0.5) ? 0 : static_cast<SimTime>(rng.below(180)) * kNanosecond});
-        }
-        const auto& hooks = probe.sim().digital().instrumentation().all();
-        std::vector<std::string> hookNames;
-        hookNames.reserve(hooks.size());
-        for (const auto& [name, hook] : hooks) {
-            hookNames.push_back(name);
-        }
-        for (int i = 0; i < 4 && !hookNames.empty(); ++i) {
-            const std::string& target = hookNames[rng.below(hookNames.size())];
-            const int width = probe.sim().digital().instrumentation().hook(target).width;
-            faults.emplace_back(fault::BitFlipFault{
-                target, static_cast<int>(rng.below(static_cast<std::uint64_t>(width))),
-                randomTime()});
-        }
+        const FuzzCase fc = fuzzCase(seed, probe);
+        const std::vector<fault::FaultSpec>& faults = fc.faults;
         ASSERT_GE(faults.size(), 4u) << "seed " << seed;
-        // Both kernels filter mismatch windows through the same jitter rule.
-        static constexpr SimTime kJitters[] = {0, 2 * kNanosecond, 20 * kNanosecond};
-        const SimTime jitter = kJitters[rng.below(3)];
+        const SimTime jitter = fc.jitter;
+        jittersSeen.insert(jitter);
 
         const auto backend = [jitter](bool batch) {
             return [batch, jitter](CampaignRunner& r) {
@@ -183,14 +231,116 @@ TEST(BatchFuzz, RandomNetlistsMatchEventDriven)
             ASSERT_EQ(batch.report.runs[i].outcome, event.report.runs[i].outcome)
                 << "seed " << seed << " fault " << i;
         }
-        if (batch.journal.find("\"batch_lane\"") != std::string::npos) {
+        const std::size_t lanes = countOccurrences(batch.journal, "\"batch_lane\"");
+        if (lanes > 0) {
             ++lanesSeen;
+            // An eligible design batches every fault, SET pulses included.
+            EXPECT_EQ(lanes, faults.size() - 1) << "seed " << seed << ": a fault fell back";
         }
     }
     // The generator emits only word-library components, so the overwhelming
     // majority of seeds must actually batch — equality alone could be
     // trivially satisfied by a backend that always falls back.
     EXPECT_GE(lanesSeen, 95) << "batch backend fell back on too many seeds";
+    EXPECT_EQ(jittersSeen.size(), std::size(kJitters)) << "a jitter window went undrawn";
+}
+
+// A signal observed twice is one recorded trace in both kernels, compared
+// once per observation: the word kernel records it once and must read that
+// record through both slots, or the lane-0 cross-check fails (the group
+// falls back) and a faulty lane misses the second erred entry.
+TEST(BatchFuzz, DuplicateObservationMatchesEventDriven)
+{
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        const auto factory = [seed] {
+            auto tb = std::make_unique<RandomNetlistTestbench>(seed);
+            tb->observeDigital(tb->observedDigital().front());
+            return tb;
+        };
+        const RandomNetlistTestbench probe(seed);
+        const FuzzCase fc = fuzzCase(seed, probe);
+        const auto backend = [](bool batch) {
+            return [batch](CampaignRunner& r) {
+                r.setWorkers(1);
+                r.setBatchBackend(batch);
+                r.setFaultCollapsing(false);
+            };
+        };
+        const std::string tag = "batch_dup_obs" + std::to_string(seed);
+        const CampaignOutput event = test::runCampaign(factory, fc.faults, tag, backend(false));
+        const CampaignOutput batch = test::runCampaign(factory, fc.faults, tag, backend(true));
+        ASSERT_EQ(test::stripBatchLane(batch.journal), event.journal) << "seed " << seed;
+        EXPECT_EQ(countOccurrences(batch.journal, "\"batch_lane\""), fc.faults.size() - 1)
+            << "seed " << seed << ": a group fell back";
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Word-level diffs against the trace comparator
+
+// The batch backend classifies lanes from XOR masks against lane 0 instead of
+// rebuilding traces. On every fuzz netlist and fault list, each lane's
+// word-level diff must be, window for window, what compareDigital reports
+// for the golden trace against the lane's trace, at every jitter window.
+TEST(BatchWordDiff, LaneDiffsMatchCompareDigital)
+{
+    std::size_t lanesChecked = 0;
+    std::size_t windowsSeen = 0;
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+        RandomNetlistTestbench golden(seed);
+        const FuzzCase fc = fuzzCase(seed, golden);
+        golden.run();
+
+        const RandomNetlistTestbench fresh(seed);
+        const batch::CompileResult compiled = batch::compileWordModel(fresh);
+        ASSERT_NE(compiled.model, nullptr) << "seed " << seed << ": " << compiled.reason;
+        batch::WordSim sim(*compiled.model);
+        const std::size_t lanes = fc.faults.size() - 1;
+        ASSERT_LE(lanes, 63u);
+        for (std::size_t pos = 1; pos <= lanes; ++pos) {
+            ASSERT_TRUE(sim.armFault(static_cast<int>(pos), fc.faults[pos]))
+                << "seed " << seed << " fault " << pos;
+        }
+        ASSERT_TRUE(sim.run()) << "seed " << seed;
+
+        const std::vector<std::string>& observed = golden.observedDigital();
+        const SimTime end = golden.duration();
+        for (std::size_t k = 0; k < observed.size(); ++k) {
+            // The diffs' precondition, which the backend's cross-check
+            // establishes: lane 0 replays golden.
+            const trace::DigitalTrace& g = golden.recorder().digitalTrace(observed[k]);
+            ASSERT_TRUE(trace::compareDigital(
+                            g, batch::laneTrace(sim, static_cast<int>(k), 0, observed[k]), end)
+                            .identical())
+                << "seed " << seed << " " << observed[k];
+        }
+        for (const SimTime jitter : kJitters) {
+            const std::vector<trace::DigitalDiff> diffs =
+                batch::laneDiffs(sim, observed.size(), lanes, end, jitter);
+            ASSERT_EQ(diffs.size(), lanes * observed.size());
+            for (std::size_t lane = 1; lane <= lanes; ++lane) {
+                for (std::size_t k = 0; k < observed.size(); ++k) {
+                    const trace::DigitalDiff want = trace::compareDigital(
+                        golden.recorder().digitalTrace(observed[k]),
+                        batch::laneTrace(sim, static_cast<int>(k), static_cast<int>(lane),
+                                         observed[k]),
+                        end, jitter);
+                    const trace::DigitalDiff& got = diffs[(lane - 1) * observed.size() + k];
+                    ASSERT_EQ(got.mismatchWindows, want.mismatchWindows)
+                        << "seed " << seed << " lane " << lane << " " << observed[k]
+                        << " jitter " << jitter;
+                    ASSERT_EQ(got.firstMismatch, want.firstMismatch);
+                    ASSERT_EQ(got.lastMismatchEnd, want.lastMismatchEnd);
+                    ASSERT_EQ(got.totalMismatch, want.totalMismatch);
+                    windowsSeen += want.mismatchWindows.size();
+                }
+                ++lanesChecked;
+            }
+        }
+    }
+    // Not vacuous: the fault lists do make lanes diverge.
+    EXPECT_GE(lanesChecked, 3000u);
+    EXPECT_GE(windowsSeen, 1000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -208,8 +358,8 @@ TEST(BatchWordModel, DigitalDutCompilesAndClassifiesEligibility)
     EXPECT_TRUE(eligible(fault::StuckAtFault{"sab/enable", Logic::One, t, 0}).eligible);
     EXPECT_TRUE(eligible(fault::BitFlipFault{"dut/cnt", 0, t}).eligible);
     EXPECT_TRUE(eligible(fault::FsmTransitionFault{"dut/fsm", 2, t}).eligible);
-    const auto pulse =
-        eligible(fault::DigitalPulseFault{"sab/enable", t, 25 * kNanosecond});
+    EXPECT_TRUE(eligible(fault::DigitalPulseFault{"sab/enable", t, 25 * kNanosecond}).eligible);
+    const auto pulse = eligible(fault::DigitalPulseFault{"no/such", t, 25 * kNanosecond});
     EXPECT_FALSE(pulse.eligible);
     EXPECT_FALSE(pulse.reason.empty());
     const auto stuckX = eligible(fault::StuckAtFault{"sab/enable", Logic::X, t, 0});

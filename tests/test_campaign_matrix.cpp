@@ -119,10 +119,9 @@ Design chainDesign()
 
 /// Every registered digital fault kind on the DigitalDut — bit flips across
 /// all state hooks, double flips, state writes, stuck-ats and SET pulses on
-/// every saboteur, an FSM transition corruption. The SET pulses are
-/// batch-ineligible (timing-dependent) and must fall back per fault while
-/// their eligible neighbours batch. The DUT observes its whole cone, so
-/// nothing collapses.
+/// every saboteur, an FSM transition corruption. A stuck-at-X is
+/// batch-ineligible and must fall back per fault while its neighbours
+/// batch. The DUT observes its whole cone, so nothing collapses.
 Design digitalDesign()
 {
     Design d;
@@ -148,6 +147,8 @@ Design digitalDesign()
             fault::StuckAtFault{sab, digital::Logic::Zero, t, 300 * kNanosecond});
         d.faults.emplace_back(fault::DigitalPulseFault{sab, t, 25 * kNanosecond});
     }
+    d.faults.emplace_back(fault::StuckAtFault{probe.digitalSaboteurNames().front(),
+                                              digital::Logic::X, t, 200 * kNanosecond});
     d.faults.emplace_back(fault::FsmTransitionFault{"dut/fsm", 3, t + 5 * kNanosecond});
     d.forkCadence = 500 * kNanosecond;
     d.retry = RetryPolicy{.maxAttempts = 2};
@@ -285,7 +286,7 @@ Design abnormalDesign()
 /// The checked-in ISCAS-85 c17, ingested: a stuck-at-0 and -1 on every net
 /// from t = 0 — armed before the kernel's startup pass, on a fresh build as
 /// on a pooled testbench restored from the pre-start checkpoint — and one
-/// mid-run SET pulse per net (batch fallbacks; forked in fork mode). Every
+/// mid-run SET pulse per net (batch lanes; forked in fork mode). Every
 /// c17 net fans out or is observed, so nothing collapses.
 Design netlistDesign()
 {

@@ -292,12 +292,12 @@ TEST(Preflight, BatchIneligibleFaultInMixedListIsPre008Warning)
     duts::DigitalDutTestbench tb;
     const std::vector<fault::FaultSpec> faults{
         fault::StuckAtFault{"sab/enable", digital::Logic::One, kMicrosecond, 0},
-        fault::DigitalPulseFault{"sab/data", kMicrosecond, 5 * kNanosecond},
+        fault::StuckAtFault{"sab/data", digital::Logic::X, kMicrosecond, 0},
     };
     const lint::Report rep = lint::preflightCampaign(tb, faults);
     ASSERT_TRUE(rep.hasRule("PRE008"));
     const auto& diags = rep.byRule("PRE008");
-    ASSERT_EQ(diags.size(), 1u); // only the pulse fault, not the stuck-at
+    ASSERT_EQ(diags.size(), 1u); // only the stuck-at-X, not the two-valued stuck-at
     EXPECT_EQ(diags.front().severity, lint::Severity::Warning);
     // The diagnostic names the offending fault (its component) and the reason.
     EXPECT_NE(diags.front().path.find("sab/data"), std::string::npos);
@@ -311,8 +311,8 @@ TEST(Preflight, UniformlyIneligibleListSkipsPre008)
     // warning per entry: the whole campaign simply runs event-driven.
     duts::DigitalDutTestbench tb;
     const std::vector<fault::FaultSpec> faults{
-        fault::DigitalPulseFault{"sab/enable", kMicrosecond, 5 * kNanosecond},
-        fault::DigitalPulseFault{"sab/data", kMicrosecond, 9 * kNanosecond},
+        fault::StuckAtFault{"sab/enable", digital::Logic::X, kMicrosecond, 0},
+        fault::StuckAtFault{"sab/data", digital::Logic::X, 2 * kMicrosecond, 0},
     };
     EXPECT_FALSE(lint::preflightCampaign(tb, faults).hasRule("PRE008"));
 }

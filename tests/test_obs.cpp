@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -300,6 +301,45 @@ TEST(ObsTrace, SpanNestingAndJsonShape)
     EXPECT_NE(json.find("\"name\": \"inner\""), std::string::npos);
     EXPECT_NE(json.find("\"k\": 1"), std::string::npos) << "span args must survive";
     EXPECT_NE(json.find("\"dur\":"), std::string::npos) << "X events carry a duration";
+}
+
+/// The complete ("X") events named @p name in a trace's JSON.
+std::vector<util::JsonValue> spansNamed(const std::string& traceJson, const std::string& name)
+{
+    std::vector<util::JsonValue> out;
+    const util::JsonValue doc = util::parseJson(traceJson);
+    for (const util::JsonValue& e : doc.find("traceEvents")->asArray()) {
+        if (e.find("ph")->asString() == "X" && e.find("name")->asString() == name) {
+            out.push_back(e);
+        }
+    }
+    return out;
+}
+
+// Span times are microseconds in fixed point with nanosecond resolution: a
+// long span neither loses digits to an exponent nor overlaps its successor.
+TEST(ObsTrace, SpanTimesKeepNanosecondResolution)
+{
+    obs::TraceWriter writer;
+    writer.completeEvent("long", "test", 11888.123, 2.5);
+    // "first" ends at 11888.1232 us and "second" starts 0.2 ns later. Start
+    // and duration rounded apart would end "first" at 100.001 + 11788.123 =
+    // 11888.124, past "second"'s 11888.123.
+    writer.completeEvent("first", "test", 100.0006, 11788.1226);
+    writer.completeEvent("second", "test", 11888.1234, 1.0);
+    const std::string json = writer.json();
+    EXPECT_NE(json.find("\"ts\": 11888.123, \"dur\": 2.500"), std::string::npos) << json;
+    EXPECT_EQ(json.find("e+"), std::string::npos) << json;
+
+    const std::vector<util::JsonValue> span = spansNamed(json, "long");
+    ASSERT_EQ(span.size(), 1u);
+    EXPECT_EQ(span[0].find("ts")->asNumber(), 11888.123);
+    EXPECT_EQ(span[0].find("dur")->asNumber(), 2.5);
+    const util::JsonValue first = spansNamed(json, "first").at(0);
+    const util::JsonValue second = spansNamed(json, "second").at(0);
+    EXPECT_LE(std::llround(first.find("ts")->asNumber() * 1000) +
+                  std::llround(first.find("dur")->asNumber() * 1000),
+              std::llround(second.find("ts")->asNumber() * 1000));
 }
 
 TEST(ObsTrace, DisabledSpansAreNoops)
@@ -581,6 +621,32 @@ TEST(ObsCampaign, ResumeTraceHasOneJournalSpan)
     for (const std::string& p : {fullPath, plainPath, tracedPath}) {
         std::remove(p.c_str());
     }
+}
+
+// The campaign's stage spans follow one another: golden ends at or before
+// collapse starts, as rendered.
+TEST(ObsCampaign, TracedGoldenEndsBeforeCollapse)
+{
+    clearTelemetryEnv();
+    obs::Telemetry telemetry;
+    telemetry.enableTracing();
+    campaign::CampaignRunner runner(dutFactory());
+    configureDutRunner(runner, 2);
+    runner.setFaultCollapsing(true);
+    runner.setTelemetry(telemetry);
+    ::testing::internal::CaptureStderr();
+    (void)runner.run(digitalDutFaults());
+    (void)::testing::internal::GetCapturedStderr();
+
+    const std::string json = telemetry.trace()->json();
+    const std::vector<util::JsonValue> golden = spansNamed(json, "golden");
+    const std::vector<util::JsonValue> collapse = spansNamed(json, "collapse");
+    ASSERT_EQ(golden.size(), 1u) << json;
+    ASSERT_EQ(collapse.size(), 1u) << json;
+    const auto nanos = [](const util::JsonValue& span, const char* key) {
+        return std::llround(span.find(key)->asNumber() * 1000);
+    };
+    EXPECT_LE(nanos(golden[0], "ts") + nanos(golden[0], "dur"), nanos(collapse[0], "ts"));
 }
 
 TEST(ObsCampaign, TimeoutRunCarriesProbeSnapshot)
