@@ -89,55 +89,34 @@ bool goldenCrossCheck(const WordSim& sim, const WordModel& model, const BatchReq
     return true;
 }
 
-/// One word-simulation group and its per-group outcome.
+/// One word-simulation group's outcome: every member classified, or every
+/// member fallen back for one reason.
 struct GroupOutcome {
     std::map<std::size_t, campaign::RunResult> results;
-    std::vector<std::pair<std::size_t, std::string>> fallbacks;
+    std::string fallback; ///< why the whole group fell back; empty when classified
     bool ran = false;
     bool crossCheckFailed = false;
 };
 
-GroupOutcome runGroup(const BatchRequest& req, const std::vector<std::size_t>& members,
-                      const std::vector<char>& need)
+GroupOutcome runGroup(const BatchRequest& req, const WordModel& model,
+                      const std::vector<std::size_t>& members, const std::vector<char>& need)
 {
     GroupOutcome out;
-    const auto fallBackAll = [&](const std::string& reason) {
-        out.results.clear();
-        for (const std::size_t idx : members) {
-            out.fallbacks.emplace_back(idx, reason);
-        }
-    };
-
     const auto started = std::chrono::steady_clock::now();
-    const std::unique_ptr<fault::Testbench> tb = (*req.factory)();
-    CompileResult compiled = compileWordModel(*tb);
-    if (!compiled.model) {
-        // The scout compile succeeded for this factory, so this is a
-        // nondeterministic-design anomaly; fall back rather than guess.
-        fallBackAll("word compilation failed: " + compiled.reason);
-        return out;
-    }
-    const WordModel& model = *compiled.model;
-
     WordSim sim(model);
     for (std::size_t pos = 0; pos < members.size(); ++pos) {
-        const int lane = static_cast<int>(pos) + 1;
-        if (!sim.armFault(lane, (*req.faults)[members[pos]])) {
-            // Eligibility already vetted these; an arm failure leaves the
-            // lane golden, so it must not be classified.
-            out.fallbacks.emplace_back(members[pos], "word kernel could not arm the fault");
-        }
+        sim.armFault(static_cast<int>(pos) + 1, (*req.faults)[members[pos]]);
     }
     if (!sim.run()) {
-        fallBackAll("delta-cycle runaway in the word kernel");
+        out.fallback = "delta-cycle runaway in the word kernel";
         return out;
     }
     out.ran = true;
 
     if (!goldenCrossCheck(sim, model, req)) {
         out.crossCheckFailed = true;
-        fallBackAll("golden cross-check mismatch (word kernel diverged from "
-                    "the event-driven golden run)");
+        out.fallback = "golden cross-check mismatch (word kernel diverged from "
+                       "the event-driven golden run)";
         return out;
     }
 
@@ -159,10 +138,7 @@ GroupOutcome runGroup(const BatchRequest& req, const std::vector<std::size_t>& m
     run.duration = model.duration;
     for (std::size_t pos = 0; pos < members.size(); ++pos) {
         const std::size_t idx = members[pos];
-        const bool armFailed =
-            std::any_of(out.fallbacks.begin(), out.fallbacks.end(),
-                        [idx](const auto& f) { return f.first == idx; });
-        if (armFailed || need[pos] == 0) {
+        if (need[pos] == 0) {
             continue; // restored from a journal: no result wanted
         }
         const int lane = static_cast<int>(pos) + 1;
@@ -193,19 +169,21 @@ BatchStats runBatchedCampaign(const BatchRequest& req,
     BatchStats stats;
 
     // Scout pass: compile once to decide design eligibility, then vet each
-    // candidate fault against the compiled netlist.
+    // candidate fault against the compiled netlist. Every group simulates
+    // this one model; it is read-only once compiled.
     const std::unique_ptr<fault::Testbench> scout = (*req.factory)();
-    CompileResult compiled = compileWordModel(*scout);
+    const CompileResult compiled = compileWordModel(*scout);
     if (!compiled.model) {
         stats.designReason = compiled.reason;
         return stats;
     }
     stats.designEligible = true;
+    const WordModel& model = *compiled.model;
 
     std::vector<std::size_t> eligible;     // candidate positions, ascending
     for (std::size_t c = 0; c < req.candidates.size(); ++c) {
         const std::size_t idx = req.candidates[c];
-        const FaultEligibility e = faultEligibility(*compiled.model, (*req.faults)[idx]);
+        const FaultEligibility e = faultEligibility(model, (*req.faults)[idx]);
         if (e.eligible) {
             eligible.push_back(c);
         } else {
@@ -246,8 +224,9 @@ BatchStats runBatchedCampaign(const BatchRequest& req,
     // so stats and the result map are deterministic at any worker width.
     core::Executor exec(req.workers);
     exec.forEachOrdered(toRun.size(), [&](std::size_t g) -> core::CommitFn {
-        GroupOutcome outcome = runGroup(req, toRun[g]->members, toRun[g]->need);
-        return [&stats, &out, outcome = std::move(outcome)]() mutable {
+        const Group& group = *toRun[g];
+        GroupOutcome outcome = runGroup(req, model, group.members, group.need);
+        return [&stats, &out, &group, outcome = std::move(outcome)]() mutable {
             if (outcome.ran) {
                 ++stats.groups;
             }
@@ -258,8 +237,11 @@ BatchStats runBatchedCampaign(const BatchRequest& req,
             for (auto& [idx, r] : outcome.results) {
                 out.emplace(idx, std::move(r));
             }
-            stats.fallbacks.insert(stats.fallbacks.end(), outcome.fallbacks.begin(),
-                                   outcome.fallbacks.end());
+            if (!outcome.fallback.empty()) {
+                for (const std::size_t idx : group.members) {
+                    stats.fallbacks.emplace_back(idx, outcome.fallback);
+                }
+            }
         };
     });
 

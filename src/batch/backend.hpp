@@ -2,8 +2,9 @@
 // Bit-parallel campaign backend.
 //
 // runBatchedCampaign() takes the slice of a campaign's fault list that still
-// needs simulating, packs eligible faults into 64-lane word-simulation groups
-// (lane 0 golden, lanes 1..63 one fault each) and classifies every lane with
+// needs simulating, compiles the design once, packs eligible faults into
+// 64-lane word-simulation groups over that one model (lane 0 golden, lanes
+// 1..63 one fault each) and classifies every lane with
 // the campaign's verdict rule, campaign::classifyObservation() — the function
 // the event-driven kernel classifies through — so its RunResults are
 // byte-identical to what that kernel would have produced for the same faults.
@@ -34,7 +35,9 @@ namespace gfi::batch {
 /// golden traces and state, with goldenWaves, also feed the lane-0
 /// cross-check.
 struct BatchRequest {
-    const fault::TestbenchFactory* factory = nullptr; ///< fresh testbench per group
+    /// Called once, for the build the campaign's one word model compiles
+    /// from; every group simulates that model.
+    const fault::TestbenchFactory* factory = nullptr;
     const fault::Testbench* golden = nullptr;         ///< finished golden run
     /// The golden run's end-of-run value of each observed state hook.
     const std::map<std::string, std::uint64_t>* goldenState = nullptr;

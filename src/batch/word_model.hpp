@@ -173,9 +173,10 @@ struct WordHook {
     int width = 1;
 };
 
-/// The compiled design: plain data plus the FSM callables. Every instance is
-/// compiled from its own fresh Testbench, so concurrent word simulations
-/// never share mutable state (the factory contract of CampaignRunner).
+/// The compiled design: plain data plus the FSM callables, with no pointer
+/// into the testbench it was compiled from. A campaign compiles one model;
+/// it is read-only from then on and shared by every word group, so the FSM
+/// callables are called concurrently (TableFsm requires them to be pure).
 struct WordModel {
     std::vector<std::string> signalNames; ///< creation order
     std::vector<std::uint8_t> signalInit; ///< initial bit per signal

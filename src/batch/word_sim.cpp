@@ -1,6 +1,7 @@
 #include "batch/word_sim.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace gfi::batch {
 
@@ -695,8 +696,12 @@ void WordSim::writeLaneState(const WordHook& h, int lane, std::uint64_t v)
     }
 }
 
-bool WordSim::armFault(int lane, const fault::FaultSpec& fault)
+void WordSim::armFault(int lane, const fault::FaultSpec& fault)
 {
+    if (const FaultEligibility e = faultEligibility(model_, fault); !e.eligible) {
+        throw std::logic_error("WordSim::armFault: '" + fault::describe(fault) +
+                               "' cannot ride a lane: " + e.reason);
+    }
     const std::uint64_t laneMask = 1ull << lane;
 
     // NOTE: the deferred actions below must never capture the Visitor's
@@ -718,76 +723,52 @@ bool WordSim::armFault(int lane, const fault::FaultSpec& fault)
             s.writeLaneState(h, lane, v);
         }
 
-        bool operator()(const std::monostate&) const { return false; }
-        bool operator()(const fault::BitFlipFault& f) const
+        void operator()(const fault::BitFlipFault& f) const
         {
-            const auto it = sim.model_.hooks.find(f.target);
-            if (it == sim.model_.hooks.end()) {
-                return false;
-            }
-            const WordHook h = it->second;
+            const WordHook h = sim.model_.hooks.at(f.target);
             sim.scheduleAction(
                 f.time, laneMask,
                 [&s = sim, h, lane = lane, bit = f.bit](std::uint64_t) {
                     flipBit(s, h, lane, bit);
                 });
-            return true;
         }
-        bool operator()(const fault::DoubleBitFlipFault& f) const
+        void operator()(const fault::DoubleBitFlipFault& f) const
         {
-            const auto it = sim.model_.hooks.find(f.target);
-            if (it == sim.model_.hooks.end()) {
-                return false;
-            }
-            const WordHook h = it->second;
+            const WordHook h = sim.model_.hooks.at(f.target);
             sim.scheduleAction(
                 f.time, laneMask,
                 [&s = sim, h, lane = lane, bitA = f.bitA, bitB = f.bitB](std::uint64_t) {
                     flipBit(s, h, lane, bitA);
                     flipBit(s, h, lane, bitB);
                 });
-            return true;
         }
-        bool operator()(const fault::StateWriteFault& f) const
+        void operator()(const fault::StateWriteFault& f) const
         {
-            const auto it = sim.model_.hooks.find(f.target);
-            if (it == sim.model_.hooks.end()) {
-                return false;
-            }
-            const WordHook h = it->second;
+            const WordHook h = sim.model_.hooks.at(f.target);
             sim.scheduleAction(
                 f.time, laneMask,
                 [&s = sim, h, lane = lane, value = f.value](std::uint64_t) {
                     s.writeLaneState(h, lane, value);
                 });
-            return true;
         }
-        bool operator()(const fault::FsmTransitionFault& f) const
+        void operator()(const fault::FsmTransitionFault& f) const
         {
-            const auto it = sim.model_.fsmIndex.find(f.target);
-            if (it == sim.model_.fsmIndex.end()) {
-                return false;
-            }
+            const int idx = sim.model_.fsmIndex.at(f.target);
             sim.scheduleAction(
                 f.time, laneMask,
-                [&s = sim, idx = it->second, lane = lane, mask = laneMask,
+                [&s = sim, idx, lane = lane, mask = laneMask,
                  forced = f.forcedState](std::uint64_t) {
                     FsmState& st = s.fsmState_[static_cast<std::size_t>(idx)];
                     st.forcedNext[static_cast<std::size_t>(lane)] = forced;
                     st.forcedMask |= mask;
                 });
-            return true;
         }
-        bool operator()(const fault::DigitalPulseFault& f) const
+        void operator()(const fault::DigitalPulseFault& f) const
         {
             // DigitalSaboteur::injectPulse: invert at time, back to
             // transparent at time + width, each a mode change that re-drives
             // the output through the saboteur's inertial delay.
-            const auto it = sim.model_.sabIndex.find(f.saboteur);
-            if (it == sim.model_.sabIndex.end()) {
-                return false;
-            }
-            const int idx = it->second;
+            const int idx = sim.model_.sabIndex.at(f.saboteur);
             sim.scheduleAction(f.time, laneMask,
                                [&s = sim, idx, mask = laneMask](std::uint64_t) {
                                    s.sabState_[static_cast<std::size_t>(idx)].invertMask |= mask;
@@ -798,18 +779,10 @@ bool WordSim::armFault(int lane, const fault::FaultSpec& fault)
                                    s.sabState_[static_cast<std::size_t>(idx)].invertMask &= ~mask;
                                    s.driveSaboteur(idx, mask);
                                });
-            return true;
         }
-        bool operator()(const fault::StuckAtFault& f) const
+        void operator()(const fault::StuckAtFault& f) const
         {
-            const auto it = sim.model_.sabIndex.find(f.saboteur);
-            if (it == sim.model_.sabIndex.end()) {
-                return false;
-            }
-            if (f.value != digital::Logic::Zero && f.value != digital::Logic::One) {
-                return false;
-            }
-            const int idx = it->second;
+            const int idx = sim.model_.sabIndex.at(f.saboteur);
             const bool one = f.value == digital::Logic::One;
             sim.scheduleAction(
                 f.time, laneMask,
@@ -827,12 +800,13 @@ bool WordSim::armFault(int lane, const fault::FaultSpec& fault)
                         s.driveSaboteur(idx, mask);
                     });
             }
-            return true;
         }
-        bool operator()(const fault::CurrentPulseFault&) const { return false; }
-        bool operator()(const fault::ParametricFault&) const { return false; }
+        // The golden run and the analog kinds never pass the precondition.
+        void operator()(const std::monostate&) const {}
+        void operator()(const fault::CurrentPulseFault&) const {}
+        void operator()(const fault::ParametricFault&) const {}
     };
-    return std::visit(Visitor{*this, lane, laneMask}, fault);
+    std::visit(Visitor{*this, lane, laneMask}, fault);
 }
 
 // --- top-level run ----------------------------------------------------------

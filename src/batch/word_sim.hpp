@@ -38,16 +38,18 @@ struct TracePoint {
     std::uint64_t value;
 };
 
-/// The word simulator. Build one per fault group from a freshly compiled
-/// model (the model's FSM callables must stay alive for the sim's lifetime).
+/// The word simulator, one per fault group. Every group of a campaign reads
+/// the same compiled model, which must outlive the sim; the sim only reads
+/// it, so groups may run on several threads at once.
 class WordSim {
 public:
     explicit WordSim(const WordModel& model);
 
-    /// Arms @p fault in lane @p lane (1..63). Must be called before run();
-    /// returns false when the fault is not batch-eligible (callers filter
-    /// with faultEligibility() first, so this is a safety net).
-    bool armFault(int lane, const fault::FaultSpec& fault);
+    /// Arms @p fault in lane @p lane (1..63). Must be called before run().
+    /// Precondition: faultEligibility(model, fault).eligible — callers vet
+    /// the list with it; an ineligible fault throws std::logic_error naming
+    /// the fault and the reason.
+    void armFault(int lane, const fault::FaultSpec& fault);
 
     /// Runs startup pass + waves to the model duration. Returns false when
     /// the kernel bails out (per-time-point wave runaway) — the caller then

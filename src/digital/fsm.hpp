@@ -16,7 +16,9 @@
 namespace gfi::digital {
 
 /// Synchronous Moore/Mealy FSM described by callable next-state and output
-/// functions (a transition table is the usual special case).
+/// functions (a transition table is the usual special case). Both functions
+/// must be pure: the batch backend copies them into one word model per
+/// campaign, and its word groups call them concurrently.
 class TableFsm : public Component, public snapshot::Snapshottable {
 public:
     /// Computes the next state from (currentState, inputValue).

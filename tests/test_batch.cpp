@@ -23,9 +23,11 @@
 #include "duts/digital_dut.hpp"
 #include "util/rng.hpp"
 
+#include <atomic>
 #include <iterator>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -298,8 +300,7 @@ TEST(BatchWordDiff, LaneDiffsMatchCompareDigital)
         const std::size_t lanes = fc.faults.size() - 1;
         ASSERT_LE(lanes, 63u);
         for (std::size_t pos = 1; pos <= lanes; ++pos) {
-            ASSERT_TRUE(sim.armFault(static_cast<int>(pos), fc.faults[pos]))
-                << "seed " << seed << " fault " << pos;
+            sim.armFault(static_cast<int>(pos), fc.faults[pos]);
         }
         ASSERT_TRUE(sim.run()) << "seed " << seed;
 
@@ -344,6 +345,77 @@ TEST(BatchWordDiff, LaneDiffsMatchCompareDigital)
 }
 
 // ---------------------------------------------------------------------------
+// One word model shared by concurrent groups
+
+/// At least @p minFaults batch-eligible DigitalDut faults — bit flips on
+/// every hook, stuck-ats and SET pulses on every saboteur, FSM transitions
+/// into every state — at staggered instants, then one stuck-at-X that must
+/// fall back to the event kernel.
+std::vector<fault::FaultSpec> sharedModelFaults(std::size_t minFaults)
+{
+    const duts::DigitalDutTestbench probe;
+    const auto& hooks = probe.sim().digital().instrumentation().all();
+    const std::vector<std::string> sabs = probe.digitalSaboteurNames();
+    std::vector<fault::FaultSpec> faults{fault::FaultSpec{}};
+    for (int round = 0; faults.size() <= minFaults; ++round) {
+        const SimTime t = kMicrosecond + round * 113 * kNanosecond;
+        for (const auto& [name, hook] : hooks) {
+            faults.emplace_back(fault::BitFlipFault{name, round % hook.width, t});
+        }
+        for (const std::string& sab : sabs) {
+            faults.emplace_back(fault::StuckAtFault{sab, Logic::One, t, 150 * kNanosecond});
+            faults.emplace_back(fault::DigitalPulseFault{sab, t + 3 * kNanosecond,
+                                                         (1 + round % 4) * 10 * kNanosecond});
+        }
+        for (int state = 0; state < 4; ++state) {
+            faults.emplace_back(
+                fault::FsmTransitionFault{"dut/fsm", state, t + state * 21 * kNanosecond});
+        }
+    }
+    faults.emplace_back(fault::StuckAtFault{sabs.front(), Logic::X, 2 * kMicrosecond, 0});
+    return faults;
+}
+
+// Every word group of a campaign simulates the one model the backend compiled
+// once, FSM callables included, on as many threads as the campaign has
+// workers. Three or more groups at four workers must journal what one worker
+// does and what the event kernel does; at one worker the campaign builds only
+// the golden testbench, the word model's one build and a testbench for the
+// event kernel's fallback.
+TEST(BatchSharedModel, GroupsAcrossWorkersMatchEventDriven)
+{
+    const std::vector<fault::FaultSpec> faults = sharedModelFaults(2 * 63 + 1);
+    auto builds = std::make_shared<std::atomic<int>>(0);
+    const auto factory = [builds] {
+        builds->fetch_add(1, std::memory_order_relaxed);
+        return std::make_unique<duts::DigitalDutTestbench>();
+    };
+    const auto backend = [](unsigned workers, bool batch) {
+        return [workers, batch](CampaignRunner& r) {
+            r.setWorkers(workers);
+            r.setBatchBackend(batch);
+            r.setFaultCollapsing(false);
+        };
+    };
+    const CampaignOutput event =
+        test::runCampaign(factory, faults, "batch_shared_event", backend(4, false));
+    builds->store(0);
+    const CampaignOutput serial =
+        test::runCampaign(factory, faults, "batch_shared_w1", backend(1, true));
+    const int serialBuilds = builds->load();
+    const CampaignOutput parallel =
+        test::runCampaign(factory, faults, "batch_shared_w4", backend(4, true));
+
+    const std::size_t lanes = countOccurrences(serial.journal, "\"batch_lane\"");
+    EXPECT_EQ(lanes, faults.size() - 2) << "only the stuck-at-X may fall back";
+    EXPECT_GE(lanes, 2 * 63 + 1u) << "fewer than three word groups";
+    EXPECT_EQ(parallel.journal, serial.journal);
+    EXPECT_EQ(test::stripBatchLane(serial.journal), event.journal);
+    EXPECT_EQ(serial.summary, event.summary);
+    EXPECT_EQ(serialBuilds, 3) << "golden, the word model's build, one kernel fallback";
+}
+
+// ---------------------------------------------------------------------------
 // Word-model compile + eligibility unit checks
 
 TEST(BatchWordModel, DigitalDutCompilesAndClassifiesEligibility)
@@ -366,6 +438,32 @@ TEST(BatchWordModel, DigitalDutCompilesAndClassifiesEligibility)
     EXPECT_FALSE(stuckX.eligible);
     const auto unknown = eligible(fault::BitFlipFault{"no/such", 0, t});
     EXPECT_FALSE(unknown.eligible);
+}
+
+// armFault's precondition is faultEligibility: a fault that cannot ride a
+// lane throws, naming the fault, instead of leaving its lane golden.
+TEST(BatchWordModel, ArmFaultRejectsIneligibleFaults)
+{
+    const duts::DigitalDutTestbench probe;
+    const batch::CompileResult compiled = batch::compileWordModel(probe);
+    ASSERT_NE(compiled.model, nullptr) << compiled.reason;
+    const SimTime t = 2 * kMicrosecond;
+    const fault::FaultSpec ineligible[] = {
+        fault::StuckAtFault{"sab/enable", Logic::X, t, 0},
+        fault::StuckAtFault{"no/such", Logic::One, t, 0},
+        fault::CurrentPulseFault{"sab/enable", 2e-6, nullptr},
+    };
+    for (const fault::FaultSpec& f : ineligible) {
+        ASSERT_FALSE(batch::faultEligibility(*compiled.model, f).eligible);
+        batch::WordSim sim(*compiled.model);
+        try {
+            sim.armFault(1, f);
+            ADD_FAILURE() << fault::describe(f) << " was armed";
+        } catch (const std::logic_error& e) {
+            EXPECT_NE(std::string(e.what()).find(fault::describe(f)), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // CpuSystem overrides run() and registers components (TinyCpu, Ram) outside
