@@ -1,8 +1,8 @@
 // Quickstart: parallel fault-injection campaigns.
 //
 // The same exhaustive bit-flip campaign runs twice over the digital DUT —
-// once serial (1 worker), once on the full worker pool (GFI_JOBS or all
-// cores) — and the program prints both wall-clock times plus proof that the
+// once serial (1 worker), once on the full worker pool (all cores) — and
+// the program prints both wall-clock times plus proof that the
 // classification is identical: results commit in fault-list order, so a
 // parallel campaign's report and journal are byte-identical to a serial run.
 
@@ -12,7 +12,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -46,7 +45,7 @@ int main()
 
     double serialSeconds = 0.0;
     double parallelSeconds = 0.0;
-    const unsigned pool = core::Executor().effectiveWorkers(); // GFI_JOBS / cores
+    const unsigned pool = core::Executor().effectiveWorkers(); // all cores
     const auto serial = runWith(1, serialSeconds);
     const auto parallel = runWith(pool, parallelSeconds);
 
@@ -58,15 +57,5 @@ int main()
     const bool identical = serial.summaryTable() == parallel.summaryTable();
     std::printf("\nclassification identical to serial: %s\n", identical ? "yes" : "NO");
     std::printf("%s\n", parallel.summaryTable().c_str());
-
-    // With GFI_TRACE / GFI_METRICS set, each campaign wrote its telemetry on
-    // completion (the parallel run's files are the ones left behind). Load
-    // the trace in https://ui.perfetto.dev to see the per-worker timeline.
-    if (const char* trace = std::getenv("GFI_TRACE")) {
-        std::printf("telemetry: Chrome trace written to %s\n", trace);
-    }
-    if (const char* metrics = std::getenv("GFI_METRICS")) {
-        std::printf("telemetry: metrics dump written to %s\n", metrics);
-    }
     return identical ? 0 : 1;
 }

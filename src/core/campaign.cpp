@@ -16,11 +16,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <set>
 #include <stdexcept>
-#include <string_view>
 
 namespace gfi::campaign {
 
@@ -257,43 +255,7 @@ CampaignRunner::CampaignRunner(fault::TestbenchFactory factory, Tolerance tolera
     : factory_(std::move(factory))
 {
     options_.tolerance = tolerance;
-    // The one environment resolver. Unset or empty keeps the default;
-    // anything outside the accepted syntax throws instead of guessing, so a
-    // typo ("off", "5us") can never silently flip a mode.
-    const auto reject = [](const char* name, const char* value, const char* expected) {
-        return std::invalid_argument(std::string(name) + "=\"" + value + "\": expected " +
-                                     expected);
-    };
-    const auto readSwitch = [&](const char* name, bool& field) {
-        const char* env = std::getenv(name);
-        if (env == nullptr || *env == '\0') {
-            return;
-        }
-        if (std::string_view(env) != "0" && std::string_view(env) != "1") {
-            throw reject(name, env, "0 or 1");
-        }
-        field = *env == '1';
-    };
-    readSwitch("GFI_COLLAPSE", options_.collapse);
-    readSwitch("GFI_BATCH", options_.batch);
-    if (const char* env = std::getenv("GFI_CHECKPOINT"); env != nullptr && *env != '\0') {
-        // The whole value must be one positive seconds literal whose
-        // femtosecond count fits SimTime.
-        char* end = nullptr;
-        const double seconds = std::strtod(env, &end);
-        if (*end != '\0' || !(seconds > 0.0) ||
-            seconds >= static_cast<double>(kTimeMax) / static_cast<double>(kSecond) ||
-            fromSeconds(seconds) <= 0) {
-            throw reject("GFI_CHECKPOINT", env, "a positive cadence in seconds, e.g. 1e-6");
-        }
-        options_.checkpointCadence = fromSeconds(seconds);
-    }
-    if (const char* env = std::getenv("GFI_FORENSICS")) {
-        options_.forensicsDir = env;
-    }
 }
-
-CampaignRunner::~CampaignRunner() = default;
 
 void CampaignRunner::runGolden()
 {
@@ -336,10 +298,9 @@ void CampaignRunner::runGolden()
                 checkpoints_.push_back(
                     std::make_shared<const snapshot::Snapshot>(sim.captureSnapshot()));
                 nextMark = ev + options_.checkpointCadence;
-                if (obs::Telemetry* tel = activeTelemetry();
-                    tel != nullptr && tel->trace() != nullptr) {
-                    tel->trace()->instantEvent("checkpoint", "golden",
-                                               "{\"sim_time\": \"" + formatTime(ev) + "\"}");
+                if (telemetry_ != nullptr && telemetry_->trace() != nullptr) {
+                    telemetry_->trace()->instantEvent(
+                        "checkpoint", "golden", "{\"sim_time\": \"" + formatTime(ev) + "\"}");
                 }
             }
         }
@@ -519,7 +480,7 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
                         !std::holds_alternative<fault::ParametricFault>(fault);
 
     Watchdog watchdog(options_.watchdog.scaledFor(activeWorkers_));
-    obs::Telemetry* const tel = activeTelemetry();
+    obs::Telemetry* const tel = telemetry_;
     // Forensics: a bounded kernel-event ring rides along with the run; it is
     // declared before the testbench so the simulator's recorder pointer never
     // outlives it. Recording is a branch plus a fixed-slot write, so arming
@@ -657,7 +618,7 @@ RunResult CampaignRunner::runContained(const fault::FaultSpec& fault)
         // Counted at decision time because only the final outcome survives
         // into the result — the cause label would otherwise be lost when a
         // retry succeeds.
-        if (obs::Telemetry* tel = activeTelemetry()) {
+        if (obs::Telemetry* tel = telemetry_) {
             tel->metrics()
                 .counter(std::string("gfi_run_retries_total{cause=\"") +
                              toString(result.outcome) + "\"}",
@@ -675,7 +636,7 @@ RunResult CampaignRunner::runOne(const fault::FaultSpec& fault)
 
 void CampaignRunner::recordRunMetrics(const RunResult& r)
 {
-    obs::Telemetry* const tel = activeTelemetry();
+    obs::Telemetry* const tel = telemetry_;
     if (tel == nullptr) {
         return;
     }
@@ -736,14 +697,7 @@ CampaignReport CampaignRunner::run(
     const std::vector<fault::FaultSpec>& faults,
     const std::function<void(std::size_t, const RunResult&)>& progress)
 {
-    // Resolve the telemetry sink once per campaign: the attached one wins,
-    // else GFI_TRACE/GFI_METRICS builds a campaign-owned one (kept across
-    // run() calls so repeated campaigns accumulate into one dump). tel ==
-    // nullptr leaves every instrumentation site a no-op.
-    if (telemetry_ == nullptr && !envTelemetry_) {
-        envTelemetry_ = obs::Telemetry::fromEnv();
-    }
-    obs::Telemetry* const tel = activeTelemetry();
+    obs::Telemetry* const tel = telemetry_; // null: every site is a no-op
     const auto campaignStart = std::chrono::steady_clock::now();
 
     // Static-analysis phase: a broken design or malformed fault list fails

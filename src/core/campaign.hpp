@@ -256,12 +256,10 @@ public:
     ///                 run, per worker, and per fresh-path attempt (see run()
     ///                 and fault::TestbenchFactory).
     ///
-    /// The environment is read here, once: GFI_CHECKPOINT, GFI_COLLAPSE,
-    /// GFI_BATCH and GFI_FORENSICS seed the matching options, and the setters
-    /// below overwrite them (README "Campaign options"). A malformed value
-    /// throws std::invalid_argument naming the variable and its value.
+    /// Every option starts at its default and changes only through the
+    /// setters below (README "Campaign options"); the process environment
+    /// is never read.
     explicit CampaignRunner(fault::TestbenchFactory factory, Tolerance tolerance = {});
-    ~CampaignRunner(); // out of line: owns a fwd-declared obs::Telemetry
 
     /// Runs the golden reference (idempotent; run() calls it automatically).
     /// The golden run is NOT contained: a design that cannot complete its
@@ -304,10 +302,9 @@ public:
     CampaignReport run(const std::vector<fault::FaultSpec>& faults,
                        const std::function<void(std::size_t, const RunResult&)>& progress = {});
 
-    /// Worker threads for run() (0 = auto: GFI_JOBS when set, else
-    /// hardware_concurrency; 1 = serial on the calling thread). The factory
-    /// must be safe to call concurrently — it should build each testbench
-    /// from per-instance state only.
+    /// Worker threads for run() (0 = auto: hardware_concurrency; 1 = serial
+    /// on the calling thread). The factory must be safe to call concurrently
+    /// — it should build each testbench from per-instance state only.
     void setWorkers(unsigned n) noexcept { options_.workers = n; }
     [[nodiscard]] unsigned workers() const noexcept { return options_.workers; }
 
@@ -322,11 +319,8 @@ public:
     /// from scratch. run()'s preflight phase adds the PRE006 snapshot-
     /// readiness check while forking is enabled.
     ///
-    /// A cadence <= 0 disables forking. The default comes from the
-    /// GFI_CHECKPOINT environment variable (cadence in seconds), read at
-    /// construction; this setter overrides it either way. Requires
-    /// testbenches that use the default Testbench::run() (plain
-    /// sim().run(duration())).
+    /// A cadence <= 0 (the default) disables forking. Requires testbenches
+    /// that use the default Testbench::run() (plain sim().run(duration())).
     void setCheckpointCadence(SimTime cadence) noexcept { options_.checkpointCadence = cadence; }
     [[nodiscard]] SimTime checkpointCadence() const noexcept { return options_.checkpointCadence; }
 
@@ -341,9 +335,7 @@ public:
     /// classifications are byte-identical to a full campaign (that is the
     /// soundness contract of the collapser); resource diagnostics of
     /// expanded members are zero and their journal lines carry the
-    /// "collapsed_from" provenance key. The default comes from the
-    /// GFI_COLLAPSE environment variable ("1" = on, "0" = off), read at
-    /// construction; this setter overrides it either way.
+    /// "collapsed_from" provenance key. Default: off.
     void setFaultCollapsing(bool on) noexcept { options_.collapse = on; }
     [[nodiscard]] bool faultCollapsingEnabled() const noexcept { return options_.collapse; }
 
@@ -360,9 +352,7 @@ public:
     /// batch, members expand), journal resume and the worker pool. Per-run
     /// watchdog budgets disable batching for the campaign (a shared word run
     /// cannot meter per-fault budgets), as does fork-from-golden cadence
-    /// (checkpointed prefixes are event-kernel snapshots). The default comes
-    /// from the GFI_BATCH environment variable ("1" = on, "0" = off), read at
-    /// construction; this setter overrides it either way.
+    /// (checkpointed prefixes are event-kernel snapshots). Default: off.
     void setBatchBackend(bool on) noexcept { options_.batch = on; }
     [[nodiscard]] bool batchBackendEnabled() const noexcept { return options_.batch; }
 
@@ -414,12 +404,10 @@ public:
     /// Attaches a telemetry sink (not owned; must outlive run()). run() then
     /// records campaign metrics into its registry, emits Chrome-trace spans
     /// when tracing is enabled, and embeds per-run kernel deltas into the
-    /// journal so a resumed campaign reproduces the same metric counts.
-    /// Without a sink, run() consults the GFI_TRACE / GFI_METRICS environment
-    /// variables and, when either is set, builds a campaign-owned sink and
-    /// flushes it to the named files at the end. No sink and no environment:
-    /// every instrumentation site is a null-check no-op and all outputs are
-    /// byte-identical to an unobserved campaign.
+    /// journal so a resumed campaign reproduces the same metric counts, and
+    /// flushes the sink's configured trace and metrics files at the end.
+    /// Without a sink every instrumentation site is a null-check no-op and
+    /// all outputs are byte-identical to an unobserved campaign.
     void setTelemetry(obs::Telemetry& telemetry) noexcept { telemetry_ = &telemetry; }
     [[nodiscard]] obs::Telemetry* telemetry() const noexcept { return telemetry_; }
 
@@ -431,9 +419,7 @@ public:
     /// the artifact stem and the journal line carries a "forensic" key.
     /// Events hold simulated time and kernel counters only, so the artifacts
     /// are byte-identical across reruns and worker widths. An empty @p dir
-    /// disables. The default comes from the GFI_FORENSICS environment
-    /// variable (a directory path), read at construction; this setter
-    /// overrides it either way. A failed dump warns on stderr and leaves the
+    /// disables (the default). A failed dump warns on stderr and leaves the
     /// run classified — forensics never turn a data point into a crash.
     void setForensics(std::string dir) { options_.forensicsDir = std::move(dir); }
     [[nodiscard]] const std::string& forensicsDir() const noexcept { return options_.forensicsDir; }
@@ -464,14 +450,14 @@ public:
     [[nodiscard]] RunResult classify(fault::Testbench& tb, const fault::FaultSpec& fault) const;
 
 private:
-    /// Everything the setters configure. The constructor seeds it once
-    /// (defaults, then the environment); setters overwrite single fields.
+    /// Everything the setters configure: defaults until a setter overwrites
+    /// a single field.
     struct Options {
         Tolerance tolerance;
         WatchdogConfig watchdog;
         RetryPolicy retry;
         std::string journalPath;
-        unsigned workers = 0;          ///< 0 = auto (GFI_JOBS / hardware_concurrency)
+        unsigned workers = 0;          ///< 0 = auto (hardware_concurrency)
         bool recordTiming = true;
         bool preflight = true;
         SimTime checkpointCadence = 0; ///< <= 0 = no forking
@@ -505,13 +491,6 @@ private:
     /// plus the read-only golden reference.
     RunResult runContained(const fault::FaultSpec& fault);
 
-    /// The sink instrumentation sites use: the attached one, else the
-    /// environment-built one while run() executes, else nullptr (no-op).
-    [[nodiscard]] obs::Telemetry* activeTelemetry() const noexcept
-    {
-        return telemetry_ != nullptr ? telemetry_ : envTelemetry_.get();
-    }
-
     /// Applies one committed run to the metrics registry (outcome/attempt
     /// counters, kernel-probe deltas, fork savings). Called in commit order;
     /// only counter/gauge folds, so totals are worker-width invariant.
@@ -537,7 +516,6 @@ private:
     std::mutex poolMutex_;
     std::vector<std::unique_ptr<fault::Testbench>> pool_; ///< idle testbenches
     obs::Telemetry* telemetry_ = nullptr;   ///< attached sink (not owned)
-    std::unique_ptr<obs::Telemetry> envTelemetry_; ///< GFI_TRACE/GFI_METRICS sink
     std::function<void(const std::string&)> progressSink_; ///< NDJSON consumer
     double progressCadence_ = 1.0;    ///< min seconds between heartbeats
 };

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <map>
 #include <mutex>
@@ -13,13 +12,6 @@ namespace gfi::core {
 
 unsigned Executor::defaultWorkers()
 {
-    if (const char* env = std::getenv("GFI_JOBS")) {
-        char* end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0) {
-            return static_cast<unsigned>(v);
-        }
-    }
     const unsigned hc = std::thread::hardware_concurrency();
     return hc != 0 ? hc : 1;
 }

@@ -41,8 +41,7 @@ public:
     /// @param workers  worker-thread count; 0 = defaultWorkers().
     explicit Executor(unsigned workers = 0) noexcept : workers_(workers) {}
 
-    /// The configured count, with 0 resolved: GFI_JOBS when set to a positive
-    /// integer, else std::thread::hardware_concurrency() (at least 1).
+    /// The auto worker count: std::thread::hardware_concurrency(), at least 1.
     [[nodiscard]] static unsigned defaultWorkers();
 
     /// Sets the worker count (0 = defaultWorkers()).

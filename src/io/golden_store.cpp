@@ -1,6 +1,5 @@
 #include "io/golden_store.hpp"
 
-#include "core/report.hpp"
 #include "io/sha256.hpp"
 #include "lint/preflight.hpp"
 #include "util/file.hpp"
@@ -96,7 +95,6 @@ std::optional<StoreEntry> GoldenStore::lookup(const CacheKey& key) const
     }
     StoreEntry entry;
     std::string verdictsSha;
-    std::string reportSha;
     std::size_t runs = 0;
     using F = util::JsonField;
     const F meta[] = {
@@ -105,7 +103,6 @@ std::optional<StoreEntry> GoldenStore::lookup(const CacheKey& key) const
         F::text("faults", entry.key.faultDigest, true),
         F::text("circuit", entry.circuitName, true),
         F::text("verdicts_sha256", verdictsSha, true),
-        F::text("report_sha256", reportSha, true),
         F::count("runs", runs, true),
     };
     if (!util::readJsonObject(readFileOrThrow(dir / "meta.json"), meta)) {
@@ -125,11 +122,6 @@ std::optional<StoreEntry> GoldenStore::lookup(const CacheKey& key) const
         throw GoldenStoreError("golden store: verdicts.jsonl of entry " + combined +
                                " fails its recorded SHA-256 — refusing to replay "
                                "corrupt verdicts");
-    }
-    entry.reportJson = readFileOrThrow(dir / "report.json");
-    if (sha256Hex(entry.reportJson) != reportSha) {
-        throw GoldenStoreError("golden store: report.json of entry " + combined +
-                               " fails its recorded SHA-256");
     }
 
     campaign::CampaignJournal::LoadResult verdicts =
@@ -157,7 +149,6 @@ void GoldenStore::put(const CacheKey& key, const std::string& circuitName,
     for (std::size_t i = 0; i < report.runs.size(); ++i) {
         verdictsText += campaign::CampaignJournal::entryToJson(i, report.runs[i]) + "\n";
     }
-    const std::string reportJson = campaign::reportToJson(report);
 
     std::string meta = "{\n";
     meta += "  \"version\": 1,\n";
@@ -166,8 +157,7 @@ void GoldenStore::put(const CacheKey& key, const std::string& circuitName,
     meta += "  \"stimulus\": " + quoted(key.stimulusDigest) + ",\n";
     meta += "  \"faults\": " + quoted(key.faultDigest) + ",\n";
     meta += "  \"runs\": " + std::to_string(report.runs.size()) + ",\n";
-    meta += "  \"verdicts_sha256\": " + quoted(sha256Hex(verdictsText)) + ",\n";
-    meta += "  \"report_sha256\": " + quoted(sha256Hex(reportJson)) + "\n";
+    meta += "  \"verdicts_sha256\": " + quoted(sha256Hex(verdictsText)) + "\n";
     meta += "}\n";
 
     // The circuit's name pointer to the new entry.
@@ -193,7 +183,6 @@ void GoldenStore::put(const CacheKey& key, const std::string& circuitName,
         util::writeFileOrThrow((staged / "meta.json").string(), meta, "golden store");
         util::writeFileOrThrow((staged / "verdicts.jsonl").string(), verdictsText,
                                "golden store");
-        util::writeFileOrThrow((staged / "report.json").string(), reportJson, "golden store");
         util::writeFileOrThrow(pointerStaged.string(), pointer, "golden store");
     } catch (const std::runtime_error& e) {
         throw GoldenStoreError(e.what());

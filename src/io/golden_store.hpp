@@ -8,10 +8,10 @@
 // Layout under the store root:
 //
 //   objects/<k[0..1]>/<k>/meta.json      entry provenance: the three input
-//                                        digests plus the SHA-256 of the two
-//                                        payload files below
-//   objects/<k[0..1]>/<k>/verdicts.jsonl one CampaignJournal line per run
-//   objects/<k[0..1]>/<k>/report.json    the rendered campaign report
+//                                        digests, the run count and the
+//                                        SHA-256 of verdicts.jsonl
+//   objects/<k[0..1]>/<k>/verdicts.jsonl one CampaignJournal line per run;
+//                                        a hit rebuilds the report from it
 //   names/<circuit>.json                 latest entry recorded for a circuit
 //                                        name: {netlist digest, key}
 //
@@ -19,7 +19,7 @@
 // Writes go through a temp directory + rename, so a killed process never
 // leaves a half-written entry addressable.
 //
-// Trust model: lookup() recomputes the payload digests and compares them to
+// Trust model: lookup() recomputes the verdicts digest and compares it to
 // meta.json — any mismatch is a GoldenStoreError (hard error, the judge
 // contract: a corrupt answer file must never silently verify). Resolving an
 // entry *by circuit name* additionally compares the stored netlist digest to
@@ -57,7 +57,6 @@ struct StoreEntry {
     CacheKey key;
     std::string circuitName;                       ///< name at record time
     std::vector<campaign::JournalEntry> verdicts;  ///< parsed journal lines
-    std::string reportJson;                        ///< rendered report document
 };
 
 /// The names/<circuit>.json pointer: which entry a circuit name last wrote.

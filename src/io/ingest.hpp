@@ -66,8 +66,7 @@ struct FaultListOptions {
 
 /// Exhaustive fault list over the design's nets, in canonical net order:
 /// stuck-at-0 then stuck-at-1 per net, then (optionally) one SET pulse per
-/// net. Stuck-ats are batch-eligible; SET pulses exercise the event-driven
-/// fallback.
+/// net. Both kinds are batch-eligible: SET pulses ride word lanes too.
 [[nodiscard]] std::vector<fault::FaultSpec> buildFaultList(const NetlistDesc& desc,
                                                            const IngestConfig& config,
                                                            const FaultListOptions& options = {});

@@ -2,28 +2,7 @@
 
 #include "util/file.hpp"
 
-#include <cstdlib>
-
 namespace gfi::obs {
-
-std::unique_ptr<Telemetry> Telemetry::fromEnv()
-{
-    const char* tracePath = std::getenv("GFI_TRACE");
-    const char* metricsPath = std::getenv("GFI_METRICS");
-    const bool wantTrace = tracePath != nullptr && *tracePath != '\0';
-    const bool wantMetrics = metricsPath != nullptr && *metricsPath != '\0';
-    if (!wantTrace && !wantMetrics) {
-        return nullptr;
-    }
-    auto t = std::make_unique<Telemetry>();
-    if (wantTrace) {
-        t->setTracePath(tracePath);
-    }
-    if (wantMetrics) {
-        t->setMetricsPath(metricsPath);
-    }
-    return t;
-}
 
 namespace {
 

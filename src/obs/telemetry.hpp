@@ -1,6 +1,6 @@
 #pragma once
 // Telemetry facade: one object bundling the metrics registry and the Chrome
-// trace writer, with the GFI_METRICS / GFI_TRACE environment switches.
+// trace writer, each written to the file its path setter names.
 //
 // Zero overhead when disabled is the design contract: every instrumentation
 // site is guarded by a null/flag check (Span construction on a null Telemetry
@@ -20,12 +20,6 @@ class Telemetry {
 public:
     Telemetry() = default;
 
-    /// Builds a telemetry instance from the environment: GFI_METRICS=<file>
-    /// enables the metrics dump (Prometheus text, or JSON when the path ends
-    /// in ".json"), GFI_TRACE=<file> enables Chrome-trace span collection.
-    /// Returns nullptr when neither variable is set.
-    [[nodiscard]] static std::unique_ptr<Telemetry> fromEnv();
-
     /// The metrics registry (always available; dumped only with a path set).
     [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
     [[nodiscard]] const MetricsRegistry& metrics() const noexcept { return metrics_; }
@@ -42,7 +36,9 @@ public:
     /// The trace writer, or nullptr when tracing is disabled.
     [[nodiscard]] TraceWriter* trace() noexcept { return trace_.get(); }
 
-    /// Output paths; empty = do not write that artifact in flush().
+    /// Output paths; empty = do not write that artifact in flush(). A trace
+    /// path enables span collection; the metrics dump is Prometheus text, or
+    /// JSON when its path ends in ".json".
     void setTracePath(std::string path)
     {
         tracePath_ = std::move(path);

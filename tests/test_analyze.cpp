@@ -10,9 +10,9 @@
 //     golden/U-stuck/zero-width stay singletons;
 //   * SCOAP scores: monotone controllability along the chain, "n/a"
 //     observability in the dead cone;
-//   * GFI_COLLAPSE and the setter switch collapsed campaigns, and journals
-//     round-trip the expansion provenance (byte identity with full
-//     campaigns is covered by test_campaign_matrix.cpp);
+//   * journals round-trip the expansion provenance of collapsed campaigns
+//     (byte identity with full campaigns, at any width and across resume,
+//     is covered by test_campaign_matrix.cpp);
 //   * PRE007 warns on statically-unobservable fault targets.
 
 #include "analyze/analyze.hpp"
@@ -25,7 +25,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 
 namespace gfi {
@@ -193,55 +192,6 @@ TEST(AnalyzeCollapse, ChainSweepPartition)
 
     EXPECT_EQ(plan.classes() + plan.collapsedRuns(), faults.size());
     EXPECT_GE(plan.collapsedRuns(), 7u);
-}
-
-// ---------------------------------------------------------------------------
-// collapsed campaigns (byte identity with full campaigns, at any width and
-// across resume, is pinned down by test_campaign_matrix.cpp)
-
-std::vector<fault::FaultSpec> chainSweep()
-{
-    std::vector<fault::FaultSpec> faults{fault::FaultSpec{}};
-    for (const std::string& sab : duts::ChainDutTestbench::chainSaboteurs()) {
-        faults.emplace_back(fault::DigitalPulseFault{sab, kMicrosecond, 2 * kNanosecond});
-        faults.emplace_back(
-            fault::StuckAtFault{sab, digital::Logic::One, kMicrosecond, 40 * kNanosecond});
-    }
-    faults.emplace_back(fault::DigitalPulseFault{duts::ChainDutTestbench::deadSaboteur(),
-                                                 kMicrosecond, 2 * kNanosecond});
-    faults.emplace_back(fault::StuckAtFault{duts::ChainDutTestbench::deadSaboteur(),
-                                            digital::Logic::Zero, kMicrosecond, 0});
-    return faults;
-}
-
-// The GFI_COLLAPSE environment variable enables collapsing; the explicit
-// setter wins in both directions.
-TEST(AnalyzeCollapse, EnvVarEnablesAndExplicitOptOutWins)
-{
-    const std::vector<fault::FaultSpec> faults = chainSweep();
-    const auto factory = [] { return std::make_unique<duts::ChainDutTestbench>(); };
-
-    ::setenv("GFI_COLLAPSE", "1", 1);
-    {
-        campaign::CampaignRunner runner(factory);
-        runner.setRecordTiming(false);
-        const campaign::CampaignReport report = runner.run(faults);
-        std::size_t expanded = 0;
-        for (const campaign::RunResult& r : report.runs) {
-            expanded += r.diagnostics.collapsedFrom.empty() ? 0 : 1;
-        }
-        EXPECT_GT(expanded, 0u);
-    }
-    {
-        campaign::CampaignRunner runner(factory);
-        runner.setRecordTiming(false);
-        runner.setFaultCollapsing(false); // explicit opt-out beats the environment
-        const campaign::CampaignReport report = runner.run(faults);
-        for (const campaign::RunResult& r : report.runs) {
-            EXPECT_TRUE(r.diagnostics.collapsedFrom.empty());
-        }
-    }
-    ::unsetenv("GFI_COLLAPSE");
 }
 
 // ---------------------------------------------------------------------------

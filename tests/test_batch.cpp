@@ -8,7 +8,7 @@
 // combination in test_campaign_matrix.cpp; here a seeded random-netlist
 // fuzzer sweeps ≥100 generated circuits × random fault lists through both
 // backends, and the word compiler's design and fault eligibility is pinned
-// down.
+// down, as is the golden cross-check that must pass before lanes classify.
 
 #include "campaign_harness.hpp"
 
@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -413,6 +414,109 @@ TEST(BatchSharedModel, GroupsAcrossWorkersMatchEventDriven)
     EXPECT_EQ(test::stripBatchLane(serial.journal), event.journal);
     EXPECT_EQ(serial.summary, event.summary);
     EXPECT_EQ(serialBuilds, 3) << "golden, the word model's build, one kernel fallback";
+}
+
+// ---------------------------------------------------------------------------
+// The golden cross-check
+
+/// A DigitalDut testbench run to its end, with @p fault armed when given,
+/// and the reference a campaign hands the backend from it: the wave count
+/// and the end-of-run value of every observed state hook.
+struct ReferenceRun {
+    std::unique_ptr<duts::DigitalDutTestbench> tb = std::make_unique<duts::DigitalDutTestbench>();
+    std::map<std::string, std::uint64_t> state;
+    std::uint64_t waves = 0;
+
+    explicit ReferenceRun(const fault::FaultSpec* fault = nullptr)
+    {
+        if (fault != nullptr) {
+            fault::armFault(*tb, *fault);
+        }
+        tb->run();
+        for (const std::string& name : tb->observedState()) {
+            state[name] = tb->sim().digital().instrumentation().hook(name).get();
+        }
+        waves = tb->sim().digital().scheduler().deltaCycles();
+    }
+};
+
+// Lanes are classified only once lane 0 has replayed the golden run. A
+// reference that lane 0 cannot match in one clause of the check (the wave
+// count, an observed trace, an end-of-run hook value) must send every
+// candidate of every group back to the event kernel with the cross-check
+// reason, and classify none.
+TEST(BatchCrossCheck, EachBrokenClauseFallsBackEveryGroup)
+{
+    std::vector<fault::FaultSpec> faults = sharedModelFaults(63 + 1);
+    faults.pop_back(); // the stuck-at-X falls back for its own reason
+    const fault::TestbenchFactory factory = [] {
+        return std::make_unique<duts::DigitalDutTestbench>();
+    };
+    const ReferenceRun golden;
+    ASSERT_FALSE(golden.state.empty());
+    const fault::FaultSpec stuck =
+        fault::StuckAtFault{"sab/enable", Logic::Zero, kMicrosecond, 0};
+    const ReferenceRun faulty(&stuck);
+
+    batch::BatchRequest intact;
+    intact.factory = &factory;
+    intact.golden = golden.tb.get();
+    intact.goldenState = &golden.state;
+    intact.goldenWaves = golden.waves;
+    intact.faults = &faults;
+    for (std::size_t i = 1; i < faults.size(); ++i) {
+        intact.candidates.push_back(i);
+    }
+    intact.workers = 2;
+    const std::size_t groups = (intact.candidates.size() + 62) / 63;
+    ASSERT_GE(groups, 2u);
+    {
+        std::map<std::size_t, RunResult> out;
+        const batch::BatchStats stats = batch::runBatchedCampaign(intact, out);
+        ASSERT_EQ(out.size(), intact.candidates.size()) << "the intact reference must batch";
+        ASSERT_EQ(stats.groups, groups);
+        ASSERT_EQ(stats.crossCheckFailures, 0u);
+    }
+
+    batch::BatchRequest offByOne = intact;
+    offByOne.goldenWaves = golden.waves + 1;
+    batch::BatchRequest wrongTraces = intact;
+    wrongTraces.golden = faulty.tb.get();
+    bool tracesDiffer = false;
+    for (const std::string& name : golden.tb->observedDigital()) {
+        tracesDiffer = tracesDiffer ||
+                       !trace::compareDigital(golden.tb->recorder().digitalTrace(name),
+                                              faulty.tb->recorder().digitalTrace(name),
+                                              golden.tb->duration())
+                            .identical();
+    }
+    ASSERT_TRUE(tracesDiffer) << fault::describe(stuck) << " leaves the outputs golden";
+    std::map<std::string, std::uint64_t> flippedState = golden.state;
+    flippedState.begin()->second ^= 1;
+    batch::BatchRequest wrongState = intact;
+    wrongState.goldenState = &flippedState;
+
+    const std::pair<const char*, const batch::BatchRequest*> broken[] = {
+        {"goldenWaves off by one", &offByOne},
+        {"golden traces of a faulty run", &wrongTraces},
+        {"one golden state value flipped", &wrongState},
+    };
+    for (const auto& [what, req] : broken) {
+        SCOPED_TRACE(what);
+        std::map<std::size_t, RunResult> out;
+        const batch::BatchStats stats = batch::runBatchedCampaign(*req, out);
+        EXPECT_TRUE(out.empty());
+        EXPECT_EQ(stats.batched, 0u);
+        EXPECT_EQ(stats.groups, groups);
+        EXPECT_EQ(stats.crossCheckFailures, stats.groups);
+        ASSERT_EQ(stats.fallbacks.size(), req->candidates.size());
+        for (std::size_t c = 0; c < stats.fallbacks.size(); ++c) {
+            EXPECT_EQ(stats.fallbacks[c].first, req->candidates[c]);
+            EXPECT_NE(stats.fallbacks[c].second.find("golden cross-check mismatch"),
+                      std::string::npos)
+                << stats.fallbacks[c].second;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

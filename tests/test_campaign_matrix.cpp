@@ -23,7 +23,8 @@
 // arm, run, classify per fault, nothing pooled) pins the plain reference.
 //
 // Also here: journals written in one mode and resumed in another (the
-// runner's provenance rule), and the environment parsing of the options.
+// runner's provenance rule), and a campaign that ignores its process
+// environment.
 
 #include "campaign_harness.hpp"
 
@@ -43,6 +44,8 @@
 #include <memory>
 #include <numeric>
 #include <regex>
+#include <thread>
+#include <utility>
 
 namespace gfi::campaign {
 namespace {
@@ -710,78 +713,58 @@ TEST(CampaignMatrixResume, ForensicsJournalResumesWithForensicsOff)
 }
 
 // ---------------------------------------------------------------------------
-// Environment parsing of the options
+// Options enter only through the API
 
-/// Sets one variable for the scope; restores "unset" afterwards.
-struct ScopedEnv {
-    ScopedEnv(const char* name, const char* value) : name_(name) { ::setenv(name, value, 1); }
-    ~ScopedEnv() { ::unsetenv(name_); }
-    ScopedEnv(const ScopedEnv&) = delete;
-    ScopedEnv& operator=(const ScopedEnv&) = delete;
-
-private:
-    const char* name_;
-};
-
-fault::TestbenchFactory dutFactory()
+// A program embedding the runner must not inherit campaign modes, a
+// telemetry sink or a worker count from its process environment: with all
+// of them set, a campaign reads default options, writes no artifact of its
+// own and journals the bytes of a campaign run without them.
+TEST(CampaignOptions, AmbientEnvironmentIsIgnored)
 {
-    return [] { return std::make_unique<duts::DigitalDutTestbench>(); };
-}
-
-TEST(CampaignOptions, EnvironmentSeedsOptionsAtConstruction)
-{
-    {
-        const ScopedEnv collapse("GFI_COLLAPSE", "1");
-        const ScopedEnv batch("GFI_BATCH", "0");
-        const ScopedEnv cadence("GFI_CHECKPOINT", "2.5e-7");
-        const ScopedEnv forensics("GFI_FORENSICS", "forensics-dir");
-        CampaignRunner runner(dutFactory());
-        EXPECT_TRUE(runner.faultCollapsingEnabled());
+    const Design d = digitalDesign();
+    const std::string dir = ::testing::TempDir() + "gfi_ambient_env";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const auto journalOf = [&](const std::string& name) {
+        const std::string path = dir + "/" + name + ".jsonl";
+        CampaignRunner runner(d.factory);
+        EXPECT_EQ(runner.workers(), 0u);
+        EXPECT_FALSE(runner.faultCollapsingEnabled());
         EXPECT_FALSE(runner.batchBackendEnabled());
-        EXPECT_EQ(runner.checkpointCadence(), 250 * kNanosecond);
-        EXPECT_EQ(runner.forensicsDir(), "forensics-dir");
-        // Setters overwrite the environment either way.
-        runner.setFaultCollapsing(false);
-        runner.setCheckpointCadence(-1);
-        runner.setForensics("");
-        EXPECT_FALSE(runner.faultCollapsingEnabled());
-        EXPECT_LE(runner.checkpointCadence(), 0);
-        EXPECT_TRUE(runner.forensicsDir().empty());
-    }
-    {
-        // Empty means unset: the defaults.
-        const ScopedEnv collapse("GFI_COLLAPSE", "");
-        const ScopedEnv cadence("GFI_CHECKPOINT", "");
-        CampaignRunner runner(dutFactory());
-        EXPECT_FALSE(runner.faultCollapsingEnabled());
         EXPECT_EQ(runner.checkpointCadence(), 0);
-    }
-}
-
-// A lenient parser reads "off" and "false" as ON (anything but a leading '0')
-// and "5us" as a 5 s cadence that captures nothing yet disables batching.
-// Malformed values must fail at construction, naming the variable.
-TEST(CampaignOptions, MalformedEnvironmentValuesThrow)
-{
-    const auto expectRejected = [](const char* name, const char* value) {
-        const ScopedEnv env(name, value);
-        try {
-            CampaignRunner runner(dutFactory());
-            ADD_FAILURE() << name << "=" << value << " was accepted";
-        } catch (const std::invalid_argument& e) {
-            EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
-            EXPECT_NE(std::string(e.what()).find(value), std::string::npos) << e.what();
-        }
+        EXPECT_TRUE(runner.forensicsDir().empty());
+        EXPECT_EQ(runner.telemetry(), nullptr);
+        runner.setRecordTiming(false);
+        runner.setJournalPath(path);
+        (void)runner.run(d.faults);
+        return test::slurp(path);
     };
-    expectRejected("GFI_COLLAPSE", "off");
-    expectRejected("GFI_COLLAPSE", "true");
-    expectRejected("GFI_BATCH", "false");
-    expectRejected("GFI_BATCH", "2");
-    expectRejected("GFI_CHECKPOINT", "5us");
-    expectRejected("GFI_CHECKPOINT", "0");
-    expectRejected("GFI_CHECKPOINT", "-1e-6");
-    expectRejected("GFI_CHECKPOINT", "nan");
-    expectRejected("GFI_CHECKPOINT", "1e30");
+    const std::string unset = journalOf("unset");
+
+    // Every variable the runner, its telemetry sink and the executor once
+    // read, each set to a valid value that would change the outputs.
+    const std::string forensics = dir + "/forensics";
+    const std::string trace = dir + "/trace.json";
+    const std::string metrics = dir + "/metrics.prom";
+    const std::pair<const char*, std::string> variables[] = {
+        {"GFI_COLLAPSE", "1"},       {"GFI_BATCH", "1"}, {"GFI_CHECKPOINT", "1e-6"},
+        {"GFI_FORENSICS", forensics}, {"GFI_TRACE", trace}, {"GFI_METRICS", metrics},
+        {"GFI_JOBS", "3"}};
+    for (const auto& [name, value] : variables) {
+        ::setenv(name, value.c_str(), 1);
+    }
+    const unsigned cores = std::thread::hardware_concurrency();
+    EXPECT_EQ(core::Executor::defaultWorkers(), cores != 0 ? cores : 1u);
+    const std::string ambient = journalOf("ambient");
+    for (const auto& [name, value] : variables) {
+        ::unsetenv(name);
+    }
+
+    EXPECT_SAME_BYTES(ambient, unset, "journal");
+    EXPECT_FALSE(std::filesystem::exists(trace));
+    EXPECT_FALSE(std::filesystem::exists(metrics));
+    EXPECT_FALSE(std::filesystem::exists(forensics));
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

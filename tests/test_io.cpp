@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 
 namespace gfi::io {
@@ -635,6 +636,50 @@ TEST(GoldenStoreTest, MalformedDocumentsAreStoreErrors)
     }
     spit(namePath, pointer);
     EXPECT_TRUE(store.lookupByName("mini", w.netlistDigest).has_value());
+}
+
+// An entry stores each verdict once: its journal lines, addressed by the
+// digests in meta.json. A hit rebuilds the report from them.
+TEST(GoldenStoreTest, EntryHoldsMetaAndVerdictsOnly)
+{
+    GoldenStore store(freshDir("store_layout"));
+    const IngestWorkload w = miniWorkload();
+    campaign::CampaignRunner runner(w.factory());
+    const CachedCampaign cold = runCampaignCached(runner, w, store);
+    std::set<std::string> files;
+    for (const auto& f : std::filesystem::directory_iterator(store.entryDir(cold.key))) {
+        files.insert(f.path().filename().string());
+    }
+    EXPECT_EQ(files, (std::set<std::string>{"meta.json", "verdicts.jsonl"}));
+    EXPECT_EQ(slurp(std::filesystem::path(store.entryDir(cold.key)) / "meta.json")
+                  .find("report"),
+              std::string::npos);
+}
+
+// Entries recorded before the report copy was dropped carry report.json and
+// a "report_sha256" meta key; both are ignored, so such an entry replays.
+TEST(GoldenStoreTest, OldLayoutEntryWithReportStillReplays)
+{
+    GoldenStore store(freshDir("store_old_layout"));
+    const IngestWorkload w = miniWorkload();
+    campaign::CampaignRunner runner(w.factory());
+    const CachedCampaign cold = runCampaignCached(runner, w, store);
+    const std::filesystem::path dir = store.entryDir(cold.key);
+    const std::string reportJson = campaign::reportToJson(cold.report);
+    spit(dir / "report.json", reportJson);
+    std::string meta = slurp(dir / "meta.json");
+    const std::string closing = "\n}\n";
+    ASSERT_EQ(meta.substr(meta.size() - closing.size()), closing);
+    meta.insert(meta.size() - closing.size(),
+                ",\n  \"report_sha256\": \"" + sha256Hex(reportJson) + "\"");
+    spit(dir / "meta.json", meta);
+
+    campaign::CampaignRunner poisoned([]() -> std::unique_ptr<fault::Testbench> {
+        throw std::logic_error("store hit must not build testbenches");
+    });
+    const CachedCampaign warm = runCampaignCached(poisoned, w, store);
+    EXPECT_TRUE(warm.hit);
+    EXPECT_EQ(campaign::reportToJson(warm.report), reportJson);
 }
 
 TEST(Preflight, StoredDigestRule)

@@ -1,6 +1,6 @@
 // Observability subsystem: metrics registry semantics under concurrency,
-// histogram edge conventions, Chrome-trace span collection, the
-// GFI_TRACE/GFI_METRICS environment switches, and the campaign-level
+// histogram edge conventions, Chrome-trace span collection, the trace and
+// metrics files a sink flushes to its configured paths, and the campaign-level
 // determinism contract — telemetry off leaves every output byte-identical,
 // telemetry on produces counter totals that are invariant across worker
 // widths and reproducible from a journal resume.
@@ -24,7 +24,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -112,25 +111,6 @@ void configureDutRunner(campaign::CampaignRunner& runner, unsigned workers)
 {
     runner.setWorkers(workers);
     runner.setRecordTiming(false);
-}
-
-struct ScopedUnsetEnv {
-    ~ScopedUnsetEnv()
-    {
-        ::unsetenv("GFI_TRACE");
-        ::unsetenv("GFI_METRICS");
-    }
-};
-
-/// Campaign-level tests assert exact byte/count identity, so the ambient
-/// environment must not sneak a sink, a fork cadence or a forensics dump
-/// directory into the runner.
-void clearTelemetryEnv()
-{
-    ::unsetenv("GFI_TRACE");
-    ::unsetenv("GFI_METRICS");
-    ::unsetenv("GFI_CHECKPOINT");
-    ::unsetenv("GFI_FORENSICS");
 }
 
 // ---------------------------------------------------------------------------
@@ -358,36 +338,37 @@ TEST(ObsTrace, DisabledSpansAreNoops)
     EXPECT_EQ(telemetry.trace(), nullptr);
 }
 
-TEST(ObsTelemetry, FromEnvAndFlush)
+TEST(ObsTelemetry, FlushWritesConfiguredPaths)
 {
-    const ScopedUnsetEnv cleanup;
-    ::unsetenv("GFI_TRACE");
-    ::unsetenv("GFI_METRICS");
-    EXPECT_EQ(obs::Telemetry::fromEnv(), nullptr);
-
     const std::string tracePath = ::testing::TempDir() + "gfi_obs_trace.json";
     const std::string metricsPath = ::testing::TempDir() + "gfi_obs_metrics.json";
-    ::setenv("GFI_TRACE", tracePath.c_str(), 1);
-    ::setenv("GFI_METRICS", metricsPath.c_str(), 1);
+    std::remove(tracePath.c_str());
+    std::remove(metricsPath.c_str());
 
-    const std::unique_ptr<obs::Telemetry> telemetry = obs::Telemetry::fromEnv();
-    ASSERT_NE(telemetry, nullptr);
-    EXPECT_EQ(telemetry->tracePath(), tracePath);
-    EXPECT_EQ(telemetry->metricsPath(), metricsPath);
-    ASSERT_NE(telemetry->trace(), nullptr) << "GFI_TRACE must enable span collection";
+    // A default sink names no file to flush to.
+    obs::Telemetry unconfigured;
+    EXPECT_TRUE(unconfigured.tracePath().empty());
+    EXPECT_TRUE(unconfigured.metricsPath().empty());
 
-    telemetry->metrics().counter("gfi_env_total").inc(2);
+    obs::Telemetry telemetry;
+    telemetry.setTracePath(tracePath);
+    telemetry.setMetricsPath(metricsPath);
+    EXPECT_EQ(telemetry.tracePath(), tracePath);
+    EXPECT_EQ(telemetry.metricsPath(), metricsPath);
+    ASSERT_NE(telemetry.trace(), nullptr) << "a trace path must enable span collection";
+
+    telemetry.metrics().counter("gfi_flush_total").inc(2);
     {
-        obs::Span span(telemetry.get(), "work", "test");
+        obs::Span span(&telemetry, "work", "test");
     }
-    telemetry->flush();
+    telemetry.flush();
 
     const std::string trace = slurp(tracePath);
     const std::string metrics = slurp(metricsPath);
     EXPECT_TRUE(balancedJson(trace)) << trace;
     EXPECT_NE(trace.find("\"name\": \"work\""), std::string::npos);
     EXPECT_TRUE(balancedJson(metrics)) << ".json path selects JSON exposition";
-    EXPECT_NE(metrics.find("\"gfi_env_total\": 2"), std::string::npos) << metrics;
+    EXPECT_NE(metrics.find("\"gfi_flush_total\": 2"), std::string::npos) << metrics;
 
     std::remove(tracePath.c_str());
     std::remove(metricsPath.c_str());
@@ -398,7 +379,6 @@ TEST(ObsTelemetry, FromEnvAndFlush)
 
 TEST(ObsCampaign, TelemetryOffIsByteIdentical)
 {
-    clearTelemetryEnv();
     const auto faults = digitalDutFaults();
     const std::string plainPath = ::testing::TempDir() + "gfi_obs_plain.jsonl";
     const std::string obsPath = ::testing::TempDir() + "gfi_obs_observed.jsonl";
@@ -458,7 +438,6 @@ TEST(ObsCampaign, TelemetryOffIsByteIdentical)
 // depends on the width.
 TEST(ObsCampaign, CounterTotalsInvariantAcrossWorkerWidths)
 {
-    clearTelemetryEnv();
     const auto faults = digitalDutFaults();
     ASSERT_GE(faults.size(), 8u);
 
@@ -517,7 +496,6 @@ TEST(ObsCampaign, CounterTotalsInvariantAcrossWorkerWidths)
 
 TEST(ObsCampaign, JournalResumeReproducesCounterTotals)
 {
-    clearTelemetryEnv();
     const auto faults = digitalDutFaults();
     const std::string path = ::testing::TempDir() + "gfi_obs_resume.jsonl";
     std::remove(path.c_str());
@@ -549,7 +527,6 @@ TEST(ObsCampaign, JournalResumeReproducesCounterTotals)
 // resumed campaign; with telemetry off the span leaves every byte alone.
 TEST(ObsCampaign, ResumeTraceHasOneJournalSpan)
 {
-    clearTelemetryEnv();
     const auto faults = digitalDutFaults();
     const std::string dir = ::testing::TempDir();
     const std::string fullPath = dir + "gfi_obs_journal_full.jsonl";
@@ -627,7 +604,6 @@ TEST(ObsCampaign, ResumeTraceHasOneJournalSpan)
 // collapse starts, as rendered.
 TEST(ObsCampaign, TracedGoldenEndsBeforeCollapse)
 {
-    clearTelemetryEnv();
     obs::Telemetry telemetry;
     telemetry.enableTracing();
     campaign::CampaignRunner runner(dutFactory());
@@ -651,7 +627,6 @@ TEST(ObsCampaign, TracedGoldenEndsBeforeCollapse)
 
 TEST(ObsCampaign, TimeoutRunCarriesProbeSnapshot)
 {
-    clearTelemetryEnv();
     auto faults = digitalDutFaults();
     faults.resize(1);
 
@@ -674,7 +649,6 @@ TEST(ObsCampaign, TimeoutRunCarriesProbeSnapshot)
 
 TEST(ObsCampaign, NonForkResumeSuppressesForkFooter)
 {
-    clearTelemetryEnv();
     auto faults = digitalDutFaults();
     faults.resize(4);
     const std::string path = ::testing::TempDir() + "gfi_obs_footer.jsonl";
@@ -909,7 +883,6 @@ TEST(ObsFlightRecorder, WriteArtifactsCreatesDirectories)
 
 TEST(ObsForensics, TimeoutDumpMatchesStallSnapshot)
 {
-    clearTelemetryEnv();
     auto faults = digitalDutFaults();
     faults.resize(1);
 
@@ -995,7 +968,6 @@ TEST(ObsForensics, JournalCarriesForensicStem)
 
 TEST(ObsProgress, DeterministicHeartbeatStream)
 {
-    clearTelemetryEnv();
     const auto faults = digitalDutFaults();
 
     // The workers field reports the actual pool width, so normalize it
@@ -1082,7 +1054,6 @@ TEST(ObsProgress, DeterministicHeartbeatStream)
 
 TEST(ObsProgress, ResumeReportsCumulativeCounts)
 {
-    clearTelemetryEnv();
     const auto faults = digitalDutFaults();
     const std::string path = ::testing::TempDir() + "gfi_obs_progress_resume.jsonl";
     std::remove(path.c_str());
@@ -1116,7 +1087,6 @@ TEST(ObsProgress, ResumeReportsCumulativeCounts)
 
 TEST(ObsCost, AttributionIsJournaledDataOnly)
 {
-    clearTelemetryEnv();
     const auto faults = digitalDutFaults();
 
     auto costJsonAt = [&](unsigned workers) {
@@ -1175,7 +1145,6 @@ TEST(ObsCost, AttributionIsJournaledDataOnly)
 
 TEST(ObsCost, CsvCostColumnsAreOptIn)
 {
-    clearTelemetryEnv();
     auto faults = digitalDutFaults();
     faults.resize(4);
     campaign::CampaignRunner runner(dutFactory());

@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -68,16 +67,11 @@ TEST(Executor, SingleWorkerRunsInlineOnCallingThread)
     EXPECT_EQ(exec.forEachOrdered(0, [](std::size_t) { return core::CommitFn{}; }), 0u);
 }
 
-TEST(Executor, DefaultWorkersHonorsGfiJobsEnv)
+TEST(Executor, DefaultWorkersIsHardwareConcurrency)
 {
-    ::setenv("GFI_JOBS", "3", 1);
-    EXPECT_EQ(core::Executor::defaultWorkers(), 3u);
-    ::setenv("GFI_JOBS", "not-a-number", 1);
-    EXPECT_GE(core::Executor::defaultWorkers(), 1u);
-    ::setenv("GFI_JOBS", "0", 1);
-    EXPECT_GE(core::Executor::defaultWorkers(), 1u);
-    ::unsetenv("GFI_JOBS");
-    EXPECT_GE(core::Executor::defaultWorkers(), 1u);
+    const unsigned cores = std::thread::hardware_concurrency();
+    EXPECT_EQ(core::Executor::defaultWorkers(), cores != 0 ? cores : 1u);
+    EXPECT_EQ(core::Executor().effectiveWorkers(), core::Executor::defaultWorkers());
 }
 
 TEST(Executor, ProduceFailureRethrowsWithCleanCommittedPrefix)

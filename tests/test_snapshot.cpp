@@ -33,7 +33,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -735,25 +734,6 @@ TEST(ForkFromGolden, CheckpointOnAnObservedEventClassifiesAsScratch)
         EXPECT_EQ(got.runs[i].totalOutputErrorTime, want.runs[i].totalOutputErrorTime);
         EXPECT_EQ(got.runs[i].corruptedState, want.runs[i].corruptedState);
     }
-}
-
-TEST(ForkFromGolden, EnvVarEnablesAndExplicitOptOutWins)
-{
-    ::setenv("GFI_CHECKPOINT", "1e-6", 1);
-    {
-        campaign::CampaignRunner runner(
-            [] { return std::make_unique<duts::DigitalDutTestbench>(); });
-        runner.runGolden(); // the constructor read GFI_CHECKPOINT
-        EXPECT_GE(runner.checkpointCount(), 3u);
-    }
-    {
-        campaign::CampaignRunner runner(
-            [] { return std::make_unique<duts::DigitalDutTestbench>(); });
-        runner.setCheckpointCadence(-1); // explicit opt-out beats the environment
-        runner.runGolden();
-        EXPECT_EQ(runner.checkpointCount(), 0u);
-    }
-    ::unsetenv("GFI_CHECKPOINT");
 }
 
 // ---------------------------------------------------------------------------
