@@ -12,7 +12,8 @@
 // input voltage, generated clock period per cycle) and the headline numbers.
 // It also writes BENCH_pll.json: wall time of the golden and the faulty run
 // next to their analog kernel work (accepted and rejected steps, linear
-// solves, located crossings) per simulated microsecond.
+// solves, located crossings) per simulated microsecond, and how many of each
+// run's accepted steps each bound limited (<run>_steps_limited_by_<bound>).
 
 #include "fault_list_common.hpp"
 #include "pll_bench_common.hpp"
@@ -29,12 +30,19 @@ std::string kernelWorkFields(const std::string& prefix, double wallSeconds,
     auto perUs = [simulatedUs](std::uint64_t n) {
         return formatDouble(static_cast<double>(n) / simulatedUs, 6);
     };
-    return "\"" + prefix + "_s\": " + formatDouble(wallSeconds, 6) + ", \"" + prefix +
-           "_accepted_steps_per_us\": " + perUs(st.acceptedSteps) + ", \"" + prefix +
-           "_rejected_steps_per_us\": " + perUs(st.rejectedSteps) + ", \"" + prefix +
-           "_linear_solves_per_us\": " + perUs(st.linearSolves) + ", \"" + prefix +
-           "_crossings_per_us\": " + perUs(st.crossingsLocated) + ", \"" + prefix +
-           "_crossing_fallbacks\": " + std::to_string(st.crossingFallbacks);
+    std::string fields =
+        "\"" + prefix + "_s\": " + formatDouble(wallSeconds, 6) + ", \"" + prefix +
+        "_accepted_steps_per_us\": " + perUs(st.acceptedSteps) + ", \"" + prefix +
+        "_rejected_steps_per_us\": " + perUs(st.rejectedSteps) + ", \"" + prefix +
+        "_linear_solves_per_us\": " + perUs(st.linearSolves) + ", \"" + prefix +
+        "_crossings_per_us\": " + perUs(st.crossingsLocated) + ", \"" + prefix +
+        "_crossing_fallbacks\": " + std::to_string(st.crossingFallbacks);
+    for (std::size_t i = 0; i < st.stepsLimitedBy.size(); ++i) {
+        fields += ", \"" + prefix + "_steps_limited_by_" +
+                  obs::toString(static_cast<obs::StepLimit>(i)) +
+                  "\": " + std::to_string(st.stepsLimitedBy[i]);
+    }
+    return fields;
 }
 
 } // namespace

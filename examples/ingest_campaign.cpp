@@ -6,8 +6,9 @@
 // content-addressed golden store, and verified against a checked-in SHA-256
 // answer digest (the judge contract of the bundled testcases/).
 //
-// Exit codes: 0 ok; 1 usage/parse/runtime error; 2 event-driven and batch
-// verdicts diverge; 3 verdict digest does not match --verify.
+// Exit codes: 0 ok (also for -h/--help, which prints the usage text); 1
+// usage/parse/runtime error; 2 event-driven and batch verdicts diverge; 3
+// verdict digest does not match --verify.
 
 #include "core/cost.hpp"
 #include "core/report.hpp"
@@ -31,9 +32,11 @@ using namespace gfi;
 
 namespace {
 
-int usage(const char* argv0)
+/// Prints the usage text to @p out and returns @p code (0 for --help, 1 for
+/// a usage error).
+int usage(const char* argv0, std::FILE* out = stderr, int code = 1)
 {
-    std::fprintf(stderr,
+    std::fprintf(out,
                  "usage: %s <netlist.bench|netlist.v> [options]\n"
                  "  --patterns N      stimulus patterns to apply (default 64)\n"
                  "  --seed N          pattern generator seed (default 42)\n"
@@ -57,9 +60,15 @@ int usage(const char* argv0)
                  "                    add cost columns to the --csv report\n"
                  "  --cost-csv FILE   write the cost attribution CSV\n"
                  "  --cost-json FILE  write the cost attribution JSON\n"
-                 "  --quiet           suppress the classification tables\n",
+                 "  --quiet           suppress the classification tables\n"
+                 "  -h, --help        print this text and exit\n",
                  argv0);
-    return 1;
+    return code;
+}
+
+bool isHelp(const char* arg)
+{
+    return std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0;
 }
 
 std::string baseName(const std::string& path)
@@ -72,6 +81,11 @@ std::string baseName(const std::string& path)
 
 int main(int argc, char** argv)
 {
+    for (int i = 1; i < argc; ++i) {
+        if (isHelp(argv[i])) {
+            return usage(argv[0], stdout, 0);
+        }
+    }
     if (argc < 2) {
         return usage(argv[0]);
     }

@@ -226,6 +226,7 @@ obs::ProbeSnapshot MixedSimulator::sampleProbes() const
         p.newtonIterations = s.newtonIterations;
         p.companionRebuilds = s.companionRebuilds;
         p.crossingFallbacks = s.crossingFallbacks;
+        p.stepsLimitedBy = s.stepsLimitedBy;
         p.minAcceptedDt = s.minAcceptedDt;
         p.lastAcceptedDt = s.lastAcceptedDt;
     }

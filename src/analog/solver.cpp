@@ -160,7 +160,8 @@ double TransientSolver::maxStepHint() const
     return hint;
 }
 
-void TransientSolver::acceptStep(const std::vector<double>& x, double dt)
+void TransientSolver::acceptStep(const std::vector<double>& x, double dt,
+                                 obs::StepLimit limit)
 {
     const Solution sol(x, sys_->nodeCount());
     for (const auto& comp : sys_->components()) {
@@ -172,6 +173,7 @@ void TransientSolver::acceptStep(const std::vector<double>& x, double dt)
     sys_->state() = x;
     time_ += dt;
     ++stats_.acceptedSteps;
+    ++stats_.stepsLimitedBy[static_cast<std::size_t>(limit)];
     stats_.lastAcceptedDt = dt;
     if (stats_.minAcceptedDt == 0.0 || dt < stats_.minAcceptedDt) {
         stats_.minAcceptedDt = dt;
@@ -288,11 +290,24 @@ double TransientSolver::advanceTo(double tStop)
         const double bp = nextBreakpoint(tStop);
         const double hardLimit = std::min(bp, tStop);
 
-        double dt = std::min({dtNext_, options_.dtMax, maxStepHint(), hardLimit - time_});
+        // The step is the smallest bound; the limiter is billed per accepted
+        // step (ties go to the later bound, see obs::StepLimit).
+        double dt = dtNext_;
+        obs::StepLimit limit = obs::StepLimit::Lte;
+        for (const auto& [bound, which] :
+             {std::pair{options_.dtMax, obs::StepLimit::DtMax},
+              std::pair{maxStepHint(), obs::StepLimit::Hint},
+              std::pair{hardLimit - time_, obs::StepLimit::Breakpoint}}) {
+            if (bound <= dt) {
+                dt = bound;
+                limit = which;
+            }
+        }
         dt = std::max(dt, options_.dtMin);
         bool landsOnBreakpoint = time_ + dt >= bp - 1e-18 && bp < tStop;
         if (landsOnBreakpoint) {
             dt = bp - time_;
+            limit = obs::StepLimit::Breakpoint;
         }
 
         // --- solve, shrinking on Newton failure -------------------------
@@ -310,6 +325,7 @@ double TransientSolver::advanceTo(double tStop)
             }
             dt *= 0.25;
             landsOnBreakpoint = false;
+            limit = obs::StepLimit::Lte;
             solved = trySolveStep(dt, xCand, false);
         }
         if (!solved) {
@@ -411,6 +427,7 @@ double TransientSolver::advanceTo(double tStop)
                 }
                 if (bracket.hi < dt) {
                     xCand.swap(xHi_);
+                    limit = obs::StepLimit::Crossing;
                 }
                 dt = bracket.hi;
                 ++stats_.crossingsLocated;
@@ -425,7 +442,7 @@ double TransientSolver::advanceTo(double tStop)
                         fired.emplace_back(mon.get(), v1 >= v0);
                     }
                 }
-                acceptStep(xCand, dt);
+                acceptStep(xCand, dt, limit);
                 for (auto& [mon, rising] : fired) {
                     if (mon->cb_) {
                         mon->cb_(time_, rising);
@@ -435,7 +452,7 @@ double TransientSolver::advanceTo(double tStop)
             }
         }
 
-        acceptStep(xCand, dt);
+        acceptStep(xCand, dt, limit);
         if (landsOnBreakpoint) {
             // Source corner: restart conservatively on the far side.
             markDiscontinuity();

@@ -26,6 +26,7 @@
 
 #include "analog/linear.hpp"
 #include "analog/system.hpp"
+#include "obs/probe.hpp"
 #include "sim/watchdog.hpp"
 #include "snapshot/serialize.hpp"
 
@@ -111,6 +112,8 @@ struct SolverStats {
     // Kernel probes.
     std::uint64_t companionRebuilds = 0; ///< discontinuity restarts
     std::uint64_t crossingFallbacks = 0; ///< crossings located by the bisection fallback
+    obs::StepLimitCounts stepsLimitedBy{}; ///< accepted steps per limiting bound; sums to
+                                           ///< acceptedSteps on a solver never restored
     double minAcceptedDt = 0.0;          ///< smallest accepted step (s); 0 = none yet
     double lastAcceptedDt = 0.0;         ///< most recent accepted step (s)
 };
@@ -196,8 +199,9 @@ private:
     /// Largest step hint from components.
     double maxStepHint() const;
 
-    /// Commits an accepted step and runs probes.
-    void acceptStep(const std::vector<double>& x, double dt);
+    /// Commits an accepted step, bills it to the bound that limited it and
+    /// runs probes.
+    void acceptStep(const std::vector<double>& x, double dt, obs::StepLimit limit);
 
     AnalogSystem* sys_;
     SolverOptions options_;

@@ -87,7 +87,8 @@ public:
 };
 
 /// Sinusoidal voltage source: offset + amplitude * sin(2*pi*f*(t-delay) + phase).
-/// Steps at most period/24, the same resolution rule as the behavioral VCO.
+/// Steps at most period/24, so its waveform is sampled finely enough to read
+/// between steps.
 class SineVoltage : public VoltageSource {
 public:
     SineVoltage(AnalogSystem& sys, std::string name, NodeId p, NodeId m, double offset,

@@ -668,6 +668,13 @@ void CampaignRunner::recordRunMetrics(const RunResult& r)
     m.counter("gfi_analog_crossing_fallbacks_total",
               "Threshold crossings located by the bisection fallback")
         .inc(p.crossingFallbacks);
+    for (std::size_t i = 0; i < p.stepsLimitedBy.size(); ++i) {
+        const char* limit = obs::toString(static_cast<obs::StepLimit>(i));
+        m.counter(std::string("gfi_analog_steps_limited_by_") + limit + "_total",
+                  std::string("Accepted analog steps whose size the ") + limit +
+                      " bound set")
+            .inc(p.stepsLimitedBy[i]);
+    }
     m.gauge("gfi_analog_min_step_seconds", "Smallest accepted analog step of any run")
         .foldMinNonzero(p.minAcceptedDt);
     m.counter("gfi_bridge_atod_crossings_total", "Analog->digital threshold crossings")

@@ -12,10 +12,34 @@
 // simulated work, never on worker count or wall clock, which is what makes
 // campaign metric counts reproducible at any parallel width.
 
+#include <array>
 #include <cstdint>
 #include <string>
 
 namespace gfi::obs {
+
+/// The bound that set an accepted analog step's size: the smallest of the
+/// candidates TransientSolver::advanceTo takes a step's size from, or the
+/// crossing that cut it. Ties go to the later entry (a step grown up to
+/// dtMax counts as dtMax-limited).
+enum class StepLimit : std::uint8_t {
+    Lte,        ///< the solver's own step control: LTE, growth limit, Newton retries
+    DtMax,      ///< SolverOptions::dtMax
+    Hint,       ///< a component's maxStep hint
+    Breakpoint, ///< a breakpoint or the advanceTo stop time
+    Crossing,   ///< cut at a located threshold crossing
+};
+
+/// Accepted steps per StepLimit, indexed by its value.
+using StepLimitCounts = std::array<std::uint64_t, 5>;
+
+/// Metric-name form of a StepLimit ("lte", "dt_max", "hint", ...).
+[[nodiscard]] constexpr const char* toString(StepLimit l) noexcept
+{
+    constexpr std::array<const char*, 5> kNames{"lte", "dt_max", "hint", "breakpoint",
+                                                "crossing"};
+    return kNames[static_cast<std::size_t>(l)];
+}
 
 /// One reading of a simulator's kernel counters. For per-run deltas the
 /// counter fields subtract; the level fields (queue depth high-water, min
@@ -35,6 +59,7 @@ struct ProbeSnapshot {
     std::uint64_t newtonIterations = 0;
     std::uint64_t companionRebuilds = 0; ///< discontinuity restarts
     std::uint64_t crossingFallbacks = 0; ///< crossings the locator bisected (not journaled)
+    StepLimitCounts stepsLimitedBy{};    ///< accepted steps per limiting bound (not journaled)
     double minAcceptedDt = 0.0;          ///< smallest accepted step (s); 0 = none
     double lastAcceptedDt = 0.0;         ///< most recent accepted step (s)
 
@@ -55,6 +80,9 @@ struct ProbeSnapshot {
         d.newtonIterations = sub(newtonIterations, baseline.newtonIterations);
         d.companionRebuilds = sub(companionRebuilds, baseline.companionRebuilds);
         d.crossingFallbacks = sub(crossingFallbacks, baseline.crossingFallbacks);
+        for (std::size_t i = 0; i < stepsLimitedBy.size(); ++i) {
+            d.stepsLimitedBy[i] = sub(stepsLimitedBy[i], baseline.stepsLimitedBy[i]);
+        }
         d.atodCrossings = sub(atodCrossings, baseline.atodCrossings);
         d.dtoaEvents = sub(dtoaEvents, baseline.dtoaEvents);
         return d;

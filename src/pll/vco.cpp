@@ -5,6 +5,16 @@
 
 namespace gfi::pll {
 
+namespace {
+
+// Points per output cycle of the step bound (maxStep). Even, so a half
+// period is a whole number of steps: the digitizer's threshold crossings
+// then fall within ~1 fs of a step end. Chosen against a tight reference
+// (bench/abl_vco_resolution, tests/test_step_oracle.cpp).
+constexpr double kPointsPerCycle = 8.0;
+
+} // namespace
+
 BehavioralVco::BehavioralVco(analog::AnalogSystem& sys, std::string name, analog::NodeId ctrl,
                              analog::NodeId out, double f0, double kvco, double offset,
                              double amplitude)
@@ -46,9 +56,8 @@ void BehavioralVco::acceptStep(const analog::Solution& x, double, double dt)
 
 double BehavioralVco::maxStep(double) const
 {
-    // Resolve each output cycle with >= 24 points (edge timing itself comes
-    // from the crossing locator, not from the step size).
-    return 1.0 / (frequency(vctrl0_) * 24.0);
+    // Edge timing comes from the crossing locator, not from the step size.
+    return 1.0 / (frequency(vctrl0_) * kPointsPerCycle);
 }
 
 } // namespace gfi::pll

@@ -8,6 +8,14 @@
 // exact to first order because the loop-filter dynamics are orders of
 // magnitude slower than the solver step; it also makes the in-step output a
 // pure sinusoid of time, so the crossing locator converges to the exact edge.
+//
+// maxStep bounds a step to 1/8 of the output period. Nothing reads the
+// sinusoid between the digitizer's edges; the step only sets how often the
+// phase integration resamples the control voltage. 8 is the coarsest of 16,
+// 12 and 8 points per cycle at which every PLL fault list still gets a tight
+// reference's verdicts, with magnitudes inside the oracle's bounds
+// (bench/abl_vco_resolution, tests/test_step_oracle.cpp). Code that samples
+// the output itself sets SolverOptions::dtMax.
 
 #include "analog/system.hpp"
 

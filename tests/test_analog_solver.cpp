@@ -426,6 +426,53 @@ TEST(SolverLte, RcNextToSineVcvsFollowsRcAndSourceHint)
     EXPECT_LE(a.stats().acceptedSteps, 400u);
 }
 
+TEST(SolverLte, EveryAcceptedStepIsBilledToOneLimit)
+{
+    const auto count = [](const SolverStats& st, obs::StepLimit l) {
+        return st.stepsLimitedBy[static_cast<std::size_t>(l)];
+    };
+    const auto run = [](RcNextToSine& c, TransientSolver& solver) {
+        int crossings = 0;
+        solver.addMonitor(c.sine, 0.3, CrossingMonitor::Edge::Both,
+                          [&crossings](double, bool) { ++crossings; });
+        solver.solveDc();
+        for (int k = 1; k <= 10; ++k) {
+            while (solver.time() < k * 1e-6) {
+                solver.advanceTo(k * 1e-6);
+            }
+        }
+        return crossings;
+    };
+
+    // Default options: the sine's period/24 hint sets most steps; the RC
+    // edge at 2 us hands steps to LTE; the edge and the segment ends are
+    // breakpoints; the 0.3 V crossings cut steps short.
+    RcNextToSine hinted(false);
+    TransientSolver a(hinted.sys);
+    EXPECT_EQ(run(hinted, a), 20);
+    const SolverStats& sa = a.stats();
+    std::uint64_t sum = 0;
+    for (const std::uint64_t n : sa.stepsLimitedBy) {
+        sum += n;
+    }
+    EXPECT_EQ(sum, sa.acceptedSteps);
+    EXPECT_GT(count(sa, obs::StepLimit::Hint), sa.acceptedSteps / 2);
+    EXPECT_GT(count(sa, obs::StepLimit::Lte), 0u);
+    EXPECT_GT(count(sa, obs::StepLimit::Breakpoint), 0u);
+    EXPECT_EQ(count(sa, obs::StepLimit::Crossing), 20u);
+    EXPECT_EQ(count(sa, obs::StepLimit::DtMax), 0u);
+
+    // A dtMax below the hint takes the hint's steps over.
+    RcNextToSine capped(false);
+    SolverOptions opts;
+    opts.dtMax = 1.0 / (1e6 * 48.0);
+    TransientSolver b(capped.sys, opts);
+    EXPECT_EQ(run(capped, b), 20);
+    const SolverStats& sb = b.stats();
+    EXPECT_GT(count(sb, obs::StepLimit::DtMax), sb.acceptedSteps / 2);
+    EXPECT_EQ(count(sb, obs::StepLimit::Hint), 0u);
+}
+
 TEST(SolverLte, IntegratedSetIsPerSystem)
 {
     // Reference: the RC system on its own, advanced in 1 us segments.

@@ -55,7 +55,12 @@ TEST(BehavioralVcoTest, OutputSpansOffsetPlusMinusAmplitude)
     sys.add<analog::VoltageSource>(sys, "VC", ctrl, analog::kGround, 0.0);
     sys.add<pll::BehavioralVco>(sys, "vco", ctrl, out, 10e6, 1e6, 2.5, 2.5);
     sys.add<analog::Resistor>(sys, "RL", out, analog::kGround, 1e4);
-    analog::TransientSolver solver(sys);
+    // The subject is the output span, not the production step: sample the
+    // 10 MHz sinusoid at 24 points per cycle, so a sampled peak falls at most
+    // 2.5 V * (1 - cos(pi / 24)) = 21 mV short.
+    analog::SolverOptions opts;
+    opts.dtMax = 1.0 / (24.0 * 10e6);
+    analog::TransientSolver solver(sys, opts);
     solver.solveDc();
     double lo = 1e9;
     double hi = -1e9;

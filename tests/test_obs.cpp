@@ -16,6 +16,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
+#include "pll/pll.hpp"
 #include "util/json.hpp"
 #include "util/units.hpp"
 
@@ -492,6 +493,35 @@ TEST(ObsCampaign, CounterTotalsInvariantAcrossWorkerWidths)
             EXPECT_EQ(got.dtoaEvents, want.dtoaEvents);
         }
     }
+}
+
+TEST(ObsCampaign, AnalogStepLimitCountersSumToAcceptedSteps)
+{
+    // Every accepted analog step of every run is billed to exactly one
+    // limiting bound; on the PLL the VCO's maxStep hint sets most of them.
+    pll::PllConfig cfg;
+    cfg.duration = 20 * kMicrosecond;
+    const std::vector<fault::FaultSpec> faults{
+        fault::CurrentPulseFault{pll::names::kSabFilter, 10e-6,
+                                 std::make_shared<fault::TrapezoidPulse>(5e-3, 100e-12,
+                                                                         100e-12, 300e-12)},
+        fault::BitFlipFault{"pll/divider", 1, 12 * kMicrosecond},
+    };
+    obs::Telemetry telemetry;
+    campaign::CampaignRunner runner([cfg] { return std::make_unique<pll::PllTestbench>(cfg); });
+    runner.setWorkers(2);
+    runner.setTelemetry(telemetry);
+    runner.run(faults);
+
+    const auto counts = telemetry.metrics().counterValues();
+    std::uint64_t limited = 0;
+    for (const char* limit : {"lte", "dt_max", "hint", "breakpoint", "crossing"}) {
+        limited += counts.at(std::string("gfi_analog_steps_limited_by_") + limit + "_total");
+    }
+    EXPECT_GT(counts.at("gfi_analog_steps_accepted_total"), 0u);
+    EXPECT_EQ(limited, counts.at("gfi_analog_steps_accepted_total"));
+    EXPECT_GT(counts.at("gfi_analog_steps_limited_by_hint_total"), limited / 2);
+    EXPECT_EQ(counts.at("gfi_analog_steps_limited_by_dt_max_total"), 0u);
 }
 
 TEST(ObsCampaign, JournalResumeReproducesCounterTotals)

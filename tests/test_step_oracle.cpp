@@ -1,8 +1,10 @@
 // Reference oracle for analog step control: the paper's PLL campaigns (the
-// Fig. 3 unified AMS flow and the Fig. 8 pulse sweep) classified at
-// production step control must match a reference run at 10x tighter step
-// control, fault for fault. The Fig. 8 sweep also keeps its
-// fork-from-golden vs from-scratch byte identity.
+// Fig. 3 unified AMS flow, the Fig. 8 pulse sweep and fitted
+// double-exponential pulses on both saboteurs) classified at production
+// step control must match a reference run at much tighter step control,
+// fault for fault. The pulse campaigns also keep their fork-from-golden vs
+// from-scratch byte identity. A deterministic gate pins how many steps a
+// PLL golden run takes and which bound limited them.
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
@@ -10,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <numeric>
 
 namespace gfi {
 namespace {
@@ -31,15 +35,18 @@ campaign::CampaignRunner productionRunner(const pll::PllConfig& cfg)
 }
 
 /// Reference step control: every testbench (golden included) elaborates with
-/// lteRelTol and lteAbsTol 10x tighter than production, and dtMax 10x tighter
-/// than the bound that really sets production steps. That bound is the VCO's
-/// T/24 hint (0.83 ns locked), not dtMax (1 us): 10x tighter LTE alone leaves
-/// the PLL's step sequence unchanged, because the loop filter integrates
-/// piecewise-constant charge-pump current that the predictor tracks exactly.
+/// lteRelTol and lteAbsTol 10x tighter than production, and dtMax at
+/// T_lock/240 (83 ps), far below the bound that really sets production
+/// steps. That bound is the VCO's maxStep hint, not dtMax (1 us): 10x
+/// tighter LTE alone leaves the PLL's step sequence unchanged, because the
+/// loop filter integrates piecewise-constant charge-pump current that the
+/// predictor tracks exactly. The reference dtMax is an absolute figure: it
+/// does not follow the VCO's hint, so the oracle stays as tight when
+/// production steps coarsen.
 campaign::CampaignRunner referenceRunner(const pll::PllConfig& cfg)
 {
     analog::SolverOptions tight;
-    tight.dtMax = 1.0 / (cfg.refFrequency * cfg.dividerN * 24.0) / 10.0;
+    tight.dtMax = 1.0 / (cfg.refFrequency * cfg.dividerN * 240.0);
     tight.lteRelTol /= 10.0;
     tight.lteAbsTol /= 10.0;
     return campaign::CampaignRunner(
@@ -71,8 +78,9 @@ void expectTighterGolden(const campaign::CampaignRunner& production,
     EXPECT_GT(r.stats().acceptedSteps, p.stats().acceptedSteps);
 }
 
-void expectSameClassification(const campaign::CampaignReport& production,
-                              const campaign::CampaignReport& reference)
+/// Same outcome, erred signals and corrupted state, fault for fault.
+void expectSameVerdicts(const campaign::CampaignReport& production,
+                        const campaign::CampaignReport& reference)
 {
     ASSERT_EQ(production.runs.size(), reference.runs.size());
     for (std::size_t i = 0; i < production.runs.size(); ++i) {
@@ -82,8 +90,23 @@ void expectSameClassification(const campaign::CampaignReport& production,
         EXPECT_EQ(p.outcome, r.outcome) << what;
         EXPECT_EQ(p.erredSignals, r.erredSignals) << what;
         EXPECT_EQ(p.corruptedState, r.corruptedState) << what;
-        // The measured magnitudes agree too (observed: within 0.01 %, 0.5 %
-        // and 0.01 %; the bounds leave about 10x margin).
+    }
+}
+
+/// Same verdicts, and the measured magnitudes agree too.
+void expectSameClassification(const campaign::CampaignReport& production,
+                              const campaign::CampaignReport& reference)
+{
+    expectSameVerdicts(production, reference);
+    ASSERT_EQ(production.runs.size(), reference.runs.size());
+    for (std::size_t i = 0; i < production.runs.size(); ++i) {
+        const campaign::RunResult& p = production.runs[i];
+        const campaign::RunResult& r = reference.runs[i];
+        const std::string what = fault::describe(p.fault);
+        // Observed on the trapezoid campaigns at the VCO's 8-point bound:
+        // within 0.03 %, 2.5 % and 0.07 % (0.01 %, 0.4 % and 0.02 % at a
+        // 24-point bound). The time outside tolerance is read off samples
+        // one step apart.
         EXPECT_NEAR(p.maxAnalogDeviation, r.maxAnalogDeviation,
                     1e-3 * r.maxAnalogDeviation + 1e-6)
             << what;
@@ -156,6 +179,89 @@ TEST(StepOracle, Fig8SweepMatchesTightReferenceAndForkMatchesScratch)
         EXPECT_GT(rep->runs[1].maxAnalogDeviation, rep->runs[0].maxAnalogDeviation);
         EXPECT_GT(rep->runs[3].maxAnalogDeviation, rep->runs[2].maxAnalogDeviation);
     }
+}
+
+TEST(StepOracle, DoubleExpPulsesOnBothSaboteursMatchTightReference)
+{
+    // The fitted double exponential is the pulse model the campaign
+    // benchmark alternates with the trapezoid; here it is injected on both
+    // saboteurs at the default duration, forking every 2 us.
+    const pll::PllConfig cfg;
+    const double tInject = 200e-6;
+    std::vector<fault::FaultSpec> faults;
+    for (const fault::TrapezoidPulse& fig8 :
+         {fault::TrapezoidPulse(8 * kPa, 100 * kPs, 100 * kPs, 300 * kPs),
+          fault::TrapezoidPulse(10 * kPa, 180 * kPs, 180 * kPs, 540 * kPs)}) {
+        const auto dexp = std::make_shared<fault::DoubleExpPulse>(fault::fitDoubleExp(fig8));
+        for (const char* sab : {pll::names::kSabFilter, pll::names::kSabVcoOut}) {
+            faults.emplace_back(fault::CurrentPulseFault{sab, tInject, dexp});
+        }
+    }
+
+    campaign::CampaignRunner scratchRunner = productionRunner(cfg);
+    campaign::CampaignRunner forkRunner = productionRunner(cfg);
+    const campaign::CampaignReport scratch = runQuiet(scratchRunner, faults);
+    const campaign::CampaignReport forked = runQuiet(forkRunner, faults, 2 * kMicrosecond);
+    EXPECT_EQ(campaign::reportToJson(forked), campaign::reportToJson(scratch));
+
+    // The reference forks too (forked and from-scratch campaigns are
+    // byte-identical, see above), which keeps it cheap at 250 us. Verdicts
+    // match; the magnitudes do not meet the trapezoid campaigns' bounds: on
+    // the filter input production reads peak dV_ctrl 0.3 % and output error
+    // time 0.3 % below the reference, at any VCO bound. The pulse's own
+    // step bound (CurrentSaboteur::maxStep, duration / 25 over ten fall
+    // time constants) resolves its smooth peak with only a few steps; the
+    // VCO bound plays no part, which the runner below shows.
+    campaign::CampaignRunner refRunner = referenceRunner(cfg);
+    const campaign::CampaignReport reference = runQuiet(refRunner, faults, 2 * kMicrosecond);
+    expectSameVerdicts(forked, reference);
+    expectTighterGolden(forkRunner, refRunner);
+
+    // Production with dtMax at T_lock/24 steps at least as finely as a
+    // 24-points-per-cycle VCO bound once locked: every verdict and magnitude
+    // agrees with production within the bounds above.
+    analog::SolverOptions fine;
+    fine.dtMax = 1.0 / (cfg.refFrequency * cfg.dividerN * 24.0);
+    campaign::CampaignRunner fineRunner(
+        [cfg, fine] {
+            auto tb = std::make_unique<pll::PllTestbench>(cfg);
+            tb->sim().elaborate(fine);
+            return tb;
+        },
+        pllTolerance());
+    expectSameClassification(forked, runQuiet(fineRunner, faults, 2 * kMicrosecond));
+}
+
+TEST(StepOracle, PllGoldenStepsFollowTheVcoBound)
+{
+    // BehavioralVco::maxStep allows 1/(8 f) per step, so a hint-limited step
+    // advances the VCO phase by exactly 2 pi / 8. A 20 us golden run (lock
+    // acquisition, 30 -> ~50 MHz) therefore takes at least 8 steps per VCO
+    // cycle, plus the few the loop filter's LTE, the digital breakpoints and
+    // the crossings cut (observed: 7,076 steps over 841 cycles, 5.2 % above
+    // the floor). The window fails at a bound of 10 or more points per cycle.
+    constexpr double kPointsPerCycle = 8.0;
+    pll::PllConfig cfg;
+    cfg.duration = 20 * kMicrosecond;
+    pll::PllTestbench tb(cfg);
+    tb.run();
+
+    const analog::SolverStats& st = tb.sim().solver().stats();
+    const double cycles = tb.vco().phase() / (2.0 * M_PI);
+    EXPECT_GT(cycles, 600.0); // 30 MHz at the start, rising towards 50 MHz
+    EXPECT_GE(static_cast<double>(st.acceptedSteps), kPointsPerCycle * cycles);
+    EXPECT_LE(static_cast<double>(st.acceptedSteps), 1.1 * kPointsPerCycle * cycles);
+    EXPECT_EQ(st.rejectedSteps, 0u);
+    EXPECT_EQ(st.crossingFallbacks, 0u);
+
+    // Every accepted step is billed to exactly one limiting bound, and the
+    // VCO's hint is the one that limits most of them.
+    EXPECT_EQ(std::accumulate(st.stepsLimitedBy.begin(), st.stepsLimitedBy.end(),
+                              std::uint64_t{0}),
+              st.acceptedSteps);
+    const auto hint = st.stepsLimitedBy[static_cast<std::size_t>(obs::StepLimit::Hint)];
+    EXPECT_GT(hint, st.acceptedSteps * 9 / 10);
+    EXPECT_EQ(st.stepsLimitedBy[static_cast<std::size_t>(obs::StepLimit::DtMax)], 0u);
 }
 
 } // namespace
