@@ -709,16 +709,29 @@ CampaignReport CampaignRunner::run(
 
     // Static-analysis phase: a broken design or malformed fault list fails
     // here in O(1), before the golden run and before any journal restore.
+    // Only the rules that can raise an error run up front: design lint, the
+    // per-fault checks and, while forking, PRE006 (fork-from-golden restores
+    // state through Snapshottable, so a stateful component outside it would
+    // silently resume stale). When one fires, the warning-only list rules
+    // (PRE005/007/008) are merged in preflightReport()'s order, so the
+    // thrown report is the full one.
     if (options_.preflight) {
         obs::Span span(tel, "preflight", "campaign");
-        lint::Report rep = preflightReport(faults);
-        if (forking()) {
-            // Fork-from-golden restores component state through the
-            // Snapshottable interface; a stateful component outside it would
-            // silently resume stale (PRE006).
-            rep.merge(lint::preflightSnapshot(*golden_));
+        if (!golden_) {
+            golden_ = factory_(); // lint the design without running it
         }
-        if (rep.count(lint::Severity::Error) > 0) {
+        const auto hasErrors = [](const lint::Report& r) {
+            return r.count(lint::Severity::Error) > 0;
+        };
+        lint::Report rep = lint::lintTestbench(*golden_); // once: it re-stamps analog parts
+        const lint::Report snapshotRep =
+            forking() ? lint::preflightSnapshot(*golden_) : lint::Report{};
+        if (hasErrors(rep) || hasErrors(snapshotRep) ||
+            std::any_of(faults.begin(), faults.end(), [&](const fault::FaultSpec& f) {
+                return hasErrors(lint::preflightFault(*golden_, f));
+            })) {
+            rep.merge(lint::preflightCampaign(*golden_, faults));
+            rep.merge(snapshotRep);
             throw lint::PreflightError(std::move(rep));
         }
     }

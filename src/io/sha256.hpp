@@ -13,10 +13,31 @@
 
 namespace gfi::io {
 
-/// Incremental SHA-256 hasher.
+namespace detail {
+
+/// Absorbs @p blocks consecutive 64-byte blocks of @p data into @p state.
+using Sha256Blocks = void (*)(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+                              std::size_t blocks) noexcept;
+
+/// The portable FIPS 180-4 block function.
+[[nodiscard]] Sha256Blocks sha256ScalarBlocks() noexcept;
+
+/// The x86 SHA extensions (SHA-NI) block function, or nullptr when this
+/// build or this CPU lacks them.
+[[nodiscard]] Sha256Blocks sha256HardwareBlocks() noexcept;
+
+} // namespace detail
+
+/// Incremental SHA-256 hasher. Full blocks go through the SHA-NI block
+/// function when the CPU has one (checked once per process), else through
+/// the portable one; both give the same digest.
 class Sha256 {
 public:
-    Sha256() noexcept { reset(); }
+    Sha256() noexcept;
+
+    /// A hasher on a chosen block function, so a test can hold the two
+    /// against each other; everything else uses the default constructor.
+    explicit Sha256(detail::Sha256Blocks blocks) noexcept : blocks_(blocks) { reset(); }
 
     /// Restarts the hash from the initial state.
     void reset() noexcept;
@@ -33,8 +54,7 @@ public:
     [[nodiscard]] std::string finishHex();
 
 private:
-    void compress(const std::uint8_t block[64]) noexcept;
-
+    detail::Sha256Blocks blocks_;
     std::array<std::uint32_t, 8> state_{};
     std::array<std::uint8_t, 64> buffer_{};
     std::uint64_t totalBytes_ = 0;

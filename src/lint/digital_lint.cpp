@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 namespace gfi::lint {
@@ -13,7 +14,6 @@ namespace gfi::lint {
 namespace {
 
 using digital::Circuit;
-using digital::Process;
 using digital::ProcessConnectivity;
 using digital::SignalBase;
 
@@ -61,45 +61,51 @@ Report lintDigital(const Circuit& circuit)
     // edge, so they are excluded — exactly why a registered feedback path is
     // legal and a gate loop is not.
     std::vector<const ProcessConnectivity*> comb;
-    std::map<const Process*, int> combIndex;
+    // Each signal's combinational listeners, one entry per process in
+    // connectivity order (a process triggered twice by one signal is listed
+    // once), so the adjacency is built in linear time.
+    std::unordered_map<const SignalBase*, std::vector<int>> listeners;
     for (const ProcessConnectivity& c : conns) {
-        if (!c.sequential) {
-            combIndex[c.process] = static_cast<int>(comb.size());
-            comb.push_back(&c);
+        if (c.sequential) {
+            continue;
+        }
+        const int index = static_cast<int>(comb.size());
+        comb.push_back(&c);
+        for (SignalBase* s : c.triggers) {
+            std::vector<int>& procs = listeners[s];
+            if (procs.empty() || procs.back() != index) {
+                procs.push_back(index);
+            }
         }
     }
+    const auto listenersOf = [&listeners](const SignalBase* s) -> const std::vector<int>& {
+        static const std::vector<int> none;
+        const auto it = listeners.find(s);
+        return it == listeners.end() ? none : it->second;
+    };
     std::vector<std::vector<int>> adj(comb.size());
     for (std::size_t p = 0; p < comb.size(); ++p) {
         for (SignalBase* s : comb[p]->drives) {
-            for (const ProcessConnectivity& c : conns) {
-                if (c.sequential) {
-                    continue;
-                }
-                if (std::find(c.triggers.begin(), c.triggers.end(), s) != c.triggers.end()) {
-                    adj[p].push_back(combIndex.at(c.process));
-                }
-            }
+            const std::vector<int>& procs = listenersOf(s);
+            adj[p].insert(adj[p].end(), procs.begin(), procs.end());
         }
     }
     for (const std::vector<int>& scc : analyze::tarjanScc(adj)) {
         if (!analyze::sccIsCyclic(scc, adj)) {
             continue;
         }
-        std::set<int> inScc(scc.begin(), scc.end());
+        const std::set<int> inScc(scc.begin(), scc.end());
         std::vector<std::string> procNames;
         std::vector<std::string> sigNames;
         for (const int v : scc) {
             const ProcessConnectivity* c = comb[static_cast<std::size_t>(v)];
             procNames.push_back(c->process->name());
             for (SignalBase* s : c->drives) {
-                for (const int w : inScc) {
-                    const ProcessConnectivity* d = comb[static_cast<std::size_t>(w)];
-                    if (std::find(d->triggers.begin(), d->triggers.end(), s) !=
-                            d->triggers.end() &&
-                        std::find(sigNames.begin(), sigNames.end(), s->name()) ==
-                            sigNames.end()) {
-                        sigNames.push_back(s->name());
-                    }
+                const std::vector<int>& procs = listenersOf(s);
+                if (std::any_of(procs.begin(), procs.end(),
+                                [&inScc](int w) { return inScc.count(w) != 0; }) &&
+                    std::find(sigNames.begin(), sigNames.end(), s->name()) == sigNames.end()) {
+                    sigNames.push_back(s->name());
                 }
             }
         }
@@ -111,17 +117,29 @@ Report lintDigital(const Circuit& circuit)
                    "register the feedback path or break the zero-delay cycle");
     }
 
+    // DIG002-DIG004 walk pointer-keyed containers; their rows are emitted in
+    // signal-name order (names are unique within a circuit), so a report
+    // reads the same whatever addresses the heap handed out.
+    const auto byName = [](std::vector<SignalBase*> signals) {
+        std::sort(signals.begin(), signals.end(),
+                  [](const SignalBase* a, const SignalBase* b) { return a->name() < b->name(); });
+        return signals;
+    };
+
     // --- DIG002: multiple drivers on an unresolved signal ------------------
+    std::vector<SignalBase*> multiDriven;
     for (const auto& [sig, procs] : drivers) {
         const int external = circuit.isExternallyDriven(*sig) ? 1 : 0;
-        if (static_cast<int>(procs.size()) + external < 2) {
-            continue;
+        if (static_cast<int>(procs.size()) + external >= 2) {
+            multiDriven.push_back(sig);
         }
+    }
+    for (SignalBase* sig : byName(std::move(multiDriven))) {
         std::vector<std::string> names;
-        for (const ProcessConnectivity* c : procs) {
+        for (const ProcessConnectivity* c : drivers.at(sig)) {
             names.push_back(c->process->name());
         }
-        if (external != 0) {
+        if (circuit.isExternallyDriven(*sig)) {
             names.emplace_back("<external driver>");
         }
         std::sort(names.begin(), names.end());
@@ -132,25 +150,33 @@ Report lintDigital(const Circuit& circuit)
     }
 
     // --- DIG003: undriven inputs -------------------------------------------
+    std::vector<SignalBase*> undriven;
     for (SignalBase* s : readOrTriggered) {
         if (drivers.count(s) == 0 && !circuit.isExternallyDriven(*s)) {
-            report.add("DIG003", Severity::Warning, s->name(),
-                       "read by a process but never driven — it will hold its "
-                       "initial value for the whole run",
-                       "drive it, or declare it external with noteExternalDriver()");
+            undriven.push_back(s);
         }
+    }
+    for (SignalBase* s : byName(std::move(undriven))) {
+        report.add("DIG003", Severity::Warning, s->name(),
+                   "read by a process but never driven — it will hold its "
+                   "initial value for the whole run",
+                   "drive it, or declare it external with noteExternalDriver()");
     }
 
     // --- DIG004: dead signals ----------------------------------------------
+    std::vector<SignalBase*> dead;
     for (SignalBase* s : mentioned) {
         const bool driven = drivers.count(s) != 0 || circuit.isExternallyDriven(*s);
         const bool used = readOrTriggered.count(s) != 0 || s->listenerCount() > 0 ||
                           s->watcherCount() > 0;
         if (driven && !used) {
-            report.add("DIG004", Severity::Info, s->name(),
-                       "driven but never read, listened to or recorded",
-                       "remove it, or observe it in the testbench");
+            dead.push_back(s);
         }
+    }
+    for (SignalBase* s : byName(std::move(dead))) {
+        report.add("DIG004", Severity::Info, s->name(),
+                   "driven but never read, listened to or recorded",
+                   "remove it, or observe it in the testbench");
     }
 
     // --- DIG005: unclocked registers ---------------------------------------

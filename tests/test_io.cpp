@@ -16,9 +16,11 @@
 #include "io/netlist.hpp"
 #include "io/sha256.hpp"
 #include "lint/preflight.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -109,6 +111,80 @@ TEST(Sha256, Fips180Vectors)
     }
     EXPECT_EQ(h.finishHex(),
               "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+std::string digestWith(detail::Sha256Blocks blocks, std::string_view data)
+{
+    Sha256 h(blocks);
+    h.update(data);
+    return h.finishHex();
+}
+
+/// @p data fed in seeded pieces of 0..200 bytes, so every buffering path
+/// (partial fill, exact fill, multi-block direct run) is taken.
+std::string chunkedDigestWith(detail::Sha256Blocks blocks, std::string_view data,
+                              std::uint64_t seed)
+{
+    Rng rng(seed);
+    Sha256 h(blocks);
+    std::size_t at = 0;
+    while (at < data.size()) {
+        const std::size_t n =
+            std::min<std::size_t>(static_cast<std::size_t>(rng.below(201)), data.size() - at);
+        h.update(data.substr(at, n));
+        at += n;
+    }
+    return h.finishHex();
+}
+
+void expectFips180(detail::Sha256Blocks blocks)
+{
+    EXPECT_EQ(digestWith(blocks, ""),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(digestWith(blocks, "abc"),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(digestWith(blocks, "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+    EXPECT_EQ(digestWith(blocks, "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                                 "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+              "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+    EXPECT_EQ(digestWith(blocks, std::string(1000000, 'a')),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, HardwareAndScalarBlocksAgree)
+{
+    std::string data(64 * 1024, '\0');
+    Rng rng(2718);
+    for (char& c : data) {
+        c = static_cast<char>(rng.below(256));
+    }
+    const detail::Sha256Blocks scalar = detail::sha256ScalarBlocks();
+    expectFips180(scalar);
+    std::vector<std::string> reference;
+    for (std::size_t len = 0; len <= 1100; ++len) {
+        reference.push_back(digestWith(scalar, std::string_view(data).substr(0, len)));
+    }
+    const std::string streamed = digestWith(scalar, data);
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        EXPECT_EQ(chunkedDigestWith(scalar, data, seed), streamed) << "seed " << seed;
+    }
+
+    const detail::Sha256Blocks hardware = detail::sha256HardwareBlocks();
+    if (hardware == nullptr) {
+        GTEST_SKIP() << "no SHA extensions on this CPU or build: only the scalar "
+                        "block function was checked";
+    }
+    expectFips180(hardware);
+    for (std::size_t len = 0; len <= 1100; ++len) {
+        ASSERT_EQ(digestWith(hardware, std::string_view(data).substr(0, len)), reference[len])
+            << "length " << len;
+    }
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        EXPECT_EQ(chunkedDigestWith(hardware, data, seed), streamed) << "seed " << seed;
+    }
+    // The default hasher picks the hardware block function.
+    EXPECT_EQ(sha256Hex(data), streamed);
 }
 
 TEST(Sha256, LooksLike)

@@ -8,9 +8,13 @@
 #include "analog/passive.hpp"
 #include "analog/solver.hpp"
 #include "analog/sources.hpp"
+#include "campaign_harness.hpp"
+
 #include "core/campaign.hpp"
+#include "core/saboteur.hpp"
 #include "digital/gates.hpp"
 #include "digital/sequential.hpp"
+#include "duts/chain_dut.hpp"
 #include "duts/digital_dut.hpp"
 #include "duts/tiny_cpu.hpp"
 #include "lint/lint.hpp"
@@ -19,8 +23,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <set>
 
 namespace gfi {
 namespace {
@@ -140,6 +146,64 @@ TEST(DigitalLint, UnclockedRegisterIsDig005)
     auto& q2 = c2.logicSignal("q", digital::Logic::U);
     c2.add<digital::DFlipFlop>(c2, "ff", clk2, d2, q2);
     EXPECT_FALSE(lint::lintDigital(c2).hasRule("DIG005"));
+}
+
+TEST(DigitalLint, OverlappingLoopsTextIsStable)
+{
+    // Two combinational loops sharing nand2 (a -> b -> c -> a and
+    // b -> d -> e -> b), fan-out from a and b, a process triggered twice by
+    // the same signal (and3 on b, b), a disjoint inverter loop, a net with
+    // two gate drivers and a net with a gate plus an external driver. The
+    // DIG001/DIG002 rows below are pinned: the loop search may change how
+    // it finds cycles, never what it reports or in which order (DIG002 rows
+    // follow signal names).
+    digital::Circuit c;
+    using digital::Logic;
+    auto& x = c.logicSignal("x", Logic::Zero);
+    c.noteExternalDriver(x);
+    auto& a = c.logicSignal("a", Logic::U);
+    auto& b = c.logicSignal("b", Logic::U);
+    auto& cc = c.logicSignal("c", Logic::U);
+    auto& d = c.logicSignal("d", Logic::U);
+    auto& e = c.logicSignal("e", Logic::U);
+    auto& y = c.logicSignal("y", Logic::U);
+    auto& z = c.logicSignal("z", Logic::U);
+    c.noteExternalDriver(z);
+    auto& p = c.logicSignal("p", Logic::Zero);
+    auto& q = c.logicSignal("q", Logic::U);
+    c.add<digital::AndGate>(c, "and1", x, cc, a);
+    c.add<digital::Gate>(c, "nand2", digital::GateKind::Nand,
+                         std::vector<digital::LogicSignal*>{&a, &e}, b);
+    c.add<digital::AndGate>(c, "and3", b, b, cc);
+    c.add<digital::OrGate>(c, "or4", b, x, d);
+    c.add<digital::BufGate>(c, "buf5", d, e);
+    c.add<digital::BufGate>(c, "buf6", a, y);
+    c.add<digital::AndGate>(c, "and7", a, d, z);
+    c.add<digital::BufGate>(c, "buf8", x, y);
+    c.add<digital::NotGate>(c, "inv9", p, q);
+    c.add<digital::NotGate>(c, "inv10", q, p);
+
+    const lint::Report rep = lint::lintDigital(c);
+    const auto rows = [&rep](const std::string& rule) {
+        std::vector<std::string> out;
+        for (const lint::Diagnostic& diag : rep.byRule(rule)) {
+            out.push_back(std::string(lint::toString(diag.severity)) + " | " + diag.path +
+                          " | " + diag.message);
+        }
+        return out;
+    };
+    const std::string loop = " — the delta-cycle engine will oscillate until "
+                             "SchedulerLimitError";
+    EXPECT_EQ(rows("DIG001"),
+              (std::vector<std::string>{
+                  "error | and1/eval, and3/eval, buf5/eval, nand2/eval, or4/eval | "
+                  "combinational loop through signal(s) e, d, c, b, a" + loop,
+                  "error | inv10/eval, inv9/eval | combinational loop through signal(s) p, q" +
+                      loop}));
+    EXPECT_EQ(rows("DIG002"),
+              (std::vector<std::string>{
+                  "error | y | unresolved signal has 2 drivers: buf6/eval, buf8/eval",
+                  "error | z | unresolved signal has 2 drivers: <external driver>, and7/eval"}));
 }
 
 // ---------------------------------------------------------------------------
@@ -440,6 +504,191 @@ TEST(CampaignPreflight, JournalEntriesForPreflightFailingFaultsAreNotRestored)
         EXPECT_TRUE(rep.runs[1].diagnostics.fromJournal);
     }
     std::remove(path.c_str());
+}
+
+// The gate runs only the rules that can raise an error and builds the full
+// report only when one fires. Each case below adds one defect to the chain
+// DUT (or to its fault list); every list also holds a duplicate (PRE005), a
+// dead-cone fault (PRE007) and a stuck-at-X (PRE008 on a word-compilable
+// design), so the thrown report must still carry the warning-only rules.
+enum class Defect { None, UnknownTarget, BitOutOfRange, OutOfWindow, NoPulseShape, CombLoop,
+                    TwoDrivers, FloatingAnalog, NotSnapshottable };
+
+/// Stateful and not Snapshottable: PRE006 while forking.
+class StaleCounter : public digital::Component {
+public:
+    StaleCounter(digital::Circuit& c, std::string name, digital::LogicSignal& in)
+        : digital::Component(std::move(name))
+    {
+        c.process(this->name() + "/count", [this] { ++count_; }, {&in});
+    }
+
+private:
+    std::uint64_t count_ = 0;
+};
+
+fault::TestbenchFactory chainWith(Defect defect)
+{
+    return [defect] {
+        auto tb = std::make_unique<duts::ChainDutTestbench>();
+        auto& dig = tb->sim().digital();
+        auto& sys = tb->sim().analog();
+        using digital::Logic;
+        switch (defect) {
+        case Defect::NoPulseShape: {
+            const analog::NodeId n = sys.node("an/n");
+            sys.add<analog::Resistor>(sys, "an/r", n, analog::kGround, 1e3);
+            tb->addCurrentSaboteur(sys.add<fault::CurrentSaboteur>(sys, "sab/an", n));
+            break;
+        }
+        case Defect::CombLoop: {
+            auto& a = dig.logicSignal("loop/a", Logic::Zero);
+            auto& b = dig.logicSignal("loop/b", Logic::U);
+            dig.add<digital::NotGate>(dig, "loop/inv1", a, b);
+            dig.add<digital::NotGate>(dig, "loop/inv2", b, a);
+            break;
+        }
+        case Defect::TwoDrivers: {
+            auto& a = dig.logicSignal("multi/a", Logic::Zero);
+            dig.noteExternalDriver(a);
+            auto& y = dig.logicSignal("multi/y", Logic::U);
+            dig.add<digital::BufGate>(dig, "multi/buf1", a, y);
+            dig.add<digital::BufGate>(dig, "multi/buf2", a, y);
+            break;
+        }
+        case Defect::FloatingAnalog: {
+            const analog::NodeId x = sys.node("island/x");
+            const analog::NodeId y = sys.node("island/y");
+            sys.add<analog::Resistor>(sys, "island/r", x, y, 1e3);
+            sys.add<analog::Capacitor>(sys, "island/c", x, y, 1e-9);
+            break;
+        }
+        case Defect::NotSnapshottable: {
+            auto& in = dig.logicSignal("stale/in", Logic::Zero);
+            dig.noteExternalDriver(in);
+            dig.add<StaleCounter>(dig, "stale/counter", in);
+            break;
+        }
+        default:
+            break;
+        }
+        return tb;
+    };
+}
+
+std::vector<fault::FaultSpec> listWith(Defect defect)
+{
+    const fault::FaultSpec pulse = fault::DigitalPulseFault{"sab/c2", kMicrosecond,
+                                                            2 * kNanosecond};
+    std::vector<fault::FaultSpec> faults{
+        pulse,
+        fault::DigitalPulseFault{duts::ChainDutTestbench::deadSaboteur(), kMicrosecond,
+                                 2 * kNanosecond},
+        fault::StuckAtFault{"sab/c3", digital::Logic::X, kMicrosecond, 0},
+        pulse,
+    };
+    switch (defect) {
+    case Defect::UnknownTarget:
+        faults.push_back(fault::BitFlipFault{"chain/no_such_ff", 0, kMicrosecond});
+        break;
+    case Defect::BitOutOfRange:
+        faults.push_back(fault::BitFlipFault{"chain/ff", 5, kMicrosecond});
+        break;
+    case Defect::OutOfWindow:
+        faults.push_back(fault::DigitalPulseFault{"sab/c4", 3 * kMicrosecond, kNanosecond});
+        break;
+    case Defect::NoPulseShape:
+        faults.push_back(fault::CurrentPulseFault{"sab/an", 1e-6, nullptr});
+        break;
+    default:
+        break;
+    }
+    return faults;
+}
+
+TEST(CampaignPreflight, GateThrowsTheFullReport)
+{
+    // PRE008 is scored only on a word-compilable design: the unchanged chain
+    // DUT is one; an analog part or a loop/multi-driver/opaque component
+    // outside the word library is not.
+    struct Case {
+        Defect defect;
+        std::string rule;
+        bool batchWarning;
+    };
+    const std::vector<Case> cases{
+        {Defect::UnknownTarget, "PRE001", true},   {Defect::BitOutOfRange, "PRE002", true},
+        {Defect::OutOfWindow, "PRE003", true},     {Defect::NoPulseShape, "PRE004", false},
+        {Defect::CombLoop, "DIG001", false},       {Defect::TwoDrivers, "DIG002", false},
+        {Defect::FloatingAnalog, "ANA001", false}, {Defect::NotSnapshottable, "PRE006", false},
+    };
+    for (const auto& [defect, rule, batchWarning] : cases) {
+        SCOPED_TRACE(rule);
+        const bool forking = defect == Defect::NotSnapshottable;
+        const fault::TestbenchFactory factory = chainWith(defect);
+        const std::vector<fault::FaultSpec> faults = listWith(defect);
+
+        // What the gate used to throw: the full campaign lint.
+        const std::unique_ptr<fault::Testbench> tb = factory();
+        lint::Report full = lint::lintCampaign(*tb, faults);
+        if (forking) {
+            full.merge(lint::preflightSnapshot(*tb));
+        }
+        std::set<std::string> errorRules;
+        for (const lint::Diagnostic& d : full.diagnostics()) {
+            if (d.severity == lint::Severity::Error) {
+                errorRules.insert(d.rule);
+            }
+        }
+        EXPECT_EQ(errorRules, std::set<std::string>{rule}) << full.table();
+        EXPECT_TRUE(full.hasRule("PRE005")) << full.table();
+        EXPECT_TRUE(full.hasRule("PRE007")) << full.table();
+        EXPECT_EQ(full.hasRule("PRE008"), batchWarning) << full.table();
+        const lint::PreflightError expected(full);
+
+        campaign::CampaignRunner runner(factory);
+        runner.setCheckpointCadence(forking ? kMicrosecond / 2 : -1);
+        try {
+            (void)runner.run(faults);
+            ADD_FAILURE() << "expected PreflightError";
+        } catch (const lint::PreflightError& e) {
+            EXPECT_EQ(std::string(e.what()), std::string(expected.what()));
+            EXPECT_EQ(e.report().json(), expected.report().json());
+            for (const char* warning : {"PRE005", "PRE007", "PRE008"}) {
+                EXPECT_EQ(e.report().hasRule(warning), full.hasRule(warning)) << warning;
+            }
+        }
+    }
+}
+
+TEST(CampaignPreflight, WarningOnlyListsStillRun)
+{
+    const std::vector<fault::FaultSpec> faults = listWith(Defect::None);
+    {
+        duts::ChainDutTestbench tb;
+        const lint::Report rep = lint::lintCampaign(tb, faults);
+        EXPECT_EQ(rep.count(lint::Severity::Error), 0u) << rep.table();
+        for (const char* warning : {"PRE005", "PRE007", "PRE008"}) {
+            EXPECT_TRUE(rep.hasRule(warning)) << warning << "\n" << rep.table();
+        }
+    }
+    const auto run = [&faults](bool preflight) {
+        ::testing::internal::CaptureStderr();
+        test::CampaignOutput out = test::runCampaign(
+            chainWith(Defect::None), faults, preflight ? "gate_on" : "gate_off",
+            [preflight](campaign::CampaignRunner& r) { r.setPreflight(preflight); });
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        return std::make_pair(std::move(out), err);
+    };
+    const auto [on, onErr] = run(true);
+    const auto [off, offErr] = run(false);
+    EXPECT_EQ(on.journal, off.journal);
+    EXPECT_EQ(on.summary, off.summary);
+    EXPECT_EQ(on.detail, off.detail);
+    EXPECT_EQ(on.json, off.json);
+    EXPECT_EQ(on.csv, off.csv);
+    EXPECT_EQ(onErr, offErr);
+    EXPECT_EQ(on.report.runs.size(), faults.size());
 }
 
 // ---------------------------------------------------------------------------
