@@ -123,11 +123,11 @@ GroupOutcome runGroup(const BatchRequest& req, const WordModel& model,
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
     // Each lane is classified by the campaign's verdict rule: its word-level
-    // diffs and hook values are its Observation (eligible designs observe no
-    // analog nodes, and the cross-check has found every observed hook), and
-    // the resource fields are the word kernel's.
+    // diffs (moved in) and hook values are its Observation (eligible designs
+    // observe no analog nodes, and the cross-check has found every observed
+    // hook), and the resource fields are the word kernel's.
     const std::vector<std::string>& observed = req.golden->observedDigital();
-    const std::vector<trace::DigitalDiff> diffs =
+    std::vector<trace::DigitalDiff> diffs =
         laneDiffs(sim, observed.size(), members.size(), model.duration,
                   req.tolerance.digitalJitter);
     std::vector<const WordHook*> stateHooks;
@@ -142,16 +142,16 @@ GroupOutcome runGroup(const BatchRequest& req, const WordModel& model,
             continue; // restored from a journal: no result wanted
         }
         const int lane = static_cast<int>(pos) + 1;
-        run.digitalDiffs.clear();
+        run.digital.clear();
         for (std::size_t k = 0; k < observed.size(); ++k) {
-            run.digitalDiffs.push_back(&diffs[pos * observed.size() + k]);
+            run.digital.push_back(std::move(diffs[pos * observed.size() + k]));
         }
         run.state.clear();
         for (const WordHook* hook : stateHooks) {
             run.state.push_back(sim.hookValue(*hook, lane));
         }
-        campaign::RunResult r = campaign::classifyObservation(
-            run, *req.golden, *req.goldenState, req.tolerance, (*req.faults)[idx]);
+        campaign::RunResult r =
+            campaign::classifyObservation(run, *req.golden, *req.goldenState, (*req.faults)[idx]);
         r.diagnostics.digitalWaves = sim.waveCount(lane);
         r.diagnostics.analogSteps = req.goldenAnalogSteps;
         r.diagnostics.batchLane = lane;

@@ -6,7 +6,8 @@
 // 64-lane word-simulation groups over that one model (lane 0 golden, lanes
 // 1..63 one fault each) and classifies every lane with
 // the campaign's verdict rule, campaign::classifyObservation() — the function
-// the event-driven kernel classifies through — so its RunResults are
+// the event-driven kernel classifies through. A lane's word-level diffs
+// (laneDiffs) are its observation's digital list, so its RunResults are
 // byte-identical to what that kernel would have produced for the same faults.
 // Ineligible faults (and whole designs the word compiler cannot lift) are
 // simply absent from the output map; the campaign runner simulates those
@@ -30,10 +31,10 @@
 
 namespace gfi::batch {
 
-/// What the campaign runner hands the batch backend. golden, goldenState and
-/// tolerance are the verdict rule's reference (classifyObservation); the
-/// golden traces and state, with goldenWaves, also feed the lane-0
-/// cross-check.
+/// What the campaign runner hands the batch backend. golden and goldenState
+/// are the verdict rule's reference (classifyObservation), and tolerance's
+/// jitter window filters the lane diffs handed to it; the golden traces and
+/// state, with goldenWaves, also feed the lane-0 cross-check.
 struct BatchRequest {
     /// Called once, for the build the campaign's one word model compiles
     /// from; every group simulates that model.

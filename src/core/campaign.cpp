@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -338,27 +339,53 @@ RunResult CampaignRunner::classify(fault::Testbench& tb, const fault::FaultSpec&
 RunResult CampaignRunner::classify(fault::Testbench& tb, const fault::FaultSpec& fault,
                                    const snapshot::Snapshot* fork) const
 {
+    // A forked run's traces continue golden's, so each comparison starts
+    // after golden's events (samples) at or before the checkpoint.
+    const Tolerance& tol = options_.tolerance;
     Observation run;
     run.duration = tb.duration();
-    if (fork != nullptr) {
-        run.fork = Observation::Fork{fork->time, fork->analogTime};
-    }
     for (const std::string& name : golden_->observedDigital()) {
-        run.digital.push_back(&tb.recorder().digitalTrace(name));
+        const trace::DigitalTrace& g = golden_->recorder().digitalTrace(name);
+        std::optional<std::size_t> shared;
+        if (fork != nullptr) {
+            shared = static_cast<std::size_t>(
+                std::upper_bound(g.events.begin(), g.events.end(), fork->time,
+                                 [](SimTime t, const auto& ev) { return t < ev.first; }) -
+                g.events.begin());
+        }
+        run.digital.push_back(trace::compareDigital(g, tb.recorder().digitalTrace(name),
+                                                    run.duration, tol.digitalJitter, shared));
     }
     for (const std::string& name : golden_->observedAnalog()) {
-        run.analog.push_back(&tb.recorder().analogTrace(name));
+        const trace::AnalogTrace& g = golden_->recorder().analogTrace(name);
+        std::size_t shared = 0;
+        if (fork != nullptr) {
+            shared = static_cast<std::size_t>(
+                std::upper_bound(g.samples.begin(), g.samples.end(), fork->analogTime,
+                                 [](double t, const auto& s) { return t < s.first; }) -
+                g.samples.begin());
+        }
+        run.analog.push_back(trace::compareAnalog(g, tb.recorder().analogTrace(name),
+                                                  tol.analogAbs, tol.analogRel, shared));
     }
     for (const std::string& name : golden_->observedState()) {
         run.state.push_back(tb.sim().digital().instrumentation().hook(name).get());
     }
-    return classifyObservation(run, *golden_, goldenState_, options_.tolerance, fault);
+    return classifyObservation(run, *golden_, goldenState_, fault);
 }
 
 RunResult classifyObservation(const Observation& run, const fault::Testbench& golden,
                               const std::map<std::string, std::uint64_t>& goldenState,
-                              const Tolerance& tolerance, const fault::FaultSpec& fault)
+                              const fault::FaultSpec& fault)
 {
+    const std::vector<std::string>& digital = golden.observedDigital();
+    const std::vector<std::string>& analog = golden.observedAnalog();
+    const std::vector<std::string>& state = golden.observedState();
+    if (run.digital.size() != digital.size() || run.analog.size() != analog.size() ||
+        run.state.size() != state.size()) {
+        throw std::logic_error("classifyObservation: observation is not parallel to "
+                               "golden's observed lists");
+    }
     RunResult result;
     result.fault = fault;
 
@@ -366,26 +393,9 @@ RunResult classifyObservation(const Observation& run, const fault::Testbench& go
     bool anyOutputError = false;
     bool recoveredEverywhere = true;
 
-    // Digital outputs: exact comparison. A forked run's traces continue
-    // golden's, so each comparison starts after golden's events (below: its
-    // samples) at or before the checkpoint.
-    const std::vector<std::string>& digital = golden.observedDigital();
+    // Digital outputs: exact comparison (after the jitter filter).
     for (std::size_t k = 0; k < digital.size(); ++k) {
-        trace::DigitalDiff compared;
-        if (run.digitalDiffs.empty()) {
-            const trace::DigitalTrace& g = golden.recorder().digitalTrace(digital[k]);
-            std::optional<std::size_t> shared;
-            if (run.fork) {
-                shared = static_cast<std::size_t>(
-                    std::upper_bound(g.events.begin(), g.events.end(), run.fork->time,
-                                     [](SimTime t, const auto& ev) { return t < ev.first; }) -
-                    g.events.begin());
-            }
-            compared = trace::compareDigital(g, *run.digital[k], tEnd, tolerance.digitalJitter,
-                                             shared);
-        }
-        const trace::DigitalDiff& diff =
-            run.digitalDiffs.empty() ? compared : *run.digitalDiffs[k];
+        const trace::DigitalDiff& diff = run.digital[k];
         if (!diff.identical()) {
             anyOutputError = true;
             result.erredSignals.push_back(digital[k]);
@@ -401,18 +411,8 @@ RunResult classifyObservation(const Observation& run, const fault::Testbench& go
     }
 
     // Analog outputs: tolerance-based comparison.
-    const std::vector<std::string>& analog = golden.observedAnalog();
     for (std::size_t k = 0; k < analog.size(); ++k) {
-        const trace::AnalogTrace& g = golden.recorder().analogTrace(analog[k]);
-        std::size_t shared = 0;
-        if (run.fork) {
-            shared = static_cast<std::size_t>(
-                std::upper_bound(g.samples.begin(), g.samples.end(), run.fork->analogTime,
-                                 [](double t, const auto& s) { return t < s.first; }) -
-                g.samples.begin());
-        }
-        const auto diff = trace::compareAnalog(g, *run.analog[k], tolerance.analogAbs,
-                                               tolerance.analogRel, shared);
+        const trace::AnalogDiff& diff = run.analog[k];
         result.maxAnalogDeviation = std::max(result.maxAnalogDeviation, diff.maxDeviation);
         if (!diff.withinTolerance()) {
             anyOutputError = true;
@@ -427,7 +427,6 @@ RunResult classifyObservation(const Observation& run, const fault::Testbench& go
     }
 
     // Final-state comparison (latent faults).
-    const std::vector<std::string>& state = golden.observedState();
     for (std::size_t k = 0; k < state.size(); ++k) {
         const auto it = goldenState.find(state[k]);
         if (it != goldenState.end() && it->second != run.state[k]) {
@@ -510,9 +509,8 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
         if (recorder) {
             tb->sim().setFlightRecorder(recorder.get());
         }
-        const double tighten = options_.retry.stepTighten;
-        if (attempt > 1 && tighten > 0.0 && tighten < 1.0) {
-            tb->sim().setSolverStepScale(std::pow(tighten, attempt - 1));
+        if (attempt > 1) {
+            tb->sim().setSolverStepScale(std::pow(kRetryStepTighten, attempt - 1));
         }
         if (from != nullptr) {
             obs::Span span(tel, "restore", "run");

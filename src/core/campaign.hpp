@@ -33,7 +33,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 
 namespace gfi::obs {
 class Telemetry;
@@ -137,56 +136,40 @@ struct RunResult {
     RunDiagnostics diagnostics;
 };
 
-/// One finished run as the verdict rule reads it. The lists are parallel to
-/// the golden testbench's observedDigital(), observedAnalog() and
-/// observedState(): the run's trace of each observed signal and node, and
-/// the final value of each observed state hook.
+/// One finished run as the verdict rule reads it: its comparison with the
+/// golden run on each observed signal (already jitter-filtered) and node
+/// (under the abs/rel tolerance), and the final value of each observed state
+/// hook. The lists are parallel to the golden testbench's observedDigital(),
+/// observedAnalog() and observedState().
 struct Observation {
-    /// The golden checkpoint a forked run resumed from.
-    struct Fork {
-        SimTime time = 0;        ///< digital time of the checkpoint (fs)
-        double analogTime = 0.0; ///< analog solver time of the checkpoint (s)
-    };
-
     SimTime duration = 0; ///< end of the observation window
-    /// Set for a run forked from a golden checkpoint: its traces hold only
-    /// what it recorded after the checkpoint and continue golden's, which
-    /// supplies the events at or before `time`, the samples at or before
-    /// `analogTime` and each signal's initial value. Unset for runs
-    /// simulated from t = 0 (scratch runs, batch lanes).
-    std::optional<Fork> fork;
-    std::vector<const trace::DigitalTrace*> digital;
-    /// The run's comparison with golden on each observed signal, already
-    /// jitter-filtered, when its producer computed it without traces (batch
-    /// lanes diff words against lane 0). Non-empty, it is read instead of
-    /// comparing `digital` with golden's traces, which may then stay empty.
-    std::vector<const trace::DigitalDiff*> digitalDiffs;
-    std::vector<const trace::AnalogTrace*> analog;
+    std::vector<trace::DigitalDiff> digital;
+    std::vector<trace::AnalogDiff> analog;
     std::vector<std::uint64_t> state;
 };
 
 /// The verdict rule, the paper's "results analysis -> classification" step,
 /// shared by the event kernel (CampaignRunner::classify) and the batch
-/// backend's lanes. Each observed signal is compared with the golden run's
-/// by compareDigital under the jitter window (or its diff is read from
-/// run.digitalDiffs), each node by compareAnalog under the abs/rel
-/// tolerance, and each state hook with its value in @p goldenState (the
-/// golden run's end-of-run values by hook name). An output error still
-/// present at the end is a Failure, one that recovered a TransientError;
-/// clean outputs with corrupted state are Latent, and everything else is
-/// Silent.
+/// backend's lanes. Each diff that is not identical (digital) or not within
+/// tolerance (analog) marks its signal erred, and each state hook whose
+/// value differs from @p goldenState (the golden run's end-of-run values by
+/// hook name) is corrupted. An output error still present at the end is a
+/// Failure, one that recovered a TransientError; clean outputs with
+/// corrupted state are Latent, and everything else is Silent. Throws
+/// std::logic_error when a list of @p run is not parallel to golden's.
 [[nodiscard]] RunResult classifyObservation(const Observation& run,
                                             const fault::Testbench& golden,
                                             const std::map<std::string, std::uint64_t>& goldenState,
-                                            const Tolerance& tolerance,
                                             const fault::FaultSpec& fault);
 
+/// Solver dtMax/dtInitial scale per extra attempt of a retried run.
+inline constexpr double kRetryStepTighten = 0.25;
+
 /// Retry policy for abnormal runs (transient solver failures mostly).
+/// Diverged runs are always retryable; each retry scales the solver step by
+/// kRetryStepTighten once more.
 struct RetryPolicy {
     int maxAttempts = 1;        ///< total attempts per fault (1 = no retry)
-    double stepTighten = 0.25;  ///< solver dtMax/dtInitial scale per extra
-                                ///< attempt (1.0 = keep the nominal step)
-    bool retryDiverged = true;  ///< retry Outcome::Diverged runs
     bool retryTimeout = false;  ///< retry Outcome::Timeout runs
     bool retrySimError = false; ///< retry Outcome::SimError runs
 
@@ -194,7 +177,7 @@ struct RetryPolicy {
     {
         switch (o) {
         case Outcome::Diverged:
-            return retryDiverged;
+            return true;
         case Outcome::Timeout:
             return retryTimeout;
         case Outcome::SimError:
@@ -443,10 +426,11 @@ public:
 
     /// Re-classifies a finished faulty testbench (built by this runner's
     /// factory and simulated from t = 0, so it holds whole traces) against
-    /// the golden run: reads the testbench's traces and state hooks into an
-    /// Observation and applies classifyObservation() with this runner's
-    /// tolerance. Used by tolerance-sweep ablations and figure benches
-    /// without re-simulating. Requires runGolden().
+    /// the golden run: compares the testbench's traces with golden's under
+    /// this runner's tolerance, reads its state hooks, and applies
+    /// classifyObservation() to the resulting Observation. Used by
+    /// tolerance-sweep ablations and figure benches without re-simulating.
+    /// Requires runGolden().
     [[nodiscard]] RunResult classify(fault::Testbench& tb, const fault::FaultSpec& fault) const;
 
 private:

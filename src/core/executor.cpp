@@ -1,6 +1,6 @@
 #include "core/executor.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <condition_variable>
 #include <exception>
 #include <map>
@@ -16,34 +16,19 @@ unsigned Executor::defaultWorkers()
     return hc != 0 ? hc : 1;
 }
 
-std::size_t Executor::runInline(std::size_t count, const ProduceFn& produce)
+void Executor::forEachOrdered(std::size_t count, const ProduceFn& produce)
 {
-    std::size_t committed = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        if (cancelRequested()) {
-            break;
-        }
-        CommitFn commit = produce(i);
-        if (commit) {
-            commit();
-        }
-        ++committed;
-    }
-    return committed;
-}
-
-std::size_t Executor::forEachOrdered(std::size_t count, const ProduceFn& produce)
-{
-    cancel_.store(false, std::memory_order_relaxed);
-    if (count == 0) {
-        return 0;
-    }
     const unsigned n = static_cast<unsigned>(
         std::min<std::size_t>(effectiveWorkers(), count));
     if (n <= 1) {
-        return runInline(count, produce);
+        for (std::size_t i = 0; i < count; ++i) {
+            if (CommitFn commit = produce(i)) {
+                commit();
+            }
+        }
+        return;
     }
-    const std::size_t window = window_ != 0 ? window_ : 4u * n;
+    const std::size_t window = 4u * n;
 
     // Shared scheduling state. `nextFetch` is the in-order hand-out cursor,
     // `nextCommit` the committed-prefix length, `pending` the reorder buffer.
@@ -58,33 +43,30 @@ std::size_t Executor::forEachOrdered(std::size_t count, const ProduceFn& produce
     auto worker = [&] {
         std::unique_lock<std::mutex> lock(mutex);
         for (;;) {
-            // Backpressure: wait while the reorder window is full. Poll with
-            // a timeout so an external requestCancel() (atomic store only,
-            // no notify) is observed promptly.
-            while (nextFetch < count && firstError == nullptr && !cancelRequested() &&
-                   nextFetch >= nextCommit + window) {
-                cv.wait_for(lock, std::chrono::milliseconds(20));
-            }
-            if (nextFetch >= count || firstError != nullptr || cancelRequested()) {
+            // Backpressure: wait while the reorder window is full. Every
+            // commit and every error notifies, so the wait needs no timeout.
+            cv.wait(lock, [&] {
+                return nextFetch >= count || firstError != nullptr ||
+                       nextFetch < nextCommit + window;
+            });
+            if (nextFetch >= count || firstError != nullptr) {
                 return;
             }
             const std::size_t index = nextFetch++;
             lock.unlock();
 
             CommitFn commit;
-            bool failed = false;
+            std::exception_ptr error;
             try {
                 commit = produce(index);
             } catch (...) {
-                failed = true;
-                lock.lock();
-                if (firstError == nullptr) {
-                    firstError = std::current_exception();
-                }
+                error = std::current_exception();
             }
-            if (!failed) {
-                lock.lock();
+            lock.lock();
+            if (error == nullptr) {
                 pending[index] = std::move(commit);
+            } else if (firstError == nullptr) {
+                firstError = error;
             }
 
             // Drain every commit that is now in order. Commits run under the
@@ -125,7 +107,6 @@ std::size_t Executor::forEachOrdered(std::size_t count, const ProduceFn& produce
     if (firstError != nullptr) {
         std::rethrow_exception(firstError);
     }
-    return nextCommit;
 }
 
 } // namespace gfi::core

@@ -13,19 +13,16 @@
 //
 // Scheduling: workers pull indices from a shared in-order cursor (sharding
 // without a materialized queue) and park completed commits in a reorder
-// buffer. The buffer is bounded by a commit window — a worker that sprints
-// too far ahead of the slowest outstanding job blocks instead of buffering
-// unbounded results — and the producer of the next-to-commit index is by
-// construction never one of the blocked workers, so the window cannot
-// deadlock. An exception from produce or commit (or requestCancel(), which
-// is async-signal-safe) stops index hand-out; in-flight jobs finish, their
-// in-order commits drain, and forEachOrdered() returns (or rethrows) with
-// the committed prefix intact.
+// buffer. The buffer is bounded by a commit window of 4x the worker count —
+// a worker that sprints too far ahead of the slowest outstanding job blocks
+// instead of buffering unbounded results — and the producer of the
+// next-to-commit index is by construction never one of the blocked workers,
+// so the window cannot deadlock. An exception from produce or commit stops
+// index hand-out; in-flight jobs finish, their in-order commits drain, and
+// forEachOrdered() rethrows with the committed prefix intact.
 
 #include <cstddef>
 #include <functional>
-
-#include <atomic>
 
 namespace gfi::core {
 
@@ -44,45 +41,21 @@ public:
     /// The auto worker count: std::thread::hardware_concurrency(), at least 1.
     [[nodiscard]] static unsigned defaultWorkers();
 
-    /// Sets the worker count (0 = defaultWorkers()).
-    void setWorkers(unsigned n) noexcept { workers_ = n; }
-
-    /// The configured worker count (0 = auto).
-    [[nodiscard]] unsigned workers() const noexcept { return workers_; }
-
     /// The count forEachOrdered() will actually use.
     [[nodiscard]] unsigned effectiveWorkers() const
     {
         return workers_ != 0 ? workers_ : defaultWorkers();
     }
 
-    /// Maximum indices in flight past the next-to-commit one (the reorder
-    /// buffer bound). 0 = automatic (4x the worker count).
-    void setCommitWindow(std::size_t w) noexcept { window_ = w; }
-    [[nodiscard]] std::size_t commitWindow() const noexcept { return window_; }
-
-    /// Requests a clean stop: no new indices are handed out, in-flight jobs
-    /// finish and their in-order commits drain. Safe from any thread and
-    /// from signal handlers (a plain atomic store).
-    void requestCancel() noexcept { cancel_.store(true, std::memory_order_relaxed); }
-    [[nodiscard]] bool cancelRequested() const noexcept
-    {
-        return cancel_.load(std::memory_order_relaxed);
-    }
-
     /// Runs jobs 0..count-1: produce concurrently, commit serialized in index
-    /// order. Returns the committed-prefix length (== count unless cancelled
-    /// or a job failed). The first exception from produce or commit is
-    /// rethrown here after the pool drains. With an effective worker count
-    /// of 1 (or count < 2) everything runs inline on the calling thread.
-    std::size_t forEachOrdered(std::size_t count, const ProduceFn& produce);
+    /// order. The first exception from produce or commit is rethrown here
+    /// after the pool drains; the jobs committed before it form a prefix.
+    /// With an effective worker count of 1 (or count < 2) everything runs
+    /// inline on the calling thread.
+    void forEachOrdered(std::size_t count, const ProduceFn& produce);
 
 private:
-    std::size_t runInline(std::size_t count, const ProduceFn& produce);
-
     unsigned workers_ = 0;
-    std::size_t window_ = 0;
-    std::atomic<bool> cancel_{false};
 };
 
 } // namespace gfi::core

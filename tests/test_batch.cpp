@@ -346,6 +346,47 @@ TEST(BatchWordDiff, LaneDiffsMatchCompareDigital)
 }
 
 // ---------------------------------------------------------------------------
+// The verdict rule's input contract
+
+// Both kernels hand classifyObservation one diff per observed signal and node
+// and one value per observed state hook. A list of any other length is a
+// producer bug, not a verdict: the rule throws instead of reading past it.
+TEST(VerdictRule, ObservationNotParallelToGoldenThrows)
+{
+    const duts::DigitalDutTestbench golden;
+    ASSERT_FALSE(golden.observedDigital().empty());
+    ASSERT_FALSE(golden.observedState().empty());
+    ASSERT_TRUE(golden.observedAnalog().empty());
+    std::map<std::string, std::uint64_t> goldenState;
+    for (const std::string& name : golden.observedState()) {
+        goldenState[name] = 0;
+    }
+    Observation parallel;
+    parallel.duration = golden.duration();
+    parallel.digital.resize(golden.observedDigital().size());
+    parallel.state.assign(golden.observedState().size(), 0);
+    const fault::FaultSpec fault = fault::BitFlipFault{golden.observedState().front(), 0, 0};
+    EXPECT_EQ(classifyObservation(parallel, golden, goldenState, fault).outcome, Outcome::Silent);
+    parallel.state.back() = 1;
+    EXPECT_EQ(classifyObservation(parallel, golden, goldenState, fault).outcome, Outcome::Latent);
+
+    Observation shortDigital = parallel;
+    shortDigital.digital.pop_back();
+    EXPECT_THROW((void)classifyObservation(shortDigital, golden, goldenState, fault),
+                 std::logic_error);
+
+    Observation longState = parallel;
+    longState.state.push_back(0);
+    EXPECT_THROW((void)classifyObservation(longState, golden, goldenState, fault),
+                 std::logic_error);
+
+    Observation extraAnalog = parallel;
+    extraAnalog.analog.emplace_back();
+    EXPECT_THROW((void)classifyObservation(extraAnalog, golden, goldenState, fault),
+                 std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
 // One word model shared by concurrent groups
 
 /// At least @p minFaults batch-eligible DigitalDut faults — bit flips on

@@ -281,7 +281,7 @@ Design abnormalDesign()
         fault::ParametricFault{"src/amps", 2.0, 0},              // clean deviation
     };
     d.forkCadence = 20 * kNanosecond;
-    d.retry = RetryPolicy{.maxAttempts = 2, .stepTighten = 0.25};
+    d.retry = RetryPolicy{.maxAttempts = 2};
     d.expectCheckpoints = false;
     return d;
 }

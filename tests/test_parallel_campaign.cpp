@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <numeric>
@@ -38,7 +39,7 @@ TEST(Executor, CommitsInIndexOrderAtAnyWidth)
     for (unsigned workers : {2u, 4u, 8u}) {
         core::Executor exec(workers);
         std::vector<std::size_t> committed;
-        const std::size_t done = exec.forEachOrdered(64, [&](std::size_t i) {
+        exec.forEachOrdered(64, [&](std::size_t i) {
             // Uneven per-job cost so completion order scrambles.
             volatile std::uint64_t sink = 0;
             for (std::size_t k = 0; k < (i % 7) * 10'000; ++k) {
@@ -46,7 +47,6 @@ TEST(Executor, CommitsInIndexOrderAtAnyWidth)
             }
             return [&committed, i] { committed.push_back(i); };
         });
-        EXPECT_EQ(done, 64u);
         std::vector<std::size_t> expected(64);
         std::iota(expected.begin(), expected.end(), 0u);
         EXPECT_EQ(committed, expected) << "out-of-order commits at " << workers << " workers";
@@ -64,7 +64,12 @@ TEST(Executor, SingleWorkerRunsInlineOnCallingThread)
         return core::CommitFn{};
     });
     EXPECT_TRUE(inline_);
-    EXPECT_EQ(exec.forEachOrdered(0, [](std::size_t) { return core::CommitFn{}; }), 0u);
+    bool produced = false;
+    exec.forEachOrdered(0, [&](std::size_t) {
+        produced = true;
+        return core::CommitFn{};
+    });
+    EXPECT_FALSE(produced);
 }
 
 TEST(Executor, DefaultWorkersIsHardwareConcurrency)
@@ -112,37 +117,30 @@ TEST(Executor, CommitFailureRethrowsAndStopsCommitting)
     EXPECT_EQ(committed, expected);
 }
 
-TEST(Executor, CancelDrainsInFlightWorkIntoCleanPrefix)
-{
-    core::Executor exec(4);
-    std::vector<std::size_t> committed;
-    const std::size_t done = exec.forEachOrdered(256, [&](std::size_t i) -> core::CommitFn {
-        return [&, i] {
-            if (i == 3) {
-                exec.requestCancel();
-            }
-            committed.push_back(i);
-        };
-    });
-    ASSERT_EQ(done, committed.size());
-    EXPECT_GE(done, 4u);     // the cancelling commit itself still lands
-    EXPECT_LT(done, 256u);   // bounded window: the tail was never fetched
-    for (std::size_t i = 0; i < committed.size(); ++i) {
-        EXPECT_EQ(committed[i], i); // contiguous prefix, in order
-    }
-}
-
 TEST(Executor, BoundedCommitWindowStillCompletes)
 {
+    // 8 workers give a 32-slot window. Index 0 is the slowest job, so the
+    // other workers fill the window and block on it until 0 commits; a lost
+    // wakeup on that wait hangs the test.
     core::Executor exec(8);
-    exec.setCommitWindow(2); // aggressive backpressure
+    std::atomic<bool> zeroCommitted{false};
+    std::atomic<std::size_t> pastWindow{0};
     std::vector<std::size_t> committed;
-    EXPECT_EQ(exec.forEachOrdered(64,
-                                  [&](std::size_t i) -> core::CommitFn {
-                                      return [&committed, i] { committed.push_back(i); };
-                                  }),
-              64u);
-    EXPECT_EQ(committed.size(), 64u);
+    exec.forEachOrdered(256, [&](std::size_t i) -> core::CommitFn {
+        if (i == 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        } else if (i >= 32 && !zeroCommitted.load()) {
+            pastWindow.fetch_add(1); // handed out beyond the window
+        }
+        return [&committed, &zeroCommitted, i] {
+            committed.push_back(i);
+            zeroCommitted.store(true);
+        };
+    });
+    EXPECT_EQ(pastWindow.load(), 0u);
+    std::vector<std::size_t> expected(256);
+    std::iota(expected.begin(), expected.end(), 0u);
+    EXPECT_EQ(committed, expected);
 }
 
 // ---------------------------------------------------------------------------
