@@ -1,5 +1,6 @@
 #include "ams/mixed_sim.hpp"
 
+#include "ams/convergence.hpp"
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
@@ -46,35 +47,62 @@ void MixedSimulator::elaborate(analog::SolverOptions options)
     digital_.scheduler().start();
 }
 
-namespace {
-
-/// Snapshottable digital components, registration order. Exempt components
-/// (pure combinational, ROMs, structural shells) carry no state and are
-/// skipped; a stateful non-Snapshottable component is a preflight error
-/// (PRE006), not a silent gap.
-snapshot::SnapshotRegistry digitalRegistry(const digital::Circuit& c)
+const snapshot::SnapshotRegistry& MixedSimulator::digitalRegistry() const
 {
-    snapshot::SnapshotRegistry reg;
-    for (const auto& comp : c.components()) {
-        if (auto* s = dynamic_cast<snapshot::Snapshottable*>(comp.get())) {
-            reg.add(comp->name(), s);
+    // Snapshottable digital components, registration order. Exempt
+    // components (pure combinational, ROMs, structural shells) carry no state
+    // and are skipped; a stateful non-Snapshottable component is a preflight
+    // error (PRE006), not a silent gap. Components are only ever added, so
+    // the count says whether the cached list is current.
+    CachedRegistry& cache = digitalRegistry_;
+    const auto& comps = digital_.components();
+    if (cache.builtFor != comps.size()) {
+        cache.registry = {};
+        for (const auto& comp : comps) {
+            if (auto* s = dynamic_cast<snapshot::Snapshottable*>(comp.get())) {
+                cache.registry.add(comp->name(), s);
+            }
         }
+        cache.builtFor = comps.size();
     }
-    return reg;
+    return cache.registry;
 }
 
-/// All analog components, registration order. Stateless ones serialize an
-/// empty payload through the default AnalogComponent hooks.
-snapshot::SnapshotRegistry analogRegistry(const analog::AnalogSystem& sys)
+const snapshot::SnapshotRegistry& MixedSimulator::analogRegistry() const
 {
-    snapshot::SnapshotRegistry reg;
-    for (const auto& comp : sys.components()) {
-        reg.add(comp->name(), comp.get());
+    // All analog components, registration order. Stateless ones serialize
+    // an empty payload through the default AnalogComponent hooks.
+    CachedRegistry& cache = analogRegistry_;
+    const auto& comps = analog_.components();
+    if (cache.builtFor != comps.size()) {
+        cache.registry = {};
+        for (const auto& comp : comps) {
+            cache.registry.add(comp->name(), comp.get());
+        }
+        cache.builtFor = comps.size();
     }
-    return reg;
+    return cache.registry;
 }
 
-} // namespace
+std::uint64_t MixedSimulator::layoutDigest() const
+{
+    const std::array<std::size_t, 4> sizes{digital_.signals().size(),
+                                           digital_.components().size(), extraState_.size(),
+                                           analog_.components().size()};
+    if (layout_ == 0 || sizes != layoutFor_) {
+        snapshot::LayoutDigest d;
+        d.mix(sizes[0]);
+        for (const digital::SignalBase* sig : digital_.signals()) {
+            d.add(sig->name());
+        }
+        digitalRegistry().digest(d);
+        extraState_.digest(d);
+        analogRegistry().digest(d);
+        layout_ = d.value();
+        layoutFor_ = sizes;
+    }
+    return layout_;
+}
 
 snapshot::Snapshot MixedSimulator::captureSnapshot()
 {
@@ -112,7 +140,7 @@ snapshot::Snapshot MixedSimulator::capture() const
         w.endBlob(mark);
     }
 
-    digitalRegistry(digital_).capture(w);
+    digitalRegistry().capture(w);
     extraState_.capture(w);
 
     const bool hasAnalog = elaborated() && analog_.unknownCount() > 0;
@@ -121,18 +149,47 @@ snapshot::Snapshot MixedSimulator::capture() const
         const std::size_t mark = w.beginBlob();
         solver_->captureState(w);
         w.endBlob(mark);
-        analogRegistry(analog_).capture(w);
+        analogRegistry().capture(w);
     }
 
     snapshot::Snapshot snap;
     snap.time = digital_.scheduler().now();
     snap.analogTime = hasAnalog ? solver_->time() : 0.0;
+    snap.layout = layoutDigest();
     snap.bytes = w.take();
     return snap;
 }
 
+std::vector<std::uint8_t> MixedSimulator::canonicalState() const
+{
+    snapshot::Writer w;
+    captureCanonicalValues(w);
+    captureCanonicalRest(w);
+    return w.take();
+}
+
+void MixedSimulator::captureCanonicalValues(snapshot::Writer& w) const
+{
+    for (const digital::SignalBase* sig : digital_.signals()) {
+        w.u64(sig->canonicalValue());
+    }
+}
+
+void MixedSimulator::captureCanonicalRest(snapshot::Writer& w) const
+{
+    for (const digital::SignalBase* sig : digital_.signals()) {
+        sig->captureCanonical(w);
+    }
+    digital_.scheduler().captureCanonical(w);
+    digitalRegistry().capture(w);
+    extraState_.capture(w);
+}
+
 void MixedSimulator::restoreSnapshot(const snapshot::Snapshot& snap)
 {
+    // A snapshot of this very layout names every entry as this simulator
+    // does: step over the names instead of comparing them.
+    const bool namesChecked = snap.layout != 0 && snap.layout == layoutDigest();
     snapshot::Reader r(snap.bytes);
     snapshot::readHeader(r);
     if (r.boolean()) {
@@ -167,7 +224,7 @@ void MixedSimulator::restoreSnapshot(const snapshot::Snapshot& snap)
     }
     for (digital::SignalBase* sig : signals) {
         const std::string_view name = r.strView();
-        if (name != sig->name()) {
+        if (!namesChecked && name != sig->name()) {
             throw snapshot::SnapshotFormatError("snapshot: signal '" + std::string(name) +
                                                 "' where '" + sig->name() + "' was expected");
         }
@@ -180,8 +237,8 @@ void MixedSimulator::restoreSnapshot(const snapshot::Snapshot& snap)
         }
     }
 
-    digitalRegistry(digital_).restore(r);
-    extraState_.restore(r);
+    digitalRegistry().restore(r, namesChecked);
+    extraState_.restore(r, namesChecked);
 
     const bool hasAnalog = r.boolean();
     if (hasAnalog != (elaborated() && analog_.unknownCount() > 0)) {
@@ -196,7 +253,7 @@ void MixedSimulator::restoreSnapshot(const snapshot::Snapshot& snap)
                 "snapshot: solver left " + std::to_string(sub.remaining()) +
                 " unread payload bytes");
         }
-        analogRegistry(analog_).restore(r);
+        analogRegistry().restore(r, namesChecked);
     }
 
     if (!r.atEnd()) {
@@ -235,6 +292,93 @@ obs::ProbeSnapshot MixedSimulator::sampleProbes() const
     return p;
 }
 
+void MixedSimulator::armConvergence(const ConvergencePlan* plan, SimTime lastAction)
+{
+    if (plan != nullptr && analog_.unknownCount() > 0) {
+        throw std::logic_error("MixedSimulator: convergence exit needs a purely digital design");
+    }
+    converge_.plan = plan;
+    converge_.at = -1;
+    converge_.skippedWaves = 0;
+    converge_.ordinal = 1;
+    if (plan != nullptr) {
+        const auto& times = plan->eventTimes();
+        converge_.first = static_cast<std::size_t>(
+            std::upper_bound(times.begin(), times.end(), lastAction) - times.begin());
+    }
+}
+
+SimTime MixedSimulator::nextConvergenceMark(SimTime until)
+{
+    const ConvergencePlan* plan = converge_.plan;
+    if (plan == nullptr || converge_.at >= 0 || until < plan->duration()) {
+        return kTimeMax;
+    }
+    const auto& times = plan->eventTimes();
+    const SimTime now = digital_.scheduler().now();
+    while (converge_.first + converge_.ordinal - 1 < times.size()) {
+        const SimTime t = times[converge_.first + converge_.ordinal - 1];
+        if (t >= plan->duration()) {
+            break; // nothing left to skip
+        }
+        if (t >= now) {
+            return t;
+        }
+        converge_.ordinal *= 2;
+    }
+    return kTimeMax;
+}
+
+bool MixedSimulator::tryConverge()
+{
+    auto& sched = digital_.scheduler();
+    const ConvergencePlan& plan = *converge_.plan;
+    const SimTime now = sched.now();
+    converge_.ordinal *= 2; // a failed check moves on to the next mark
+    const ConvergencePlan::Mark* mark = plan.markAt(now);
+    if (mark == nullptr) {
+        return false; // the plan was recorded for other faults
+    }
+    // Values first: most mismatches stop there.
+    snapshot::Writer& w = converge_.scratch;
+    w.clear();
+    captureCanonicalValues(w);
+    const std::size_t valueBytes = w.bytes().size();
+    if (mark->state.size() < valueBytes ||
+        !std::equal(w.bytes().begin(), w.bytes().end(), mark->state.begin())) {
+        return false;
+    }
+    captureCanonicalRest(w);
+    if (w.bytes() != mark->state) {
+        return false;
+    }
+    // Every restored wave stamp and queue seq must stay below the billed
+    // counters, as in a run that simulated the suffix itself.
+    const digital::Scheduler::Counters run = sched.counters();
+    const digital::Scheduler::Counters& at = mark->counters;
+    const digital::Scheduler::Counters& end = plan.finalCounters();
+    if (run.waveId < at.waveId || run.seq < at.seq) {
+        return false;
+    }
+    const std::uint64_t suffixWaves = end.waves - at.waves;
+    if (watchdog_ != nullptr && !watchdog_->tryChargeDigitalWaves(suffixWaves)) {
+        return false; // the full run times out in the suffix: let it
+    }
+    const std::uint64_t highWater = std::max(sched.queueHighWater(), mark->suffixHighWater);
+    const BridgeCounters bridges = bridgeCounters_;
+    restoreSnapshot(plan.finalSnapshot());
+    sched.setCounters({run.waves + suffixWaves, run.waveId + (end.waveId - at.waveId),
+                       run.seq + (end.seq - at.seq), run.events + (end.events - at.events)},
+                      highWater);
+    bridgeCounters_.atodCrossings =
+        bridges.atodCrossings + (plan.finalBridges().atodCrossings - mark->bridges.atodCrossings);
+    bridgeCounters_.dtoaEvents =
+        bridges.dtoaEvents + (plan.finalBridges().dtoaEvents - mark->bridges.dtoaEvents);
+    converge_.at = now;
+    converge_.skippedWaves = suffixWaves;
+    return true;
+}
+
 void MixedSimulator::run(SimTime until)
 {
     elaborate();
@@ -242,13 +386,16 @@ void MixedSimulator::run(SimTime until)
 
     // If the design is purely digital, fall through to the event kernel.
     const bool hasAnalog = analog_.unknownCount() > 0;
+    // The armed convergence check due next (kTimeMax: none in this call).
+    SimTime mark = hasAnalog ? kTimeMax : nextConvergenceMark(until);
 
     while (true) {
         if (watchdog_ != nullptr) {
             watchdog_->checkWallClock();
         }
         const SimTime nextDigital = sched.nextEventTime();
-        const SimTime target = nextDigital < until ? nextDigital : until;
+        SimTime target = nextDigital < until ? nextDigital : until;
+        target = mark < target ? mark : target;
 
         if (hasAnalog) {
             const double tGoal = toSeconds(target);
@@ -271,6 +418,9 @@ void MixedSimulator::run(SimTime until)
             break;
         }
         sched.runUntil(target);
+        if (target == mark) {
+            mark = tryConverge() ? kTimeMax : nextConvergenceMark(until);
+        }
     }
 }
 

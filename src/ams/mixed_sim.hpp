@@ -18,11 +18,14 @@
 #include "sim/watchdog.hpp"
 #include "snapshot/snapshot.hpp"
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <utility>
 
 namespace gfi::ams {
+
+class ConvergencePlan;
 
 /// Always-on counters of AMS bridge activity (bumped by the bridges in
 /// bridge.cpp; cost: one increment per domain crossing).
@@ -118,6 +121,16 @@ public:
     /// unknowns (their pre-DC state is not serialized).
     [[nodiscard]] snapshot::Snapshot capturePreStartSnapshot() const;
 
+    /// The canonical state (DESIGN.md §9 "Convergence exit"): every signal's
+    /// value, then every signal's pending transactions, the scheduler's
+    /// started flag, runnable set and queue (Scheduler::captureCanonical),
+    /// and the captured bytes of every Snapshottable digital component and
+    /// of stateRegistry(). Two quiescent runs of one design whose canonical
+    /// states are equal byte for byte continue identically. The first
+    /// signals().size() * 8 bytes are the values alone, so a comparison can
+    /// stop at the first section.
+    [[nodiscard]] std::vector<std::uint8_t> canonicalState() const;
+
     /// Restores state captured by captureSnapshot() or
     /// capturePreStartSnapshot() into THIS simulator, which must be a
     /// structural twin built by the same testbench factory — freshly built or
@@ -127,6 +140,29 @@ public:
     /// hooks); a pre-start capture drops the solver instead. After this
     /// returns, run() continues exactly as the captured simulator would have.
     void restoreSnapshot(const snapshot::Snapshot& snap);
+
+    // --- convergence exit -----------------------------------------------------
+
+    /// Arms a convergence exit (not owned; nullptr disarms) for a purely
+    /// digital run whose fault's last scheduled action is at @p lastAction.
+    /// A run(until) call with until >= the plan's duration then checks the
+    /// canonical state at the 1st, 2nd, 4th, 8th, ... golden event time
+    /// after @p lastAction; on the first exact match it restores golden's
+    /// final snapshot, bills the skipped suffix to every kernel counter and
+    /// to the watchdog (when the watchdog's wave budget cannot take the
+    /// suffix it does not exit) and runs on to until. Arming clears
+    /// convergedAt(). The recorder does not see the skipped suffix: see
+    /// trace::Recorder::appendSuffix.
+    void armConvergence(const ConvergencePlan* plan, SimTime lastAction);
+
+    /// The mark at which the armed run's state rejoined golden's, or -1.
+    [[nodiscard]] SimTime convergedAt() const noexcept { return converge_.at; }
+
+    /// Digital waves a convergence exit billed instead of simulating.
+    [[nodiscard]] std::uint64_t convergenceSkippedWaves() const noexcept
+    {
+        return converge_.skippedWaves;
+    }
 
     // --- fault-tolerant execution support ----------------------------------
 
@@ -154,6 +190,43 @@ private:
     /// The snapshot of the current state, elaborated or not (both captures).
     [[nodiscard]] snapshot::Snapshot capture() const;
 
+    /// The Snapshottable digital components and the analog components, in
+    /// registration order; rebuilt only when a component was added.
+    [[nodiscard]] const snapshot::SnapshotRegistry& digitalRegistry() const;
+    [[nodiscard]] const snapshot::SnapshotRegistry& analogRegistry() const;
+
+    /// LayoutDigest of every name a snapshot of this simulator carries;
+    /// recomputed only when a signal, component or registry entry was added.
+    [[nodiscard]] std::uint64_t layoutDigest() const;
+
+    /// canonicalState()'s values section, and everything after it, appended
+    /// to @p w.
+    void captureCanonicalValues(snapshot::Writer& w) const;
+    void captureCanonicalRest(snapshot::Writer& w) const;
+
+    /// The armed run's next check time after now() and before @p until, or
+    /// kTimeMax.
+    [[nodiscard]] SimTime nextConvergenceMark(SimTime until);
+
+    /// The check at mark time now(): true when the run exited.
+    bool tryConverge();
+
+    /// One registry plus the component count it was built for.
+    struct CachedRegistry {
+        snapshot::SnapshotRegistry registry;
+        std::size_t builtFor = static_cast<std::size_t>(-1);
+    };
+
+    /// The armed convergence exit of the current run.
+    struct Convergence {
+        const ConvergencePlan* plan = nullptr;
+        std::size_t first = 0;     ///< first golden event time after the last action
+        std::uint64_t ordinal = 1; ///< next check: the ordinal-th such time
+        SimTime at = -1;           ///< where it exited, -1 = not (yet)
+        std::uint64_t skippedWaves = 0;
+        snapshot::Writer scratch;  ///< this run's canonical state
+    };
+
     digital::Circuit digital_;
     analog::AnalogSystem analog_;
     std::unique_ptr<analog::TransientSolver> solver_;
@@ -163,6 +236,11 @@ private:
     obs::FlightRecorder* recorder_ = nullptr;
     double stepScale_ = 1.0;
     BridgeCounters bridgeCounters_;
+    mutable CachedRegistry digitalRegistry_;
+    mutable CachedRegistry analogRegistry_;
+    mutable std::uint64_t layout_ = 0;
+    mutable std::array<std::size_t, 4> layoutFor_{}; ///< sizes layout_ was built for
+    Convergence converge_;
 };
 
 } // namespace gfi::ams

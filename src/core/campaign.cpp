@@ -1,5 +1,6 @@
 #include "core/campaign.hpp"
 
+#include "ams/convergence.hpp"
 #include "analyze/collapse.hpp"
 #include "batch/backend.hpp"
 #include "core/journal.hpp"
@@ -51,6 +52,39 @@ std::string fnv1aHex(const std::string& s)
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
     return buf;
+}
+
+/// The instant of @p fault's last scheduled action — a flip's or a write's,
+/// a SET's release, a timed stuck-at's release — after which the fault no
+/// longer touches the run; nothing for a permanent stuck-at, an analog or a
+/// parametric fault (and golden).
+std::optional<SimTime> lastActionTime(const fault::FaultSpec& fault)
+{
+    if (const auto* f = std::get_if<fault::DigitalPulseFault>(&fault)) {
+        return f->time + f->width;
+    }
+    if (const auto* f = std::get_if<fault::StuckAtFault>(&fault)) {
+        return f->duration > 0 ? std::optional<SimTime>(f->time + f->duration) : std::nullopt;
+    }
+    if (std::holds_alternative<fault::BitFlipFault>(fault) ||
+        std::holds_alternative<fault::DoubleBitFlipFault>(fault) ||
+        std::holds_alternative<fault::StateWriteFault>(fault) ||
+        std::holds_alternative<fault::FsmTransitionFault>(fault)) {
+        return fault::injectionTime(fault);
+    }
+    return std::nullopt;
+}
+
+/// True when @p twin recorded exactly @p golden's digital traces.
+bool sameDigitalTraces(const trace::Recorder& twin, const trace::Recorder& golden)
+{
+    const auto& a = twin.digitalTraces();
+    const auto& b = golden.digitalTraces();
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), [](const auto& x, const auto& y) {
+               return x.first == y.first && x.second.initial == y.second.initial &&
+                      x.second.events == y.second.events;
+           });
 }
 
 /// Where a fault index's verdict comes from; run() consults the sources in
@@ -530,9 +564,21 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
         // and from-scratch execution.
         baseline = tb->sim().sampleProbes();
         fault::armFault(*tb, fault);
+        if (pooled && convergence_) {
+            if (const std::optional<SimTime> last = lastActionTime(fault)) {
+                tb->sim().armConvergence(convergence_.get(), *last);
+            }
+        }
         {
             obs::Span span(tel, "simulate", "run");
             tb->run();
+        }
+        if (const SimTime at = tb->sim().convergedAt(); at >= 0) {
+            tb->recorder().appendSuffix(golden_->recorder(), at);
+            if (tel != nullptr && tel->trace() != nullptr) {
+                tel->trace()->instantEvent("converged", "run",
+                                           "{\"sim_time\": \"" + formatTime(at) + "\"}");
+            }
         }
         {
             obs::Span span(tel, "classify", "run");
@@ -552,6 +598,9 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
     }
 
     if (tb) {
+        result.diagnostics.convergedAt = tb->sim().convergedAt();
+        result.diagnostics.wavesSkipped = tb->sim().convergenceSkippedWaves();
+        tb->sim().armConvergence(nullptr, 0);
         tb->sim().setWatchdog(nullptr);
         tb->sim().setFlightRecorder(nullptr);
         result.diagnostics.digitalWaves = tb->sim().digital().scheduler().deltaCycles();
@@ -644,6 +693,14 @@ void CampaignRunner::recordRunMetrics(const RunResult& r)
         .inc();
     m.counter("gfi_run_attempts_total", "Contained run attempts, including retries")
         .inc(static_cast<std::uint64_t>(std::max(1, r.diagnostics.attempts)));
+    if (r.diagnostics.convergedAt >= 0) {
+        m.counter("gfi_runs_converged_total",
+                  "Runs whose state was golden's again and that skipped golden's suffix")
+            .inc();
+        m.counter("gfi_digital_waves_skipped_total",
+                  "Digital waves billed from golden's suffix instead of simulated")
+            .inc(r.diagnostics.wavesSkipped);
+    }
 
     const obs::ProbeSnapshot& p = r.diagnostics.probes;
     if (!p.valid) {
@@ -1002,10 +1059,36 @@ CampaignReport CampaignRunner::run(
                               std::to_string(plan ? plan->collapsedRuns() : 0) +
                               ", \"batched_planned\": " + std::to_string(batchedPlanned));
 
+    // Convergence exit: golden's plan for the faults that stop acting before
+    // the end, recorded on a testbench that then joins the pool (the first
+    // pooled attempt would have built it). A twin that does not replay
+    // golden exactly — a testbench whose run() is more than
+    // sim().run(duration()) — leaves the campaign without a plan.
+    std::vector<SimTime> lastActions;
+    for (std::size_t i = 0; i < faults.size() && preStart_; ++i) {
+        if (source[i] == Source::Kernel) {
+            if (const std::optional<SimTime> last = lastActionTime(faults[i])) {
+                lastActions.push_back(*last);
+            }
+        }
+    }
+    if (!lastActions.empty()) {
+        obs::Span span(tel, "convergence plan", "campaign");
+        std::unique_ptr<fault::Testbench> twin = factory_();
+        auto recorded = std::make_shared<const ams::ConvergencePlan>(ams::ConvergencePlan::record(
+            twin->sim(), golden_->duration(), std::move(lastActions)));
+        if (twin->sim().canonicalState() == golden_->sim().canonicalState() &&
+            sameDigitalTraces(twin->recorder(), golden_->recorder())) {
+            convergence_ = std::move(recorded);
+        }
+        pool_.push_back(std::move(twin));
+    }
+
     pooling_ = preStart_ != nullptr;
     const auto drainPool = [this] {
         pooling_ = false;
         pool_.clear();
+        convergence_.reset();
     };
     try {
         exec.forEachOrdered(faults.size(), [&](std::size_t i) -> core::CommitFn {

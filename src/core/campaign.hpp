@@ -34,6 +34,10 @@
 #include <memory>
 #include <mutex>
 
+namespace gfi::ams {
+class ConvergencePlan;
+}
+
 namespace gfi::obs {
 class Telemetry;
 }
@@ -101,6 +105,12 @@ struct RunDiagnostics {
                                     ///< dump written for this run (abnormal
                                     ///< outcomes with forensics enabled only;
                                     ///< empty otherwise)
+    SimTime convergedAt = -1;       ///< golden event time at which the run's
+                                    ///< state was golden's again and it
+                                    ///< skipped the rest (-1 = it did not;
+                                    ///< in memory only)
+    std::uint64_t wavesSkipped = 0; ///< digital waves billed from golden's
+                                    ///< suffix instead of simulated
 
     /// The run's own kernel-counter consumption (final reading minus the
     /// post-restore baseline): how many events/steps/crossings THIS run cost,
@@ -282,6 +292,16 @@ public:
     /// design with analog unknowns build a fresh testbench and discard it; so
     /// does an attempt that ends abnormally. Verdicts, probes and wave counts
     /// are the same either way; the pool is emptied before run() returns.
+    ///
+    /// Convergence exit: when some event-kernel fault has a last scheduled
+    /// action (bit flips, state writes, FSM transitions, SETs, timed
+    /// stuck-ats), run() replays golden once more on a testbench that then
+    /// joins the pool, recording an ams::ConvergencePlan. Each pooled first
+    /// attempt at such a fault arms it: once the run's state is golden's
+    /// again it takes golden's final state, the kernel bills the skipped
+    /// suffix, and golden's recorded events after that instant are appended
+    /// to the run's traces — every verdict, journal, report and probe byte
+    /// is a full run's (DESIGN.md §9 "Convergence exit").
     CampaignReport run(const std::vector<fault::FaultSpec>& faults,
                        const std::function<void(std::size_t, const RunResult&)>& progress = {});
 
@@ -486,6 +506,9 @@ private:
     bool goldenRan_ = false;
     std::unique_ptr<fault::Testbench> golden_;
     std::map<std::string, std::uint64_t> goldenState_;
+    /// Golden's convergence plan for run()'s worker phase (null: no eligible
+    /// fault, or no pool). Shared read-only by the workers.
+    std::shared_ptr<const ams::ConvergencePlan> convergence_;
     /// Golden checkpoints in time order, fork mode only. runGolden() fills
     /// it before any worker starts and nothing writes it afterwards, so
     /// worker lookups take no lock.

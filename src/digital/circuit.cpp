@@ -147,6 +147,7 @@ void Circuit::registerSignal(const std::string& name, std::unique_ptr<SignalBase
     if (signals_.count(name) != 0) {
         throw std::invalid_argument("Circuit: duplicate signal '" + name + "'");
     }
+    sig->index_ = signalList_.size();
     signalList_.push_back(sig.get());
     signals_.emplace(name, std::move(sig));
     signalOrder_.push_back(name);

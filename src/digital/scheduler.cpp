@@ -189,6 +189,24 @@ void Scheduler::captureState(snapshot::Writer& w) const
     });
 }
 
+void Scheduler::captureCanonical(snapshot::Writer& w) const
+{
+    w.boolean(started_);
+    w.u64(runnable_.size());
+    for (const Process* p : runnable_) {
+        w.u64(p->index_);
+    }
+    w.u64(queue_.size());
+    queue_.forEach([&](SimTime t, const Entry& e) {
+        w.i64(t);
+        w.boolean(e.signal != nullptr);
+        if (e.signal != nullptr) {
+            w.u64(e.signal->index());
+            w.u64(e.signal->pendingSlot(e.payload));
+        }
+    });
+}
+
 void Scheduler::restoreState(snapshot::Reader& r,
                              const std::function<SignalBase&(const std::string&)>& resolve)
 {

@@ -145,6 +145,41 @@ public:
     /// Forces the startup pass (normally triggered lazily by runUntil).
     void start();
 
+    // --- convergence exit ---------------------------------------------------
+
+    /// The kernel's counters, as a convergence exit reads and bills them.
+    struct Counters {
+        std::uint64_t waves = 0;  ///< deltaCycles()
+        std::uint64_t waveId = 0; ///< waveId()
+        std::uint64_t seq = 0;    ///< next queue sequence number
+        std::uint64_t events = 0; ///< eventsDispatched()
+    };
+    [[nodiscard]] Counters counters() const noexcept
+    {
+        return {deltasRun_, waveId_, seq_, dispatched_};
+    }
+
+    /// Overwrites the counters and the queue high-water mark: a convergence
+    /// exit bills the golden suffix it skipped through this.
+    void setCounters(const Counters& c, std::uint64_t queueHighWater) noexcept
+    {
+        deltasRun_ = c.waves;
+        waveId_ = c.waveId;
+        seq_ = c.seq;
+        dispatched_ = c.events;
+        queueHighWater_ = queueHighWater;
+    }
+
+    /// Restarts the high-water mark at the current depth, so the next
+    /// reading is the deepest queue since this call.
+    void resetQueueHighWater() noexcept { queueHighWater_ = queue_.size(); }
+
+    /// The scheduler's part of a canonical state: the started flag, the
+    /// runnable processes, and every queue entry in (time, seq) order — a
+    /// transaction as (time, signal index, pending slot), an action as its
+    /// time — with seq numbers and txn ids replaced by their order.
+    void captureCanonical(snapshot::Writer& w) const;
+
     // --- snapshot support ---------------------------------------------------
 
     /// Serializes the kernel counters, whether the startup pass has run, the

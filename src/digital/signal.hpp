@@ -69,6 +69,24 @@ public:
     /// queue entries itself, preserving their original sequence numbers).
     virtual void restoreState(snapshot::Reader& r) = 0;
 
+    // --- canonical state (convergence exit) ---------------------------------
+
+    /// The current value, widened (the first section of a canonical state).
+    [[nodiscard]] virtual std::uint64_t canonicalValue() const noexcept = 0;
+
+    /// The pending-transaction list as (due, value, canceled), without the
+    /// txn ids and without previous_/lastEventTime_/lastEventStamp_/
+    /// nextTxnId_: two runs that agree on this and on everything else a
+    /// canonical state holds continue identically (DESIGN.md §9).
+    virtual void captureCanonical(snapshot::Writer& w) const = 0;
+
+    /// Position of pending transaction @p id in the pending list: the id's
+    /// run-independent name.
+    [[nodiscard]] virtual std::uint64_t pendingSlot(std::uint64_t id) const noexcept = 0;
+
+    /// Creation position in the owning circuit (0 outside a Circuit).
+    [[nodiscard]] std::size_t index() const noexcept { return index_; }
+
 protected:
     void noteEvent()
     {
@@ -86,8 +104,11 @@ protected:
     /// Registers a raw callback run on every event (used by trace recorders).
     friend class SignalWatch;
 
+    friend class Circuit; // sets index_
+
     Scheduler* sched_;
     std::string name_;
+    std::size_t index_ = 0;
     std::vector<Process*> listeners_;
     std::vector<std::function<void()>> watchers_;
     SimTime lastEventTime_ = -1;
@@ -200,6 +221,30 @@ public:
             t.canceled = r.boolean();
             pending_.push_back(t);
         }
+    }
+
+    [[nodiscard]] std::uint64_t canonicalValue() const noexcept override
+    {
+        return static_cast<std::uint64_t>(value_);
+    }
+
+    void captureCanonical(snapshot::Writer& w) const override
+    {
+        w.u64(pending_.size());
+        for (const Txn& t : pending_) {
+            w.i64(t.due);
+            w.u64(static_cast<std::uint64_t>(t.value));
+            w.boolean(t.canceled);
+        }
+    }
+
+    [[nodiscard]] std::uint64_t pendingSlot(std::uint64_t id) const noexcept override
+    {
+        std::uint64_t slot = 0;
+        while (slot < pending_.size() && pending_[slot].id != id) {
+            ++slot;
+        }
+        return slot;
     }
 
 private:

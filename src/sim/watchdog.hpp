@@ -71,6 +71,19 @@ public:
         pollWallClock();
     }
 
+    /// Charges @p n digital waves at once when they fit the wave budget and
+    /// returns true; charges nothing and returns false when the n-th wave
+    /// would trip it (a convergence exit then keeps simulating, so the run
+    /// times out on the very wave it always did).
+    [[nodiscard]] bool tryChargeDigitalWaves(std::uint64_t n) noexcept
+    {
+        if (config_.digitalWaves != 0 && waves_ + n > config_.digitalWaves) {
+            return false;
+        }
+        waves_ += n;
+        return true;
+    }
+
     /// Charges one analog step attempt (accepted or rejected).
     void chargeAnalogStep()
     {

@@ -12,6 +12,7 @@
 // reject foreign or future data with SnapshotFormatError instead of
 // misinterpreting it.
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -84,12 +85,18 @@ public:
 
     [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
     [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
+    /// Empties the buffer and keeps its storage (a reused scratch writer).
+    void clear() noexcept { bytes_.clear(); }
 
 private:
     void put64(std::size_t at, std::uint64_t v)
     {
-        for (int i = 0; i < 8; ++i) {
-            bytes_[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(bytes_.data() + at, &v, sizeof v);
+        } else {
+            for (int i = 0; i < 8; ++i) {
+                bytes_[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
+            }
         }
     }
 
@@ -123,8 +130,13 @@ public:
     {
         need(8);
         std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i) {
-            v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(&v, data_ + pos_, sizeof v);
+            pos_ += 8;
+        } else {
+            for (int i = 0; i < 8; ++i) {
+                v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
+            }
         }
         return v;
     }

@@ -13,7 +13,15 @@ void SnapshotRegistry::capture(Writer& w) const
     }
 }
 
-void SnapshotRegistry::restore(Reader& r) const
+void SnapshotRegistry::digest(LayoutDigest& d) const
+{
+    d.mix(entries_.size());
+    for (const auto& entry : entries_) {
+        d.add(entry.first);
+    }
+}
+
+void SnapshotRegistry::restore(Reader& r, bool namesChecked) const
 {
     const std::uint64_t n = r.u64();
     if (n != entries_.size()) {
@@ -23,7 +31,7 @@ void SnapshotRegistry::restore(Reader& r) const
     }
     for (const auto& [name, obj] : entries_) {
         const std::string_view streamName = r.strView();
-        if (streamName != name) {
+        if (!namesChecked && streamName != name) {
             throw SnapshotFormatError("snapshot: registry entry '" + std::string(streamName) +
                                       "' does not match simulator entry '" + name + "'");
         }

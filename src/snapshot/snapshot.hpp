@@ -16,6 +16,7 @@
 #include "snapshot/serialize.hpp"
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,7 +41,40 @@ public:
 struct Snapshot {
     SimTime time = 0;       ///< digital kernel time at capture (fs)
     double analogTime = 0;  ///< analog solver time at capture (s); 0 if no analog
+    /// LayoutDigest of every entry name in the stream, in stream order, set
+    /// at capture (0 = unknown). In memory only: the bytes do not carry it.
+    std::uint64_t layout = 0;
     std::vector<std::uint8_t> bytes;
+};
+
+/// FNV-1a over length-tagged names: the layout a snapshot stream names its
+/// entries by. A restore whose target has the snapshot's digest skips the
+/// per-entry name compares; any other restore walks and checks every name.
+class LayoutDigest {
+public:
+    void add(std::string_view name) noexcept
+    {
+        mix(name.size());
+        for (const char c : name) {
+            byte(static_cast<unsigned char>(c));
+        }
+    }
+    void mix(std::uint64_t v) noexcept
+    {
+        for (int i = 0; i < 8; ++i) {
+            byte(static_cast<unsigned char>(v >> (8 * i)));
+        }
+    }
+    /// Never 0, which means "unknown".
+    [[nodiscard]] std::uint64_t value() const noexcept { return h_ != 0 ? h_ : 1; }
+
+private:
+    void byte(unsigned char c) noexcept
+    {
+        h_ ^= c;
+        h_ *= 1099511628211ull;
+    }
+    std::uint64_t h_ = 1469598103934665603ull;
 };
 
 /// Named Snapshottables outside the digital component list (AMS bridges).
@@ -51,7 +85,14 @@ public:
     void add(std::string name, Snapshottable* s) { entries_.emplace_back(std::move(name), s); }
 
     void capture(Writer& w) const;
-    void restore(Reader& r) const;
+
+    /// Reads capture()'s stream back. With @p namesChecked (the caller
+    /// matched the snapshot's layout digest) each name is stepped over;
+    /// otherwise every name is compared and a mismatch throws.
+    void restore(Reader& r, bool namesChecked = false) const;
+
+    /// Adds the entry count and every entry name to @p d.
+    void digest(LayoutDigest& d) const;
 
     [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 

@@ -127,6 +127,24 @@ void Recorder::recordAnalog(const std::string& nodeName)
     });
 }
 
+void Recorder::appendSuffix(const Recorder& golden, SimTime after)
+{
+    for (auto& [name, tr] : digital_) {
+        const auto& g = golden.digitalTrace(name).events;
+        const auto from = std::upper_bound(
+            g.begin(), g.end(), after, [](SimTime t, const auto& ev) { return t < ev.first; });
+        tr.events.insert(tr.events.end(), from, g.end());
+    }
+    const double afterSeconds = toSeconds(after);
+    for (auto& [name, tr] : analog_) {
+        const auto& g = golden.analogTrace(name).samples;
+        const auto from = std::upper_bound(
+            g.begin(), g.end(), afterSeconds,
+            [](double t, const auto& sample) { return t < sample.first; });
+        tr.samples.insert(tr.samples.end(), from, g.end());
+    }
+}
+
 const DigitalTrace& Recorder::digitalTrace(const std::string& name) const
 {
     const auto it = digital_.find(name);

@@ -62,6 +62,13 @@ public:
     /// traces up to the checkpoint.
     void reset();
 
+    /// Appends to every trace the events (samples) of @p golden's trace of
+    /// the same name that come after @p after: the suffix a convergence exit
+    /// at @p after skipped (ams::MixedSimulator::armConvergence), so the
+    /// traces read as if the run had simulated it. @p golden records the
+    /// same signals and nodes.
+    void appendSuffix(const Recorder& golden, SimTime after);
+
     /// Recorded digital trace (throws std::out_of_range if not recorded).
     [[nodiscard]] const DigitalTrace& digitalTrace(const std::string& name) const;
 

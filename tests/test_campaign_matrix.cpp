@@ -37,6 +37,7 @@
 #include "io/ingest.hpp"
 #include "pll/pll.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -66,6 +67,7 @@ struct Design {
     bool expectLanes = false;      ///< the batch reference word-simulates runs
     bool expectCollapse = false;   ///< the collapse reference expands runs
     bool expectPooling = false;    ///< first attempts re-run pooled testbenches
+    bool expectConvergence = false; ///< some event-kernel run rejoins golden
 };
 
 /// Sets both factories of @p d to build test::Counted<Tb>(runs, args...).
@@ -157,6 +159,7 @@ Design digitalDesign()
     d.retry = RetryPolicy{.maxAttempts = 2};
     d.expectLanes = true;
     d.expectPooling = true;
+    d.expectConvergence = true;
     return d;
 }
 
@@ -304,6 +307,7 @@ Design netlistDesign()
     d.forkCadence = 30 * kNanosecond;
     d.expectLanes = true;
     d.expectPooling = true;
+    d.expectConvergence = true;
     return d;
 }
 
@@ -453,6 +457,13 @@ CampaignOutput runCell(const Design& d, const Cell& cell, const std::string& des
     }
     EXPECT_LE(builds->load(), 1 + static_cast<int>(cell.workers) + work.freshPath +
                                   work.dropped + wordBuilds);
+    // The full side is the fresh-bench oracle below; here the designs whose
+    // transients rejoin golden must take the convergence exit.
+    if (d.expectConvergence && !cell.effectiveBatch()) {
+        EXPECT_TRUE(std::any_of(report.runs.begin(), report.runs.end(), [](const RunResult& r) {
+            return r.diagnostics.convergedAt >= 0;
+        })) << "no event-kernel run took the convergence exit";
+    }
     for (std::size_t i = 0; i < report.runs.size(); ++i) {
         RunDiagnostics& diag = report.runs[i].diagnostics;
         EXPECT_EQ(diag.fromJournal, i < half) << "fault " << i;

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -29,6 +30,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -548,9 +550,74 @@ TEST(ObsCampaign, JournalResumeReproducesCounterTotals)
     for (const campaign::RunResult& r : report.runs) {
         EXPECT_TRUE(r.diagnostics.fromJournal);
     }
-    EXPECT_EQ(second.metrics().counterValues(), first.metrics().counterValues());
+    // The convergence counters measure simulation the first campaign
+    // skipped; a campaign that simulated nothing skipped nothing.
+    std::map<std::string, std::uint64_t> simulated = first.metrics().counterValues();
+    const auto restored = second.metrics().counterValues();
+    for (const char* skipped : {"gfi_runs_converged_total", "gfi_digital_waves_skipped_total"}) {
+        EXPECT_GT(simulated[skipped], 0u) << skipped;
+        EXPECT_EQ(restored.count(skipped), 0u) << skipped;
+        simulated.erase(skipped);
+    }
+    EXPECT_EQ(restored, simulated);
 
     std::remove(path.c_str());
+}
+
+// A converged run leaves three traces with telemetry on: the two counters
+// (one run, its billed suffix waves) and a "converged" instant event with
+// the mark time inside its run span. Nothing reaches stderr.
+TEST(ObsCampaign, ConvergedRunsAreCountedAndMarkedInTheirRunSpan)
+{
+    const auto faults = digitalDutFaults();
+    obs::Telemetry telemetry;
+    telemetry.enableTracing();
+    campaign::CampaignRunner runner(dutFactory());
+    configureDutRunner(runner, 2);
+    runner.setTelemetry(telemetry);
+    ::testing::internal::CaptureStderr();
+    const campaign::CampaignReport report = runner.run(faults);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+    std::uint64_t converged = 0;
+    std::uint64_t skipped = 0;
+    std::set<std::string> marks;
+    for (const campaign::RunResult& r : report.runs) {
+        if (r.diagnostics.convergedAt >= 0) {
+            ++converged;
+            skipped += r.diagnostics.wavesSkipped;
+            marks.insert(formatTime(r.diagnostics.convergedAt));
+        }
+    }
+    ASSERT_GT(converged, 0u);
+    EXPECT_GT(skipped, 0u);
+    EXPECT_EQ(telemetry.metrics().counterValue("gfi_runs_converged_total"), converged);
+    EXPECT_EQ(telemetry.metrics().counterValue("gfi_digital_waves_skipped_total"), skipped);
+
+    const util::JsonValue doc = util::parseJson(telemetry.trace()->json());
+    std::vector<const util::JsonValue*> runSpans;
+    std::vector<const util::JsonValue*> events;
+    for (const util::JsonValue& e : doc.find("traceEvents")->asArray()) {
+        const std::string name = e.find("name")->asString();
+        if (e.find("ph")->asString() == "X" && name.rfind("run #", 0) == 0) {
+            runSpans.push_back(&e);
+        } else if (e.find("ph")->asString() == "i" && name == "converged") {
+            events.push_back(&e);
+        }
+    }
+    ASSERT_EQ(events.size(), converged);
+    for (const util::JsonValue* e : events) {
+        const util::JsonValue* args = e->find("args");
+        ASSERT_NE(args, nullptr);
+        EXPECT_EQ(marks.count(args->find("sim_time")->asString()), 1u);
+        const double ts = e->find("ts")->asNumber();
+        const double tid = e->find("tid")->asNumber();
+        EXPECT_TRUE(std::any_of(runSpans.begin(), runSpans.end(), [&](const util::JsonValue* s) {
+            const double start = s->find("ts")->asNumber();
+            return s->find("tid")->asNumber() == tid && start <= ts &&
+                   ts <= start + s->find("dur")->asNumber();
+        })) << "a converged event outside every run span";
+    }
 }
 
 // The journal load and the restore pass show up as one "journal" span of a
