@@ -20,16 +20,17 @@
 //  3. Verify. The replayed hi must be vHi (it crossed) and the replayed lo at
 //     or below vLo (it did not). Otherwise probe the unverified end: the
 //     probe is the next Illinois trial point, it tightens [vLo, vHi], and
-//     steps 1-3 run again. For a predicate that is monotone in t a verified
-//     bracket agrees with every replayed decision, so it is the bisection's,
-//     bit for bit.
+//     steps 1-3 run again, except that a probe answering as predicted
+//     verifies the bracket without a second replay. For a predicate that is
+//     monotone in t a verified bracket agrees with every replayed decision,
+//     so it is the bisection's, bit for bit.
 //  4. Fall back. After kCrossingProbes probes, on a failed probe, or when a
 //     probe's answer disagrees with the sign of its g (another monitor or a
 //     glitch crossed), the bisection runs itself and its bracket is returned.
 //
 // A crossing within tol of a step end, the common case in the PLL (the VCO's
-// half period is a whole number of its bounded steps), costs one probe; an
-// interior one on a smooth trace four to six.
+// half period is a whole number of its bounded steps), costs one probe and
+// one replay; an interior one on a smooth trace four to six probes.
 
 namespace gfi::analog {
 
@@ -112,8 +113,20 @@ CrossingBracket locateCrossing(double dt, double g0, double g1, double tol, Prob
             }
             t = lo;
         }
-        if (probes == kCrossingProbes || !record(t, probe(t))) {
+        if (probes == kCrossingProbes) {
             break;
+        }
+        const CrossingProbe p = probe(t);
+        if (!record(t, p)) {
+            break;
+        }
+        // A probe that answers as predicted leaves every replayed decision
+        // standing: the midpoints that crossed lie at or above hi, those that
+        // did not at or below lo. Once the probe makes hi the latest crossed
+        // probe (or dt) and lo at or below the latest not-crossed one, the
+        // next replay would retrace the same path and verify it.
+        if (p.crossed ? t == hi && lo <= vLo : t == lo) {
+            return {lo, hi, false};
         }
     }
 

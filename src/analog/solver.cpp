@@ -434,16 +434,16 @@ double TransientSolver::advanceTo(double tStop)
 
                 // Determine which monitors fire at this cut.
                 Solution cut(xCand, sys_->nodeCount());
-                std::vector<std::pair<CrossingMonitor*, bool>> fired;
+                firedScratch_.clear();
                 for (const auto& mon : monitors_) {
                     const double v0 = before.voltage(mon->node());
                     const double v1 = cut.voltage(mon->node());
                     if (mon->crossed(v0, v1)) {
-                        fired.emplace_back(mon.get(), v1 >= v0);
+                        firedScratch_.emplace_back(mon.get(), v1 >= v0);
                     }
                 }
                 acceptStep(xCand, dt, limit);
-                for (auto& [mon, rising] : fired) {
+                for (auto& [mon, rising] : firedScratch_) {
                     if (mon->cb_) {
                         mon->cb_(time_, rising);
                     }

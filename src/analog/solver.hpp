@@ -33,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <utility>
 
 namespace gfi::obs {
 class FlightRecorder;
@@ -232,6 +233,7 @@ private:
     std::vector<double> bpScratch_;
     std::vector<double> xMid_;
     std::vector<double> xHi_;
+    std::vector<std::pair<CrossingMonitor*, bool>> firedScratch_; // monitor, rising
 
     SolverStats stats_;
 };

@@ -3,19 +3,26 @@
 //
 // Standard behavioral VCO model (Antao et al., reference [13]): the output
 // frequency is f0 + Kvco * Vctrl and the output is a sinusoid obtained by
-// integrating the instantaneous frequency into a phase. The control voltage
-// is sampled at the start of each solver step (explicit coupling), which is
-// exact to first order because the loop-filter dynamics are orders of
-// magnitude slower than the solver step; it also makes the in-step output a
-// pure sinusoid of time, so the crossing locator converges to the exact edge.
+// integrating the instantaneous frequency into a phase. Over a step of
+// length dt the phase advances by 2 pi f(v0 + s dt / 2) dt: the frequency at
+// the step's midpoint, with V_ctrl extrapolated from its value v0 at the
+// step start along its slope s over the last accepted step (s = 0 after the
+// DC operating point). The rule is second order, exact for a linear V_ctrl
+// ramp, and explicit: V_ctrl's loop-filter dynamics are orders of magnitude
+// slower than the solver step, and the in-step output stays a fixed function
+// of time, so the crossing locator converges to the exact edge.
 //
-// maxStep bounds a step to 1/8 of the output period. Nothing reads the
-// sinusoid between the digitizer's edges; the step only sets how often the
-// phase integration resamples the control voltage. 8 is the coarsest of 16,
-// 12 and 8 points per cycle at which every PLL fault list still gets a tight
-// reference's verdicts, with magnitudes inside the oracle's bounds
-// (bench/abl_vco_resolution, tests/test_step_oracle.cpp). Code that samples
-// the output itself sets SolverOptions::dtMax.
+// maxStep bounds a step to 1/4 of the output period: it returns the dt whose
+// phase advance under that same rule is exactly 2 pi / 4, so a half period
+// is two whole steps and the digitizer's threshold crossings fall on step
+// ends. Nothing reads the sinusoid between the digitizer's edges; the step
+// only sets how often the phase integration resamples the control voltage.
+// 4 is the coarsest even number of points per cycle at which every PLL
+// fault list still gets a tight reference's verdicts, with magnitudes inside
+// the oracle's bounds (bench/abl_vco_resolution,
+// tests/test_step_oracle.cpp); a V_ctrl frozen over each step misses the
+// output error time bound there. Code that samples the output itself sets
+// SolverOptions::dtMax.
 
 #include "analog/system.hpp"
 
@@ -57,15 +64,20 @@ public:
     {
         w.f64(phase_);
         w.f64(vctrl0_);
+        w.f64(slope_);
     }
 
     void restoreState(snapshot::Reader& r) override
     {
         phase_ = r.f64();
         vctrl0_ = r.f64();
+        slope_ = r.f64();
     }
 
 private:
+    /// Phase advance over a step of @p dt from the current step start.
+    [[nodiscard]] double phaseAdvance(double dt) const;
+
     analog::NodeId ctrl_;
     analog::NodeId out_;
     int branch_;
@@ -75,6 +87,7 @@ private:
     double amplitude_;
     double phase_ = 0.0;
     double vctrl0_ = 0.0; // control voltage at the start of the current step
+    double slope_ = 0.0;  // its slope over the last accepted step (V/s)
 };
 
 } // namespace gfi::pll

@@ -29,7 +29,7 @@ public:
 };
 
 /// Bumped on any layout change of the serialized state.
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Stream magic: identifies a gfi snapshot byte stream.
 inline constexpr char kMagic[8] = {'G', 'F', 'I', 'S', 'N', 'A', 'P', '\0'};

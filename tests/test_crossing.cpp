@@ -1,7 +1,8 @@
 // Crossing location (analog/crossing.hpp): locateCrossing must return the
 // bracket the bisection reaches, bit for bit, on monotone predicates; a valid
-// bracket through the bisection fallback on non-monotone ones; and the
-// bisection's "stop and keep hi" bracket when a probe fails.
+// bracket through the bisection fallback on non-monotone ones; the
+// bisection's "stop and keep hi" bracket when a probe fails; and, in every
+// case, the probes and bracket of the loop that replays after every probe.
 
 #include "analog/crossing.hpp"
 #include "analog/passive.hpp"
@@ -10,9 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <random>
 #include <utility>
+#include <vector>
 
 namespace gfi::analog {
 namespace {
@@ -88,9 +93,9 @@ void checkCase(double dt, G g, SweepResult& out)
 
 TEST(CrossingLocator, SineSweepMatchesBisection)
 {
-    // A rising sinusoid over a step of up to 1/24 of its period (the VCO's
-    // step bound), the crossing anywhere in the step, the threshold anywhere
-    // in the middle 90 % of the swing.
+    // A rising sinusoid over a step of up to 1/24 of its period, the
+    // crossing anywhere in the step, the threshold anywhere in the middle
+    // 90 % of the swing.
     std::mt19937_64 rng(20041);
     std::uniform_real_distribution<double> u(0.0, 1.0);
     SweepResult r;
@@ -157,6 +162,172 @@ TEST(CrossingLocator, RoundoffNoisyRampMatchesBisection)
         checkCase(dt, [=](double t) { return (big + slope * t) - thr; }, r);
     }
     EXPECT_GT(r.cases, 1900);
+}
+
+/// locateCrossing as it ran before a probe that answers as predicted could
+/// verify the bracket, kept verbatim: after every probe it estimates and
+/// replays again.
+template <class Probe>
+CrossingBracket replayAfterEveryProbe(double dt, double g0, double g1, double tol,
+                                      Probe&& probe)
+{
+    double vLo = 0.0;
+    double gLo = g0;
+    double vHi = dt;
+    double gHi = g1;
+    int kept = 0;
+    auto record = [&](double t, const CrossingProbe& p) {
+        if (!p.ok || p.crossed != (p.g >= 0.0)) {
+            return false;
+        }
+        if (p.crossed) {
+            vHi = t;
+            gHi = p.g;
+            if (kept < 0) {
+                gLo *= 0.5;
+            }
+            kept = -1;
+        } else {
+            vLo = t;
+            gLo = p.g;
+            if (kept > 0) {
+                gHi *= 0.5;
+            }
+            kept = 1;
+        }
+        return true;
+    };
+    for (int probes = 0;; ++probes) {
+        const double est = vLo - gLo * (vHi - vLo) / (gHi - gLo);
+        double lo = 0.0;
+        double hi = dt;
+        while (hi - lo > tol) {
+            const double mid = 0.5 * (lo + hi);
+            if (mid >= vHi || (mid > vLo && mid >= est)) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        double t = hi;
+        if (hi >= vHi) {
+            if (lo <= vLo) {
+                return {lo, hi, false};
+            }
+            t = lo;
+        }
+        if (probes == kCrossingProbes || !record(t, probe(t))) {
+            break;
+        }
+    }
+    double lo = 0.0;
+    double hi = dt;
+    while (hi - lo > tol) {
+        const double mid = 0.5 * (lo + hi);
+        const CrossingProbe p = probe(mid);
+        if (!p.ok) {
+            break;
+        }
+        if (p.crossed) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    return {lo, hi, true};
+}
+
+TEST(CrossingLocator, ProbeVerifiedBracketMatchesReplayAfterEveryProbe)
+{
+    // Seeded steps: sinusoids over up to a quarter period (the VCO's step
+    // bound) with the crossing anywhere or within 2 tol of either end, RC
+    // exponentials, a ramp on a large offset, and linear g whose predicate
+    // glitches just before the crossing or whose trial solves fail near it.
+    // The locator must probe the same times and return the same bracket,
+    // bit for bit, as the loop that replays after every probe.
+    std::mt19937_64 rng(20044);
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    int cases = 0;
+    int verified = 0;
+    int fellBack = 0;
+    for (int i = 0; i < 100000; ++i) {
+        const double dt = 0.05e-9 + 5e-9 * u(rng);
+        const double tStar = i % 5 == 1   ? (u(rng) < 0.5 ? 2 * kTol * u(rng)
+                                                          : dt - 2 * kTol * u(rng))
+                             : dt * u(rng);
+        std::function<double(double)> g;
+        double glitchLo = 2 * dt;
+        double glitchHi = -1.0;
+        double failLo = 2 * dt;
+        double failHi = -1.0;
+        switch (i % 5) {
+        case 0:
+        case 1: {
+            const double w = (0.25 + 0.75 * u(rng)) * 2.0 * M_PI / (4.0 * dt);
+            const double c = -0.9 + 1.8 * u(rng);
+            const double theta0 = std::asin(c) - w * tStar;
+            g = [=](double t) { return std::sin(theta0 + w * t) - c; };
+            break;
+        }
+        case 2: {
+            const double tau = dt * (0.05 + 4.0 * u(rng));
+            const double v0 = -1.0 - u(rng);
+            const double thr = v0 * std::exp(-tStar / tau);
+            g = [=](double t) { return v0 * std::exp(-t / tau) - thr; };
+            break;
+        }
+        case 3: {
+            const double big = 1.0 + 9.0 * u(rng);
+            const double slope = std::pow(10.0, -2.0 + 5.0 * u(rng));
+            const double thr = big + slope * tStar;
+            g = [=](double t) { return (big + slope * t) - thr; };
+            break;
+        }
+        default: {
+            g = [=](double t) { return (t - tStar) * 1e9; };
+            const double at = tStar - kTol * 40.0 * u(rng);
+            if (u(rng) < 0.5) {
+                glitchLo = at;
+                glitchHi = at + kTol * 8.0 * u(rng);
+            } else {
+                failLo = at;
+                failHi = at + kTol * 8.0 * u(rng);
+            }
+            break;
+        }
+        }
+        const double g0 = g(0.0);
+        const double g1 = g(dt);
+        if (!(g0 < 0.0 && g1 >= 0.0)) {
+            continue;
+        }
+        auto logged = [&](std::vector<double>& times) {
+            return [&, g](double t) {
+                times.push_back(t);
+                if (t >= failLo && t <= failHi) {
+                    return CrossingProbe{};
+                }
+                const double v = g(t);
+                return CrossingProbe{true, v >= 0.0 || (t >= glitchLo && t <= glitchHi), v};
+            };
+        };
+        std::vector<double> refTimes;
+        std::vector<double> times;
+        const CrossingBracket ref = replayAfterEveryProbe(dt, g0, g1, kTol, logged(refTimes));
+        const CrossingBracket got = locateCrossing(dt, g0, g1, kTol, logged(times));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.lo), std::bit_cast<std::uint64_t>(ref.lo))
+            << "case " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.hi), std::bit_cast<std::uint64_t>(ref.hi))
+            << "case " << i;
+        ASSERT_EQ(got.fellBack, ref.fellBack) << "case " << i;
+        ASSERT_EQ(times, refTimes) << "case " << i;
+        ++cases;
+        verified += !got.fellBack && !times.empty() ? 1 : 0;
+        fellBack += got.fellBack ? 1 : 0;
+    }
+    EXPECT_GT(cases, 90000);
+    EXPECT_GT(verified, 50000); // verified by a probe that answered as predicted
+    EXPECT_GT(fellBack, 1000);  // glitches and failed probes
 }
 
 TEST(CrossingLocator, GlitchFallsBackToValidBracket)

@@ -103,10 +103,11 @@ void expectSameClassification(const campaign::CampaignReport& production,
         const campaign::RunResult& p = production.runs[i];
         const campaign::RunResult& r = reference.runs[i];
         const std::string what = fault::describe(p.fault);
-        // Observed on the trapezoid campaigns at the VCO's 8-point bound:
-        // within 0.03 %, 2.5 % and 0.07 % (0.01 %, 0.4 % and 0.02 % at a
-        // 24-point bound). The time outside tolerance is read off samples
-        // one step apart.
+        // Observed on the trapezoid campaigns at the VCO's 4-point bound:
+        // within 0.0001 %, 2.5 % and 0.0007 % (0.03 %, 2.5 % and 0.07 % at
+        // an 8-point bound with V_ctrl frozen over each step; that rule
+        // fails the output error time at 4 points). The time outside
+        // tolerance is read off samples one step apart.
         EXPECT_NEAR(p.maxAnalogDeviation, r.maxAnalogDeviation,
                     1e-3 * r.maxAnalogDeviation + 1e-6)
             << what;
@@ -234,13 +235,15 @@ TEST(StepOracle, DoubleExpPulsesOnBothSaboteursMatchTightReference)
 
 TEST(StepOracle, PllGoldenStepsFollowTheVcoBound)
 {
-    // BehavioralVco::maxStep allows 1/(8 f) per step, so a hint-limited step
-    // advances the VCO phase by exactly 2 pi / 8. A 20 us golden run (lock
-    // acquisition, 30 -> ~50 MHz) therefore takes at least 8 steps per VCO
-    // cycle, plus the few the loop filter's LTE, the digital breakpoints and
-    // the crossings cut (observed: 7,076 steps over 841 cycles, 5.2 % above
-    // the floor). The window fails at a bound of 10 or more points per cycle.
-    constexpr double kPointsPerCycle = 8.0;
+    // BehavioralVco::maxStep allows the step whose phase advance is exactly
+    // 2 pi / 4 (V_ctrl extrapolated to the step's midpoint), so a 20 us
+    // golden run (lock acquisition, 30 -> ~50 MHz) takes at least 4 steps
+    // per VCO cycle, plus the few the loop filter's LTE, the digital
+    // breakpoints and the crossings cut (observed: 3,740 steps over 841
+    // cycles, 11 % above the floor: hint 3,294, LTE 333, breakpoints 70,
+    // crossings 43). The window fails at a bound of 5 or more points per
+    // cycle, and at 2.
+    constexpr double kPointsPerCycle = 4.0;
     pll::PllConfig cfg;
     cfg.duration = 20 * kMicrosecond;
     pll::PllTestbench tb(cfg);
@@ -250,17 +253,17 @@ TEST(StepOracle, PllGoldenStepsFollowTheVcoBound)
     const double cycles = tb.vco().phase() / (2.0 * M_PI);
     EXPECT_GT(cycles, 600.0); // 30 MHz at the start, rising towards 50 MHz
     EXPECT_GE(static_cast<double>(st.acceptedSteps), kPointsPerCycle * cycles);
-    EXPECT_LE(static_cast<double>(st.acceptedSteps), 1.1 * kPointsPerCycle * cycles);
+    EXPECT_LE(static_cast<double>(st.acceptedSteps), 1.15 * kPointsPerCycle * cycles);
     EXPECT_EQ(st.rejectedSteps, 0u);
     EXPECT_EQ(st.crossingFallbacks, 0u);
 
     // Every accepted step is billed to exactly one limiting bound, and the
-    // VCO's hint is the one that limits most of them.
+    // VCO's hint is the one that limits most of them (observed 88 %).
     EXPECT_EQ(std::accumulate(st.stepsLimitedBy.begin(), st.stepsLimitedBy.end(),
                               std::uint64_t{0}),
               st.acceptedSteps);
     const auto hint = st.stepsLimitedBy[static_cast<std::size_t>(obs::StepLimit::Hint)];
-    EXPECT_GT(hint, st.acceptedSteps * 9 / 10);
+    EXPECT_GT(hint, st.acceptedSteps * 4 / 5);
     EXPECT_EQ(st.stepsLimitedBy[static_cast<std::size_t>(obs::StepLimit::DtMax)], 0u);
 }
 
