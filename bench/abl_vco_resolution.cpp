@@ -12,8 +12,9 @@
 // 102 and 104 us of a 116 us run), plus the Fig. 7/8 sweep at 130 us of a
 // 170 us run. Each list runs at production step control and at a tight
 // reference (dtMax fixed at T_lock/240 = 83 ps, LTE tolerances 10x
-// tighter), both forking from golden checkpoints every 2 us (forked and
-// from-scratch campaigns are byte-identical, tests/test_campaign_matrix.cpp).
+// tighter), both forking from golden checkpoints taken just before each
+// injection (forked and from-scratch campaigns are byte-identical,
+// tests/test_campaign_matrix.cpp).
 //
 // Printed per list: analog steps per simulated us of both golden runs, how
 // many faults agree in outcome, erred signals and corrupted state, the
@@ -33,7 +34,6 @@ using namespace gfi::bench;
 
 namespace {
 
-constexpr SimTime kCadence = 2 * kMicrosecond;
 constexpr unsigned kWorkers = 2;
 
 /// One fault list with the duration it is simulated for.
@@ -145,7 +145,7 @@ campaign::CampaignReport runForked(campaign::CampaignRunner& runner,
                                    const std::vector<fault::FaultSpec>& faults)
 {
     runner.setWorkers(kWorkers);
-    runner.setCheckpointCadence(kCadence);
+    runner.setCheckpointCadence(1); // > 0 turns fork mode on
     runner.setRecordTiming(false);
     return runner.run(faults);
 }

@@ -1,8 +1,9 @@
 // Fork-from-golden speedup on the paper's Figure 8 experiment: a sweep of
 // current pulses on the PLL filter input, injected late in the run. A
 // from-scratch campaign re-simulates the whole lock-in prefix for every
-// fault; fork mode restores the nearest golden checkpoint and re-runs only
-// the post-injection suffix, so the speedup approaches
+// fault; fork mode restores golden's checkpoint at its last event before the
+// injection and re-runs only the post-injection suffix, so the speedup
+// approaches
 // (runs x duration) / (duration + runs x suffix).
 //
 // Emits a single JSON object (machine-readable, consumed by CI) with the
@@ -36,11 +37,11 @@ struct CampaignResult {
 };
 
 CampaignResult runCampaign(const pll::PllConfig& cfg,
-                           const std::vector<fault::FaultSpec>& faults, SimTime cadence)
+                           const std::vector<fault::FaultSpec>& faults, bool fork)
 {
     campaign::CampaignRunner runner = makePllRunner(cfg);
     runner.setRecordTiming(false); // keep reports byte-comparable across modes
-    runner.setCheckpointCadence(cadence);
+    runner.setCheckpointCadence(fork ? 1 : 0); // > 0 turns fork mode on
     runner.setWorkers(kWorkers);
     CampaignResult out;
     campaign::CampaignReport report;
@@ -65,10 +66,10 @@ int main()
     std::fprintf(stderr, "perf_snapshot: %zu faults, duration %s\n", faults.size(),
                  formatTime(cfg.duration).c_str());
 
-    const CampaignResult scratch = runCampaign(cfg, faults, -1);
+    const CampaignResult scratch = runCampaign(cfg, faults, false);
     std::fprintf(stderr, "  from-scratch: %.3f s\n", scratch.wallSeconds);
 
-    const CampaignResult forked = runCampaign(cfg, faults, 2 * kMicrosecond);
+    const CampaignResult forked = runCampaign(cfg, faults, true);
     std::fprintf(stderr, "  fork-from-golden: %.3f s (%zu checkpoints)\n",
                  forked.wallSeconds, forked.checkpoints);
 

@@ -294,6 +294,11 @@ CampaignRunner::CampaignRunner(fault::TestbenchFactory factory, Tolerance tolera
 
 void CampaignRunner::runGolden()
 {
+    runGoldenFor({});
+}
+
+void CampaignRunner::runGoldenFor(std::span<const fault::FaultSpec> faults)
+{
     if (goldenRan_) {
         return;
     }
@@ -313,31 +318,52 @@ void CampaignRunner::runGolden()
             golden_->sim().capturePreStartSnapshot());
     }
     if (forking()) {
-        // Fork-from-golden: advance event by event and capture at the first
-        // scheduled event past each cadence mark. Scheduled event times are
-        // exactly where an uninterrupted run's kernels stop anyway (the
-        // analog solver never steps past the next digital event), so the
-        // capture points perturb nothing and a restored run is bit-identical
-        // to a from-scratch one.
+        // Fork-from-golden: advance event by event and capture at the last
+        // scheduled event strictly before each distinct injection instant.
+        // Scheduled event times are exactly where an uninterrupted run's
+        // kernels stop anyway (the analog solver never steps past the next
+        // digital event), so the capture points perturb nothing and a
+        // restored run is bit-identical to a from-scratch one. Time 0 is
+        // never captured: a run injected before golden's first event
+        // simulates from scratch.
+        std::vector<SimTime> instants; // golden faults report 0
+        for (const fault::FaultSpec& f : faults) {
+            if (const SimTime t = fault::injectionTime(f); t > 0) {
+                instants.push_back(t);
+            }
+        }
+        std::sort(instants.begin(), instants.end());
+        instants.erase(std::unique(instants.begin(), instants.end()), instants.end());
+
         auto& sim = golden_->sim();
         sim.elaborate();
         const SimTime duration = golden_->duration();
-        SimTime nextMark = options_.checkpointCadence;
-        while (true) {
-            const SimTime ev = sim.digital().scheduler().nextEventTime();
+        SimTime at = 0;        // golden's last event so far
+        std::size_t bytes = 0; // held by the checkpoints
+        for (auto next = instants.begin(); next != instants.end();) {
+            const SimTime ev = std::min(sim.digital().scheduler().nextEventTime(), duration);
+            if (*next <= ev) {
+                // `at` is golden's last event strictly before every instant
+                // in (at, ev].
+                next = std::upper_bound(next, instants.end(), ev);
+                if (at > 0) {
+                    auto cp = std::make_shared<const snapshot::Snapshot>(sim.captureSnapshot());
+                    if (bytes + cp->bytes.size() > ams::ConvergencePlan::kMaxMarkBytes) {
+                        break; // the budget is spent: later runs fork from earlier
+                    }
+                    bytes += cp->bytes.size();
+                    checkpoints_.push_back(std::move(cp));
+                    if (telemetry_ != nullptr && telemetry_->trace() != nullptr) {
+                        telemetry_->trace()->instantEvent(
+                            "checkpoint", "golden", "{\"sim_time\": \"" + formatTime(at) + "\"}");
+                    }
+                }
+            }
             if (ev >= duration) {
                 break;
             }
             sim.run(ev);
-            if (ev >= nextMark) {
-                checkpoints_.push_back(
-                    std::make_shared<const snapshot::Snapshot>(sim.captureSnapshot()));
-                nextMark = ev + options_.checkpointCadence;
-                if (telemetry_ != nullptr && telemetry_->trace() != nullptr) {
-                    telemetry_->trace()->instantEvent(
-                        "checkpoint", "golden", "{\"sim_time\": \"" + formatTime(ev) + "\"}");
-                }
-            }
+            at = ev;
         }
         sim.run(duration);
     } else {
@@ -677,7 +703,7 @@ RunResult CampaignRunner::runContained(const fault::FaultSpec& fault)
 
 RunResult CampaignRunner::runOne(const fault::FaultSpec& fault)
 {
-    runGolden();
+    runGoldenFor({&fault, 1});
     return runContained(fault);
 }
 
@@ -795,7 +821,7 @@ CampaignReport CampaignRunner::run(
         if (tel != nullptr && tel->trace() != nullptr) {
             tel->trace()->nameCurrentTrack("campaign");
         }
-        runGolden();
+        runGoldenFor(faults);
     }
 
     // Static fault collapsing: partition the list into provably-equivalent
@@ -823,20 +849,18 @@ CampaignReport CampaignRunner::run(
         }
     }
 
-    // The batch-off rules. Per-run watchdog budgets cannot be metered inside
-    // a shared 64-lane word run, and fork-from-golden restores event-kernel
-    // snapshots the word kernel cannot consume — either feature falls the
-    // whole campaign back to the event-driven kernel, loudly.
+    // The batch-off rule: per-run watchdog budgets cannot be metered inside
+    // a shared 64-lane word run, so they fall the whole campaign back to the
+    // event-driven kernel, loudly. Fork mode composes: word groups run from
+    // scratch and the event-kernel remainder forks.
     const WatchdogConfig& budget = options_.watchdog;
-    const char* batchOff = nullptr;
-    if (budget.wallClockSeconds > 0.0 || budget.digitalWaves != 0 || budget.analogSteps != 0) {
-        batchOff = "per-run watchdog budgets require the event-driven kernel";
-    } else if (forking()) {
-        batchOff = "fork-from-golden uses event-kernel checkpoints";
-    }
-    const bool batching = options_.batch && batchOff == nullptr;
-    if (options_.batch && batchOff != nullptr) {
-        std::fprintf(stderr, "gfi: batch: disabled (%s)\n", batchOff);
+    const bool budgeted =
+        budget.wallClockSeconds > 0.0 || budget.digitalWaves != 0 || budget.analogSteps != 0;
+    const bool batching = options_.batch && !budgeted;
+    if (options_.batch && budgeted) {
+        std::fputs("gfi: batch: disabled (per-run watchdog budgets require the "
+                   "event-driven kernel)\n",
+                   stderr);
     }
 
     // The per-index verdict table: report.runs[i] holds index i's verdict and

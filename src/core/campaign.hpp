@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 
 namespace gfi::ams {
 class ConvergencePlan;
@@ -256,7 +257,8 @@ public:
 
     /// Runs the golden reference (idempotent; run() calls it automatically).
     /// The golden run is NOT contained: a design that cannot complete its
-    /// fault-free run is a configuration error and throws.
+    /// fault-free run is a configuration error and throws. Called directly,
+    /// it knows no fault list, so in fork mode it captures no checkpoint.
     void runGolden();
 
     /// Runs one fault against the golden reference and classifies it. Never
@@ -311,23 +313,22 @@ public:
     void setWorkers(unsigned n) noexcept { options_.workers = n; }
     [[nodiscard]] unsigned workers() const noexcept { return options_.workers; }
 
-    /// Fork-from-golden execution: with a cadence > 0, runGolden() advances
-    /// the golden run event by event and captures a full simulator snapshot
-    /// at the first scheduled event past each cadence mark. Every first
-    /// attempt of a real fault then restores the nearest checkpoint strictly
-    /// before its injection instant and simulates only the suffix — results
-    /// (journal, report, summary table) stay byte-identical to from-scratch
-    /// execution because checkpoints live at points where an uninterrupted
-    /// run's kernels land anyway. Retries and golden runs always simulate
-    /// from scratch. run()'s preflight phase adds the PRE006 snapshot-
-    /// readiness check while forking is enabled.
-    ///
-    /// A cadence <= 0 (the default) disables forking. Requires testbenches
+    /// Fork-from-golden execution, on when @p cadence > 0 (default: off).
+    /// Golden captures a full simulator snapshot at its last scheduled event
+    /// strictly before each distinct injection instant (t > 0) of the fault
+    /// list run() or runOne() is given — once per runner, within
+    /// ams::ConvergencePlan::kMaxMarkBytes — and every first attempt of a
+    /// real fault restores the nearest one strictly before its injection and
+    /// simulates only the suffix. Results (journal, report, summary table)
+    /// stay byte-identical to from-scratch execution because checkpoints sit
+    /// where an uninterrupted run's kernels land anyway. Retries and golden
+    /// runs always simulate from scratch; run()'s preflight phase adds the
+    /// PRE006 snapshot-readiness check while forking. Requires testbenches
     /// that use the default Testbench::run() (plain sim().run(duration())).
-    void setCheckpointCadence(SimTime cadence) noexcept { options_.checkpointCadence = cadence; }
-    [[nodiscard]] SimTime checkpointCadence() const noexcept { return options_.checkpointCadence; }
+    void setCheckpointCadence(SimTime cadence) noexcept { options_.checkpointCadence = cadence > 0; }
 
-    /// Golden checkpoints captured so far (0 until runGolden() in fork mode).
+    /// Golden checkpoints captured so far (0 until run() or runOne() in fork
+    /// mode).
     [[nodiscard]] std::size_t checkpointCount() const noexcept { return checkpoints_.size(); }
 
     /// Static fault collapsing: when enabled, run() partitions the fault
@@ -354,8 +355,9 @@ public:
     /// word-simulated lines. Composes with fault collapsing (representatives
     /// batch, members expand), journal resume and the worker pool. Per-run
     /// watchdog budgets disable batching for the campaign (a shared word run
-    /// cannot meter per-fault budgets), as does fork-from-golden cadence
-    /// (checkpointed prefixes are event-kernel snapshots). Default: off.
+    /// cannot meter per-fault budgets). Under fork-from-golden the word
+    /// groups run from scratch and the event-kernel remainder forks.
+    /// Default: off.
     void setBatchBackend(bool on) noexcept { options_.batch = on; }
     [[nodiscard]] bool batchBackendEnabled() const noexcept { return options_.batch; }
 
@@ -363,7 +365,7 @@ public:
     /// resimulatedTime are recorded as 0 so journals and reports are
     /// byte-stable across runs, worker counts and fork-from-golden modes
     /// (the wall clock is nondeterministic; the checkpoint fields depend on
-    /// the configured cadence). Default: enabled.
+    /// where golden captured). Default: enabled.
     void setRecordTiming(bool on) noexcept { options_.recordTiming = on; }
     [[nodiscard]] bool recordTiming() const noexcept { return options_.recordTiming; }
 
@@ -464,14 +466,18 @@ private:
         unsigned workers = 0;          ///< 0 = auto (hardware_concurrency)
         bool recordTiming = true;
         bool preflight = true;
-        SimTime checkpointCadence = 0; ///< <= 0 = no forking
+        bool checkpointCadence = false; ///< fork from golden checkpoints
         bool collapse = false;
         bool batch = false;
         std::string forensicsDir;      ///< empty = off
     };
 
     /// True when golden checkpoints are captured and first attempts fork.
-    [[nodiscard]] bool forking() const noexcept { return options_.checkpointCadence > 0; }
+    [[nodiscard]] bool forking() const noexcept { return options_.checkpointCadence; }
+
+    /// runGolden() that, in fork mode, captures golden's checkpoints for
+    /// the injection instants of @p faults (see setCheckpointCadence).
+    void runGoldenFor(std::span<const fault::FaultSpec> faults);
 
     /// The golden checkpoint a first attempt at @p fault forks from: the
     /// latest one strictly before the injection instant (restoring one taken
@@ -509,9 +515,9 @@ private:
     /// Golden's convergence plan for run()'s worker phase (null: no eligible
     /// fault, or no pool). Shared read-only by the workers.
     std::shared_ptr<const ams::ConvergencePlan> convergence_;
-    /// Golden checkpoints in time order, fork mode only. runGolden() fills
-    /// it before any worker starts and nothing writes it afterwards, so
-    /// worker lookups take no lock.
+    /// Golden checkpoints in time order, fork mode only. runGoldenFor()
+    /// fills it before any worker starts and nothing writes it afterwards,
+    /// so worker lookups take no lock.
     std::vector<std::shared_ptr<const snapshot::Snapshot>> checkpoints_;
     bool checkpointsBilled_ = false;             ///< captures already in telemetry
     std::atomic<std::uint64_t> forkHits_{0};     ///< unbilled lookups that found one

@@ -129,8 +129,10 @@ MetricDirection metricDirection(const std::string& key)
         key.find("per_second") != std::string::npos || key.rfind("speedup", 0) == 0) {
         return MetricDirection::HigherIsBetter;
     }
+    // Work per simulated µs (steps, solves, crossings): less work for the
+    // same simulated time is better.
     if (endsWith(key, "_s") || endsWith(key, "_ms") || endsWith(key, "_seconds") ||
-        key == "wall_ms" || endsWith(key, "_ns")) {
+        key == "wall_ms" || endsWith(key, "_ns") || endsWith(key, "_per_us")) {
         return MetricDirection::LowerIsBetter;
     }
     return MetricDirection::Ignore;

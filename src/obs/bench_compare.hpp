@@ -9,8 +9,9 @@
 //
 // Metric direction is inferred from the key name: throughput-like keys
 // (*_per_s, *per_second, speedup*) are higher-is-better; duration-like keys
-// (*_s, *_ms, *_seconds, wall_ms) are lower-is-better; anything else
-// (counts, booleans, identifiers) is ignored for regression purposes.
+// (*_s, *_ms, *_seconds, wall_ms) and work rates per simulated µs (*_per_us)
+// are lower-is-better; anything else (counts, booleans, identifiers) is
+// ignored for regression purposes.
 
 #include <string>
 #include <utility>

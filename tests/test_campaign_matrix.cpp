@@ -4,8 +4,8 @@
 // bytes. Each design runs through workers {1, 4} x batch x collapse x fork x
 // resume-at-half x watchdog budget — 64 cells. Every cell must be
 // byte-identical (journal, summary, detail, JSON, CSV) to the reference of
-// its effective mode, where batch counts as off under fork or a watchdog
-// budget (either falls the campaign back to the event kernel), and every
+// its effective mode, where batch counts as off under a watchdog budget
+// (it falls the campaign back to the event kernel), and every
 // cell's detail table must equal the plain campaign's. The four references
 // (one worker, batch x collapse) are cross-checked against each other: the
 // batch backend may add only lane provenance, collapsing only expansion
@@ -45,6 +45,7 @@
 #include <memory>
 #include <numeric>
 #include <regex>
+#include <set>
 #include <thread>
 #include <utility>
 
@@ -61,7 +62,6 @@ struct Design {
     std::function<fault::TestbenchFactory(RunCounter)> counted;
     fault::TestbenchFactory factory; ///< counted() into a throwaway counter
     std::vector<fault::FaultSpec> faults;
-    SimTime forkCadence = 0;
     RetryPolicy retry;
     bool expectCheckpoints = true; ///< fork mode captures golden checkpoints
     bool expectLanes = false;      ///< the batch reference word-simulates runs
@@ -115,7 +115,6 @@ Design chainDesign()
         d.faults.emplace_back(fault::StuckAtFault{sab, digital::Logic::Zero,
                                                   t + 20 * kNanosecond, 150 * kNanosecond});
     }
-    d.forkCadence = 200 * kNanosecond;
     d.expectLanes = true;
     d.expectCollapse = true;
     d.expectPooling = true;
@@ -155,7 +154,6 @@ Design digitalDesign()
     d.faults.emplace_back(fault::StuckAtFault{probe.digitalSaboteurNames().front(),
                                               digital::Logic::X, t, 200 * kNanosecond});
     d.faults.emplace_back(fault::FsmTransitionFault{"dut/fsm", 3, t + 5 * kNanosecond});
-    d.forkCadence = 500 * kNanosecond;
     d.retry = RetryPolicy{.maxAttempts = 2};
     d.expectLanes = true;
     d.expectPooling = true;
@@ -184,7 +182,6 @@ Design cpuDesign()
         d.faults.emplace_back(
             fault::BitFlipFault{names[i], 0, 2 * kMicrosecond + static_cast<SimTime>(i) * 41});
     }
-    d.forkCadence = 500 * kNanosecond;
     d.expectPooling = true;
     return d;
 }
@@ -207,7 +204,6 @@ Design pllDesign()
         fault::BitFlipFault{reg, 0, 3750 * kNanosecond},
         fault::ParametricFault{"pll/kvco", 1.15, 3 * kMicrosecond},
     };
-    d.forkCadence = 1500 * kNanosecond;
     d.retry = RetryPolicy{.maxAttempts = 2};
     return d;
 }
@@ -229,7 +225,6 @@ Design adcDesign()
     }
     d.faults.emplace_back(fault::CurrentPulseFault{"sab/dac_out", 14e-6, pulse});
     d.faults.emplace_back(fault::CurrentPulseFault{"sab/vin", 3e-6, pulse});
-    d.forkCadence = 5 * kMicrosecond;
     d.retry = RetryPolicy{.maxAttempts = 2};
     return d;
 }
@@ -283,7 +278,6 @@ Design abnormalDesign()
         fault::ParametricFault{"osc/en", 1.0, 10 * kNanosecond}, // SimError
         fault::ParametricFault{"src/amps", 2.0, 0},              // clean deviation
     };
-    d.forkCadence = 20 * kNanosecond;
     d.retry = RetryPolicy{.maxAttempts = 2};
     d.expectCheckpoints = false;
     return d;
@@ -292,7 +286,7 @@ Design abnormalDesign()
 /// The checked-in ISCAS-85 c17, ingested: a stuck-at-0 and -1 on every net
 /// from t = 0 — armed before the kernel's startup pass, on a fresh build as
 /// on a pooled testbench restored from the pre-start checkpoint — and one
-/// mid-run SET pulse per net (batch lanes; forked in fork mode). Every
+/// mid-run SET pulse per net (batch lanes, else forked in fork mode). Every
 /// c17 net fans out or is observed, so nothing collapses.
 Design netlistDesign()
 {
@@ -304,7 +298,6 @@ Design netlistDesign()
     setFactories<io::IngestTestbench>(d, wl.netlist, wl.patterns, wl.config);
     d.faults.emplace_back(fault::FaultSpec{});
     d.faults.insert(d.faults.end(), wl.faults.begin(), wl.faults.end());
-    d.forkCadence = 30 * kNanosecond;
     d.expectLanes = true;
     d.expectPooling = true;
     d.expectConvergence = true;
@@ -325,8 +318,8 @@ struct Cell {
     bool resume = false;
     bool watchdog = false;
 
-    /// Batch counts as off under fork or a watchdog budget.
-    [[nodiscard]] bool effectiveBatch() const { return batch && !fork && !watchdog; }
+    /// Batch counts as off under a watchdog budget.
+    [[nodiscard]] bool effectiveBatch() const { return batch && !watchdog; }
 
     [[nodiscard]] bool isReference() const
     {
@@ -401,6 +394,19 @@ SimulatedWork simulatedWork(const Design& d, const CampaignReport& report)
     return w;
 }
 
+/// The distinct injection instants after t = 0 of @p faults: the most
+/// checkpoints a fork-mode golden captures for them.
+std::size_t injectionInstants(const std::vector<fault::FaultSpec>& faults)
+{
+    std::set<SimTime> instants;
+    for (const fault::FaultSpec& f : faults) {
+        if (const SimTime t = fault::injectionTime(f); t > 0) {
+            instants.insert(t);
+        }
+    }
+    return instants.size();
+}
+
 /// Runs one cell. Besides the outputs it checks what only the cell's own
 /// run can show: the progress callback's order, restoration of exactly the
 /// resumed half, checkpoint capture, that only the golden run and
@@ -416,7 +422,7 @@ CampaignOutput runCell(const Design& d, const Cell& cell, const std::string& des
         r.setJournalPath(path);
         r.setBatchBackend(cell.batch);
         r.setFaultCollapsing(cell.collapse);
-        r.setCheckpointCadence(cell.fork ? d.forkCadence : 0);
+        r.setCheckpointCadence(cell.fork ? 1 : 0); // > 0 turns fork mode on
         r.setRetryPolicy(d.retry);
         r.setWatchdogConfig(
             cell.watchdog ? WatchdogConfig{.digitalWaves = kGenerousWaves} : WatchdogConfig{});
@@ -445,6 +451,8 @@ CampaignOutput runCell(const Design& d, const Cell& cell, const std::string& des
     if (cell.fork && d.expectCheckpoints) {
         EXPECT_GT(runner.checkpointCount(), 0u) << "fork mode captured nothing";
     }
+    EXPECT_LE(runner.checkpointCount(), cell.fork ? injectionInstants(d.faults) : 0u)
+        << "more than one checkpoint per injection instant";
     const SimulatedWork work = simulatedWork(d, report);
     // A fork-mode golden advances its simulator without run().
     EXPECT_EQ(runs->load(), (cell.fork ? 0 : 1) + work.attempts)
@@ -672,7 +680,7 @@ TEST(CampaignMatrixResume, MixedModeJournalResumesIntoPlainCampaign)
             CampaignRunner forked(d.factory);
             forked.setRecordTiming(timing);
             forked.setJournalPath(path);
-            forked.setCheckpointCadence(d.forkCadence);
+            forked.setCheckpointCadence(1);
             (void)forked.run(d.faults); // appends fork-mode lines for the rest
         }
         const std::string journal = test::slurp(path);
@@ -742,12 +750,12 @@ TEST(CampaignOptions, AmbientEnvironmentIsIgnored)
         EXPECT_EQ(runner.workers(), 0u);
         EXPECT_FALSE(runner.faultCollapsingEnabled());
         EXPECT_FALSE(runner.batchBackendEnabled());
-        EXPECT_EQ(runner.checkpointCadence(), 0);
         EXPECT_TRUE(runner.forensicsDir().empty());
         EXPECT_EQ(runner.telemetry(), nullptr);
         runner.setRecordTiming(false);
         runner.setJournalPath(path);
         (void)runner.run(d.faults);
+        EXPECT_EQ(runner.checkpointCount(), 0u) << "fork mode is off";
         return test::slurp(path);
     };
     const std::string unset = journalOf("unset");

@@ -757,7 +757,7 @@ TEST(ObsCampaign, NonForkResumeSuppressesForkFooter)
         [] { return std::make_unique<duts::DigitalDutTestbench>(); });
     forked.setWorkers(1);
     forked.setJournalPath(path);
-    forked.setCheckpointCadence(kMicrosecond);
+    forked.setCheckpointCadence(1); // > 0 turns fork mode on
     const campaign::CampaignReport forkedReport = forked.run(faults);
     EXPECT_NE(forkedReport.summaryTable().find("forked runs"), std::string::npos);
 
@@ -767,7 +767,7 @@ TEST(ObsCampaign, NonForkResumeSuppressesForkFooter)
         [] { return std::make_unique<duts::DigitalDutTestbench>(); });
     scratch.setWorkers(1);
     scratch.setJournalPath(path);
-    scratch.setCheckpointCadence(-1);
+    scratch.setCheckpointCadence(0);
     const campaign::CampaignReport resumedReport = scratch.run(faults);
     for (const campaign::RunResult& r : resumedReport.runs) {
         EXPECT_TRUE(r.diagnostics.fromJournal);
@@ -1405,6 +1405,11 @@ TEST(ObsBenchDiff, MetricDirectionInference)
     EXPECT_EQ(obs::metricDirection("items_per_second"), MetricDirection::HigherIsBetter);
     EXPECT_EQ(obs::metricDirection("event_s"), MetricDirection::LowerIsBetter);
     EXPECT_EQ(obs::metricDirection("wall_ms"), MetricDirection::LowerIsBetter);
+    EXPECT_EQ(obs::metricDirection("golden_accepted_steps_per_us"),
+              MetricDirection::LowerIsBetter);
+    EXPECT_EQ(obs::metricDirection("faulty_linear_solves_per_us"),
+              MetricDirection::LowerIsBetter);
+    EXPECT_EQ(obs::metricDirection("golden_crossings_per_us"), MetricDirection::LowerIsBetter);
     EXPECT_EQ(obs::metricDirection("runs"), MetricDirection::Ignore);
     EXPECT_EQ(obs::metricDirection("identical"), MetricDirection::Ignore);
     EXPECT_EQ(obs::metricDirection("iterations"), MetricDirection::Ignore);

@@ -15,6 +15,7 @@
 //   * PRE006 rejects fork mode when a stateful component is not Snapshottable.
 
 #include "adc/sar.hpp"
+#include "ams/convergence.hpp"
 #include "core/campaign.hpp"
 #include "core/journal.hpp"
 #include "digital/gates.hpp"
@@ -569,29 +570,61 @@ TEST(SnapshotScheduler, RestoreRejectsPendingOutOfTimeSeqOrder)
 // fork-from-golden campaigns (byte identity with from-scratch campaigns, at
 // any width and across resume, is pinned down by test_campaign_matrix.cpp)
 
+namespace {
+
+/// Golden's event times for @p factory's (purely digital) design, from a
+/// convergence-plan replay on a fresh build.
+std::vector<SimTime> goldenEventTimes(const fault::TestbenchFactory& factory)
+{
+    const auto twin = factory();
+    return ams::ConvergencePlan::record(twin->sim(), twin->duration(), {}).eventTimes();
+}
+
+/// The checkpoint a fault injected at @p t forks from: golden's last event
+/// strictly before t, or 0 (from scratch) when there is none after time 0.
+SimTime lastEventBefore(const std::vector<SimTime>& times, SimTime t)
+{
+    const auto it = std::lower_bound(times.begin(), times.end(), t);
+    return it == times.begin() ? 0 : *std::prev(it);
+}
+
+} // namespace
+
 // A forked run must record which checkpoint it used and how much it re-ran
 // (when timing recording is on), and the summary table must show the savings.
+// Golden captures at its last event strictly before each injection instant,
+// never at time 0.
 TEST(ForkFromGolden, RecordsCheckpointDiagnostics)
 {
-    campaign::CampaignRunner runner([] { return std::make_unique<duts::DigitalDutTestbench>(); });
-    runner.setCheckpointCadence(kMicrosecond);
+    const fault::TestbenchFactory factory = [] {
+        return std::make_unique<duts::DigitalDutTestbench>();
+    };
+    campaign::CampaignRunner runner(factory);
+    runner.setCheckpointCadence(1); // > 0 turns fork mode on
 
     const duts::DigitalDutTestbench probe;
     const std::string target = probe.sim().digital().instrumentation().names().front();
+    const std::vector<SimTime> events = goldenEventTimes(factory);
+    ASSERT_GT(events.size(), 2u);
+    ASSERT_GT(events.front(), 0);
+    const SimTime late = 3 * kMicrosecond + 100 * kNanosecond;
     const std::vector<fault::FaultSpec> faults{
-        fault::FaultSpec{},                                            // golden: never forks
-        fault::BitFlipFault{target, 0, 3 * kMicrosecond + 100 * kNanosecond},
-        fault::BitFlipFault{target, 0, 10 * kNanosecond},              // before 1st checkpoint
+        fault::FaultSpec{},                               // golden: never forks
+        fault::BitFlipFault{target, 0, late},
+        fault::BitFlipFault{target, 0, events.front()},   // only time 0 before it
+        fault::BitFlipFault{target, 1, 0},                // at t = 0: never forks
     };
     const campaign::CampaignReport report = runner.run(faults);
-    ASSERT_EQ(report.runs.size(), 3u);
+    ASSERT_EQ(report.runs.size(), 4u);
+    EXPECT_EQ(runner.checkpointCount(), 1u) << "one instant has an event before it";
 
     EXPECT_EQ(report.runs[0].diagnostics.checkpointTime, 0);
-    EXPECT_EQ(report.runs[2].diagnostics.checkpointTime, 0) << "no checkpoint before t_inj";
+    EXPECT_EQ(report.runs[2].diagnostics.checkpointTime, 0) << "time 0 is never captured";
+    EXPECT_EQ(report.runs[3].diagnostics.checkpointTime, 0);
 
     const auto& forked = report.runs[1].diagnostics;
-    EXPECT_GT(forked.checkpointTime, 0);
-    EXPECT_LT(forked.checkpointTime, 3 * kMicrosecond + 100 * kNanosecond);
+    EXPECT_EQ(forked.checkpointTime, lastEventBefore(events, late));
+    EXPECT_GT(forked.checkpointTime, late - 100 * kNanosecond) << "not a cadence mark";
     EXPECT_GT(forked.resimulatedTime, 0);
     EXPECT_EQ(forked.checkpointTime + forked.resimulatedTime, probe.duration());
 
@@ -615,12 +648,15 @@ TEST(ForkFromGolden, RecordsCheckpointDiagnostics)
 // The runner's checkpoint lookup: a first attempt forks from the latest
 // checkpoint strictly before its injection instant (one taken at that instant
 // would re-run the injection wave); golden runs and retries never look; the
-// capture count is billed once per runner, hits and misses once per run().
+// checkpoints come from the first campaign's fault list and are captured
+// and billed once per runner, hits and misses once per run().
 TEST(RunnerCheckpoints, ForksStrictlyBeforeInjectionAndBillsEachRun)
 {
-    const auto factory = [] { return std::make_unique<duts::DigitalDutTestbench>(); };
+    const fault::TestbenchFactory factory = [] {
+        return std::make_unique<duts::DigitalDutTestbench>();
+    };
     campaign::CampaignRunner runner(factory);
-    runner.setCheckpointCadence(kMicrosecond);
+    runner.setCheckpointCadence(1); // > 0 turns fork mode on
     // An unknown target passes to the kernel with preflight off and fails to
     // arm (SimError), so its retry is observable.
     runner.setPreflight(false);
@@ -636,46 +672,58 @@ TEST(RunnerCheckpoints, ForksStrictlyBeforeInjectionAndBillsEachRun)
 
     const duts::DigitalDutTestbench probe;
     const std::string target = probe.sim().digital().instrumentation().names().front();
+    const std::vector<SimTime> events = goldenEventTimes(factory);
+    ASSERT_GT(events.size(), 2u);
+    const SimTime mid = 2 * kMicrosecond + 3 * kNanosecond;
     const SimTime late = 3 * kMicrosecond + 500 * kNanosecond;
-    const fault::FaultSpec early = fault::BitFlipFault{target, 0, 10 * kNanosecond};
+    // Injected at golden's first event: only time 0 precedes it.
+    const fault::FaultSpec early = fault::BitFlipFault{target, 0, events.front()};
 
-    // Lookups: the late fault and the retried fault's first attempt hit, the
-    // early fault misses, the golden run and the retry do not look.
+    // Lookups: the mid and late faults and the retried fault's first attempt
+    // hit, the early fault misses, the golden run and the retry do not look.
     const campaign::CampaignReport first = runner.run({
         fault::FaultSpec{},
         fault::BitFlipFault{target, 0, late},
         early,
         fault::BitFlipFault{"no_such_target", 0, late},
+        fault::BitFlipFault{target, 1, mid},
     });
-    ASSERT_EQ(first.runs.size(), 4u);
+    ASSERT_EQ(first.runs.size(), 5u);
     const SimTime cp = first.runs[1].diagnostics.checkpointTime;
-    ASSERT_GT(cp, 0);
-    ASSERT_LT(cp, late);
+    const SimTime cpMid = first.runs[4].diagnostics.checkpointTime;
+    EXPECT_EQ(cp, lastEventBefore(events, late));
+    EXPECT_EQ(cpMid, lastEventBefore(events, mid));
+    ASSERT_GT(cpMid, 0);
+    ASSERT_LT(cpMid, cp);
     EXPECT_EQ(first.runs[2].diagnostics.checkpointTime, 0);
     EXPECT_EQ(first.runs[3].outcome, campaign::Outcome::SimError);
     EXPECT_EQ(first.runs[3].diagnostics.attempts, 2);
-    const std::uint64_t captured = runner.checkpointCount();
-    EXPECT_GE(captured, 3u);
-    EXPECT_EQ(counter("gfi_snapshot_checkpoints_total"), captured);
-    EXPECT_EQ(counter("gfi_snapshot_checkpoint_hits_total"), 2u);
-    EXPECT_EQ(counter("gfi_snapshot_checkpoint_misses_total"), 1u);
+    EXPECT_EQ(runner.checkpointCount(), 2u) << "one per instant with an event before it";
+    EXPECT_EQ(counter("gfi_snapshot_checkpoints_total"), 2u);
+    EXPECT_EQ(counter("gfi_snapshot_checkpoint_hits_total"), 3u);
+    EXPECT_EQ(counter("gfi_snapshot_checkpoint_misses_total"), 1u)
+        << "a checkpoint at time 0 would have turned the early miss into a hit";
 
-    // A second campaign on the same runner: injected exactly at checkpoint
-    // cp it forks from the one before; 1 fs later it forks from cp itself.
+    // A second campaign on the same runner forks from the first one's
+    // checkpoints: injected exactly at cp it forks from the one before, 1 fs
+    // later from cp itself, and at an instant the first list lacked from
+    // the latest checkpoint before it.
     const fault::FaultSpec atCheckpoint = fault::BitFlipFault{target, 0, cp};
     const campaign::CampaignReport second = runner.run({
         fault::FaultSpec{},
         atCheckpoint,
         fault::BitFlipFault{target, 0, cp + 1},
+        fault::BitFlipFault{target, 0, late + 200 * kNanosecond},
         early,
     });
-    ASSERT_EQ(second.runs.size(), 4u);
-    EXPECT_GT(second.runs[1].diagnostics.checkpointTime, 0);
-    EXPECT_LT(second.runs[1].diagnostics.checkpointTime, cp);
+    ASSERT_EQ(second.runs.size(), 5u);
+    EXPECT_EQ(second.runs[1].diagnostics.checkpointTime, cpMid);
     EXPECT_EQ(second.runs[2].diagnostics.checkpointTime, cp);
-    EXPECT_EQ(second.runs[3].diagnostics.checkpointTime, 0);
-    EXPECT_EQ(counter("gfi_snapshot_checkpoints_total"), captured) << "billed once";
-    EXPECT_EQ(counter("gfi_snapshot_checkpoint_hits_total"), 4u);
+    EXPECT_EQ(second.runs[3].diagnostics.checkpointTime, cp);
+    EXPECT_EQ(second.runs[4].diagnostics.checkpointTime, 0);
+    EXPECT_EQ(runner.checkpointCount(), 2u) << "golden ran once";
+    EXPECT_EQ(counter("gfi_snapshot_checkpoints_total"), 2u) << "billed once";
+    EXPECT_EQ(counter("gfi_snapshot_checkpoint_hits_total"), 6u);
     EXPECT_EQ(counter("gfi_snapshot_checkpoint_misses_total"), 2u);
 
     // The at-checkpoint fork classifies as a from-scratch run does; a runner
@@ -688,6 +736,7 @@ TEST(RunnerCheckpoints, ForksStrictlyBeforeInjectionAndBillsEachRun)
     EXPECT_EQ(fromScratch.runs[0].outcome, second.runs[1].outcome);
     EXPECT_EQ(fromScratch.runs[0].firstOutputError, second.runs[1].firstOutputError);
     EXPECT_EQ(fromScratch.runs[0].corruptedState, second.runs[1].corruptedState);
+    EXPECT_EQ(scratch.checkpointCount(), 0u);
     EXPECT_EQ(scratchTelemetry.metrics().counterValue("gfi_snapshot_checkpoint_hits_total"), 0u);
     EXPECT_EQ(scratchTelemetry.metrics().counterValue("gfi_snapshot_checkpoint_misses_total"),
               0u);
@@ -698,7 +747,9 @@ TEST(RunnerCheckpoints, ForksStrictlyBeforeInjectionAndBillsEachRun)
 // follows, and classifies exactly as a from-scratch run does.
 TEST(ForkFromGolden, CheckpointOnAnObservedEventClassifiesAsScratch)
 {
-    const auto factory = [] { return std::make_unique<duts::DigitalDutTestbench>(); };
+    const fault::TestbenchFactory factory = [] {
+        return std::make_unique<duts::DigitalDutTestbench>();
+    };
     const auto reference = factory();
     reference->run();
     const std::string observed = reference->observedDigital().front();
@@ -707,11 +758,12 @@ TEST(ForkFromGolden, CheckpointOnAnObservedEventClassifiesAsScratch)
                                  [](const auto& ev) { return ev.first >= kMicrosecond; });
     ASSERT_NE(at, events.end());
     const SimTime tEvent = at->first;
+    const std::vector<SimTime> goldenEvents = goldenEventTimes(factory);
 
-    // The cadence puts the first capture on the first scheduled event at or
-    // after tEvent, which is tEvent itself; the next one is a cadence later.
+    // A fault 1 fs after tEvent forks from the capture at tEvent itself; one
+    // 40 ns later from golden's last event before it.
     campaign::CampaignRunner forked(factory);
-    forked.setCheckpointCadence(tEvent);
+    forked.setCheckpointCadence(1); // > 0 turns fork mode on
     campaign::CampaignRunner scratch(factory);
     scratch.setCheckpointCadence(0);
     const std::vector<std::string> targets =
@@ -726,7 +778,11 @@ TEST(ForkFromGolden, CheckpointOnAnObservedEventClassifiesAsScratch)
     ASSERT_EQ(got.runs.size(), want.runs.size());
     for (std::size_t i = 0; i < got.runs.size(); ++i) {
         SCOPED_TRACE(fault::describe(faults[i]));
-        EXPECT_EQ(got.runs[i].diagnostics.checkpointTime, tEvent);
+        const SimTime tInj = fault::injectionTime(faults[i]);
+        EXPECT_EQ(got.runs[i].diagnostics.checkpointTime, lastEventBefore(goldenEvents, tInj));
+        if (tInj == tEvent + 1) {
+            EXPECT_EQ(got.runs[i].diagnostics.checkpointTime, tEvent);
+        }
         EXPECT_EQ(got.runs[i].outcome, want.runs[i].outcome);
         EXPECT_EQ(got.runs[i].erredSignals, want.runs[i].erredSignals);
         EXPECT_EQ(got.runs[i].firstOutputError, want.runs[i].firstOutputError);
@@ -752,8 +808,8 @@ TEST(ForkFromGolden, WatchdogBudgetCountsOnlyTheSuffix)
 
     const duts::DigitalDutTestbench probeTb;
     const std::string target = probeTb.sim().digital().instrumentation().names().front();
-    // Inject late: the fork resumes from ~3 us of 4 us, so the suffix costs
-    // roughly a quarter of the golden wave count.
+    // Inject late: the fork resumes just before 3.5 us of 4 us, so the
+    // suffix costs roughly an eighth of the golden wave count.
     const fault::FaultSpec fault =
         fault::BitFlipFault{target, 0, 3 * kMicrosecond + 500 * kNanosecond};
     WatchdogConfig budget;
@@ -767,7 +823,7 @@ TEST(ForkFromGolden, WatchdogBudgetCountsOnlyTheSuffix)
 
     campaign::CampaignRunner forked(factory);
     forked.setWatchdogConfig(budget);
-    forked.setCheckpointCadence(kMicrosecond);
+    forked.setCheckpointCadence(1); // > 0 turns fork mode on
     const campaign::RunResult fromFork = forked.runOne(fault);
     EXPECT_NE(fromFork.outcome, campaign::Outcome::Timeout)
         << "forked run must be charged only for the post-restore suffix: "
@@ -797,7 +853,7 @@ TEST(ForkFromGolden, RetriesRunFromScratch)
     budget.digitalWaves = goldenWaves / 20;
     campaign::CampaignRunner runner(factory);
     runner.setWatchdogConfig(budget);
-    runner.setCheckpointCadence(kMicrosecond);
+    runner.setCheckpointCadence(1); // > 0 turns fork mode on
     runner.setRetryPolicy(
         campaign::RetryPolicy{.maxAttempts = 2, .retryTimeout = true});
     const campaign::RunResult result = runner.runOne(fault);
@@ -854,7 +910,7 @@ TEST(ForkFromGolden, Pre006RejectsNonSnapshottableStatefulComponents)
     // The campaign preflight only applies the rule while forking is enabled.
     {
         campaign::CampaignRunner runner(shadowedFactory());
-        runner.setCheckpointCadence(kMicrosecond);
+        runner.setCheckpointCadence(1); // > 0 turns fork mode on
         try {
             (void)runner.run({fault::FaultSpec{}});
             FAIL() << "fork-from-golden accepted a non-Snapshottable stateful component";
@@ -865,7 +921,7 @@ TEST(ForkFromGolden, Pre006RejectsNonSnapshottableStatefulComponents)
     }
     {
         campaign::CampaignRunner runner(shadowedFactory());
-        runner.setCheckpointCadence(-1); // forking off: the design is acceptable
+        runner.setCheckpointCadence(0); // forking off: the design is acceptable
         const campaign::CampaignReport report = runner.run({fault::FaultSpec{}});
         EXPECT_EQ(report.runs.size(), 1u);
     }

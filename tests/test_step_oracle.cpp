@@ -60,10 +60,10 @@ campaign::CampaignRunner referenceRunner(const pll::PllConfig& cfg)
 
 campaign::CampaignReport runQuiet(campaign::CampaignRunner& runner,
                                   const std::vector<fault::FaultSpec>& faults,
-                                  SimTime cadence = -1)
+                                  bool fork = false)
 {
     runner.setRecordTiming(false);
-    runner.setCheckpointCadence(cadence);
+    runner.setCheckpointCadence(fork ? 1 : 0); // > 0 turns fork mode on
     return runner.run(faults);
 }
 
@@ -167,7 +167,7 @@ TEST(StepOracle, Fig8SweepMatchesTightReferenceAndForkMatchesScratch)
     campaign::CampaignRunner forkRunner = productionRunner(cfg);
     campaign::CampaignRunner refRunner = referenceRunner(cfg);
     const campaign::CampaignReport scratch = runQuiet(scratchRunner, faults);
-    const campaign::CampaignReport forked = runQuiet(forkRunner, faults, 2 * kMicrosecond);
+    const campaign::CampaignReport forked = runQuiet(forkRunner, faults, true);
     EXPECT_EQ(campaign::reportToJson(forked), campaign::reportToJson(scratch));
     EXPECT_EQ(forked.summaryTable(), scratch.summaryTable());
 
@@ -186,7 +186,7 @@ TEST(StepOracle, DoubleExpPulsesOnBothSaboteursMatchTightReference)
 {
     // The fitted double exponential is the pulse model the campaign
     // benchmark alternates with the trapezoid; here it is injected on both
-    // saboteurs at the default duration, forking every 2 us.
+    // saboteurs at the default duration, forking from golden.
     const pll::PllConfig cfg;
     const double tInject = 200e-6;
     std::vector<fault::FaultSpec> faults;
@@ -202,7 +202,7 @@ TEST(StepOracle, DoubleExpPulsesOnBothSaboteursMatchTightReference)
     campaign::CampaignRunner scratchRunner = productionRunner(cfg);
     campaign::CampaignRunner forkRunner = productionRunner(cfg);
     const campaign::CampaignReport scratch = runQuiet(scratchRunner, faults);
-    const campaign::CampaignReport forked = runQuiet(forkRunner, faults, 2 * kMicrosecond);
+    const campaign::CampaignReport forked = runQuiet(forkRunner, faults, true);
     EXPECT_EQ(campaign::reportToJson(forked), campaign::reportToJson(scratch));
 
     // The reference forks too (forked and from-scratch campaigns are
@@ -214,7 +214,7 @@ TEST(StepOracle, DoubleExpPulsesOnBothSaboteursMatchTightReference)
     // time constants) resolves its smooth peak with only a few steps; the
     // VCO bound plays no part, which the runner below shows.
     campaign::CampaignRunner refRunner = referenceRunner(cfg);
-    const campaign::CampaignReport reference = runQuiet(refRunner, faults, 2 * kMicrosecond);
+    const campaign::CampaignReport reference = runQuiet(refRunner, faults, true);
     expectSameVerdicts(forked, reference);
     expectTighterGolden(forkRunner, refRunner);
 
@@ -230,7 +230,7 @@ TEST(StepOracle, DoubleExpPulsesOnBothSaboteursMatchTightReference)
             return tb;
         },
         pllTolerance());
-    expectSameClassification(forked, runQuiet(fineRunner, faults, 2 * kMicrosecond));
+    expectSameClassification(forked, runQuiet(fineRunner, faults, true));
 }
 
 TEST(StepOracle, PllGoldenStepsFollowTheVcoBound)

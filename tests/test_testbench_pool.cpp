@@ -75,13 +75,12 @@ TEST(TestbenchPool, OneBuildPerWorkerAndNothingLeftAfterRun)
 {
     const auto faults = dutFlips(12);
     for (const unsigned workers : {1u, 3u}) {
-        for (const SimTime cadence : {SimTime{0}, 500 * kNanosecond}) {
-            SCOPED_TRACE(std::to_string(workers) + " workers, cadence " +
-                         std::to_string(cadence));
+        for (const bool fork : {false, true}) {
+            SCOPED_TRACE(std::to_string(workers) + " workers, fork " + (fork ? "on" : "off"));
             auto ledger = std::make_shared<BuildLedger>();
             CampaignRunner runner(dutFactory(ledger));
             runner.setWorkers(workers);
-            runner.setCheckpointCadence(cadence);
+            runner.setCheckpointCadence(fork ? 1 : 0); // > 0 turns fork mode on
             (void)runner.run(faults);
             if (workers == 1) {
                 EXPECT_EQ(ledger->builds.load(), 2) << "the golden testbench plus one";
